@@ -46,6 +46,7 @@ from .fdcore import (
     Grid,
     MultiCurveSample,
     RandomSource,
+    as_univariate,
     ensure_valid,
     uniform_grid,
     validate_sample,
@@ -87,6 +88,7 @@ __all__ = [
     "uniform_grid",
     "validate_sample",
     "ensure_valid",
+    "as_univariate",
     "FdoutError",
     "ValidationError",
     "NumericError",

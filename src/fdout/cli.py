@@ -13,7 +13,6 @@ never drift from the library defaults.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import os
 import sys
@@ -23,10 +22,11 @@ import numpy as np
 
 from . import detect as _detect
 from .csvio import atomic_write_text, read_curves, write_curves, write_truth
-from .errors import FdoutError, NumericError, ValidationError
-from .fdcore import MultiCurveSample, RandomSource
+from .depths import ERLD_TYPES
+from .errors import FdoutError, NumericError
+from .fdcore import RandomSource
 from .muod import muod as _muod
-from .report import SCHEMA_VERSION, DetectionReport, to_external_indices
+from .report import DetectionReport, to_external_indices
 from .simmodels import simulation_model
 from .svgplot import emit_plot
 
@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic sample with planted outliers")
+    sim.set_defaults(run=run_simulate)
     sim.add_argument("--model", type=int, required=True, help="model id, 1..9")
     sim.add_argument("--n", type=int, default=_default(simulation_model, "n"))
     sim.add_argument("--p", type=int, default=_default(simulation_model, "p"))
@@ -72,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory for data.csv and truth.txt")
 
     det = sub.add_parser("detect", help="run a detector and write a JSON report")
-    det.add_argument("--method", required=True,
-                     choices=["msplot", "tvdmss", "seq", "muod", "fbplot"])
+    det.set_defaults(run=run_detect)
+    det.add_argument("--method", required=True, choices=list(DETECTORS))
     det.add_argument("--in", dest="infile", required=True,
                      help="input CSV path(s), comma separated for per-dimension input")
     det.add_argument("--report", required=True, help="output JSON report path")
@@ -95,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--depth", default=_default(_detect.seq_transform, "depth_method"),
                      choices=list(_detect.DEPTH_METHODS),
                      help="seq/fbplot: ordering method")
-    det.add_argument("--erld-type", default=None,
-                     choices=["two_sided", "one_sided_right", "one_sided_left"],
+    det.add_argument("--erld-type", default=None, choices=ERLD_TYPES,
                      help="tail convention when --depth erld")
     det.add_argument("--central-region", type=float,
                      default=_default(_detect.functional_boxplot, "central_region"),
@@ -109,15 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_csv_flags(det)
 
     dep = sub.add_parser("depth", help="write per-curve ordering scores as CSV")
+    dep.set_defaults(run=run_depth)
     dep.add_argument("--method", required=True, choices=list(_detect.DEPTH_METHODS))
     dep.add_argument("--in", dest="infile", required=True)
     dep.add_argument("--out", required=True)
-    dep.add_argument("--erld-type", default=None,
-                     choices=["two_sided", "one_sided_right", "one_sided_left"])
+    dep.add_argument("--erld-type", default=None, choices=ERLD_TYPES)
     dep.add_argument("--seed", type=int, default=0)
     _add_csv_flags(dep)
 
     plo = sub.add_parser("plot", help="render an SVG from data and a stored report")
+    plo.set_defaults(run=run_plot)
     plo.add_argument("--in", dest="infile", required=True)
     plo.add_argument("--kind", choices=["curves", "msplot"], default="curves")
     plo.add_argument("--out", required=True)
@@ -156,158 +157,128 @@ def run_simulate(args) -> int:
     return EXIT_OK
 
 
-def _dims(sample) -> tuple[int, int, int]:
-    if isinstance(sample, MultiCurveSample):
-        return sample.n, sample.p, sample.d
-    return sample.n, sample.p, 1
+def _detect_msplot(args, sample):
+    res = _detect.msplot(
+        sample, level=args.level, coverage=args.coverage, rng=RandomSource(args.seed)
+    )
+    diagnostics = {
+        "mo": res.mo,
+        "vo": res.vo,
+        "distances": res.distances,
+        "cutoff_threshold": res.cutoff.threshold,
+        "cutoff_dof": [res.cutoff.dof1, res.cutoff.dof2],
+    }
+    parameters = {"level": args.level, "coverage": args.coverage, "seed": args.seed}
+    return parameters, {"all": res.outliers}, diagnostics, ()
 
 
-def _detect_report(args, sample) -> DetectionReport:
-    n, p, d = _dims(sample)
-    method = args.method
-    if method == "msplot":
-        res = _detect.msplot(
-            sample, level=args.level, coverage=args.coverage,
-            rng=RandomSource(args.seed),
-        )
-        return DetectionReport(
-            method=method,
-            parameters={"level": args.level, "coverage": args.coverage,
-                        "seed": args.seed},
-            n=n, p=p, d=d,
-            outliers={"all": to_external_indices(res.outliers)},
-            diagnostics={
-                "mo": res.mo,
-                "vo": res.vo,
-                "distances": res.distances,
-                "cutoff_threshold": res.cutoff.threshold,
-                "cutoff_dof": [res.cutoff.dof1, res.cutoff.dof2],
-            },
-        )
-    if method == "tvdmss":
-        if isinstance(sample, MultiCurveSample):
-            sample = sample.to_univariate()
-        res = _detect.tvdmss(
-            sample,
-            emp_factor_mss=args.factor_mss,
-            emp_factor_tvd=args.factor_tvd,
-            central_region_tvd=args.central_region,
-        )
-        return DetectionReport(
-            method=method,
-            parameters={"emp_factor_mss": args.factor_mss,
-                        "emp_factor_tvd": args.factor_tvd,
-                        "central_region_tvd": args.central_region},
-            n=n, p=p, d=d,
-            outliers={
-                "all": to_external_indices(res.outliers),
-                "shape": to_external_indices(res.shape_outliers),
-                "magnitude": to_external_indices(res.magnitude_outliers),
-            },
-            diagnostics={"tvd": res.tvd, "mss": res.mss},
-        )
-    if method == "seq":
-        stages = [s for s in args.sequence.split(",") if s]
-        res = _detect.seq_transform(
-            sample, stages,
-            depth_method=args.depth,
-            erld_type=args.erld_type,
-            rng=RandomSource(args.seed),
-            central_region=args.central_region,
-            factor=args.factor,
-        )
-        union = np.array([], dtype=np.intp)
-        for stage in res.stages:
-            union = np.union1d(union, stage.outliers)
-        newly = _detect.stage_set_differences(res)
-        return DetectionReport(
-            method=method,
-            parameters={"sequence": stages, "depth": args.depth,
-                        "erld_type": args.erld_type, "seed": args.seed,
-                        "central_region": args.central_region,
-                        "factor": args.factor},
-            n=n, p=p, d=d,
-            outliers={"all": to_external_indices(union)},
-            diagnostics={
-                "stages": [
-                    {"label": s.label, "outliers": to_external_indices(s.outliers)}
-                    for s in res.stages
-                ],
-                "new_per_stage": [
-                    {"label": label, "outliers": to_external_indices(idx)}
-                    for label, idx in newly
-                ],
-            },
-            warnings=res.warnings,
-        )
-    if method == "muod":
-        if isinstance(sample, MultiCurveSample):
-            sample = sample.to_univariate()
-        flags, indices = _muod(sample, cut_method=args.cut)
-        union = np.union1d(np.union1d(flags.shape, flags.magnitude), flags.amplitude)
-        return DetectionReport(
-            method=method,
-            parameters={"cut": args.cut},
-            n=n, p=p, d=d,
-            outliers={
-                "all": to_external_indices(union),
-                "shape": to_external_indices(flags.shape),
-                "magnitude": to_external_indices(flags.magnitude),
-                "amplitude": to_external_indices(flags.amplitude),
-            },
-            diagnostics={
-                "index_shape": indices.shape,
-                "index_magnitude": indices.magnitude,
-                "index_amplitude": indices.amplitude,
-            },
-        )
-    # fbplot
-    if isinstance(sample, MultiCurveSample):
-        sample = sample.to_univariate()
+def _detect_tvdmss(args, sample):
+    parameters = {"emp_factor_mss": args.factor_mss,
+                  "emp_factor_tvd": args.factor_tvd,
+                  "central_region_tvd": args.central_region}
+    res = _detect.tvdmss(sample, **parameters)
+    outliers = {"all": res.outliers, "shape": res.shape_outliers,
+                "magnitude": res.magnitude_outliers}
+    return parameters, outliers, {"tvd": res.tvd, "mss": res.mss}, ()
+
+
+def _detect_seq(args, sample):
+    stages = [s for s in args.sequence.split(",") if s]
+    res = _detect.seq_transform(
+        sample, stages,
+        depth_method=args.depth,
+        erld_type=args.erld_type,
+        rng=RandomSource(args.seed),
+        central_region=args.central_region,
+        factor=args.factor,
+    )
+    parameters = {"sequence": stages, "depth": args.depth,
+                  "erld_type": args.erld_type, "seed": args.seed,
+                  "central_region": args.central_region, "factor": args.factor}
+    union = np.unique(np.concatenate([stage.outliers for stage in res.stages]))
+    diagnostics = {
+        "stages": [
+            {"label": s.label, "outliers": to_external_indices(s.outliers)}
+            for s in res.stages
+        ],
+        "new_per_stage": [
+            {"label": label, "outliers": to_external_indices(idx)}
+            for label, idx in _detect.stage_set_differences(res)
+        ],
+    }
+    return parameters, {"all": union}, diagnostics, res.warnings
+
+
+def _detect_muod(args, sample):
+    flags, indices = _muod(sample, cut_method=args.cut)
+    outliers = {
+        "all": np.union1d(np.union1d(flags.shape, flags.magnitude), flags.amplitude),
+        "shape": flags.shape,
+        "magnitude": flags.magnitude,
+        "amplitude": flags.amplitude,
+    }
+    diagnostics = {
+        "index_shape": indices.shape,
+        "index_magnitude": indices.magnitude,
+        "index_amplitude": indices.amplitude,
+    }
+    return {"cut": args.cut}, outliers, diagnostics, ()
+
+
+def _detect_fbplot(args, sample):
     depth = _detect.depth_by_name(
         sample, args.depth, erld_type=args.erld_type, rng=RandomSource(args.seed)
     )
     res = _detect.functional_boxplot(
         sample, depth, central_region=args.central_region, factor=args.factor
     )
-    return DetectionReport(
-        method=method,
-        parameters={"depth": args.depth, "erld_type": args.erld_type,
-                    "central_region": args.central_region, "factor": args.factor},
-        n=n, p=p, d=d,
-        outliers={"all": to_external_indices(res.outliers)},
-        diagnostics={
-            "depth": res.depth.scores,
-            "depth_direction": res.depth.direction,
-            "central": to_external_indices(res.central_indices),
-            "envelope_lower": res.envelope_lower,
-            "envelope_upper": res.envelope_upper,
-            "fence_lower": res.fence_lower,
-            "fence_upper": res.fence_upper,
-        },
-    )
+    parameters = {"depth": args.depth, "erld_type": args.erld_type,
+                  "central_region": args.central_region, "factor": args.factor}
+    diagnostics = {
+        "depth": res.depth.scores,
+        "depth_direction": res.depth.direction,
+        "central": to_external_indices(res.central_indices),
+        "envelope_lower": res.envelope_lower,
+        "envelope_upper": res.envelope_upper,
+        "fence_lower": res.fence_lower,
+        "fence_upper": res.fence_upper,
+    }
+    return parameters, {"all": res.outliers}, diagnostics, ()
+
+
+# --method -> adapter(args, sample) returning the resolved parameters, the
+# 0-based outlier classes, the diagnostics and the warnings of one detector
+DETECTORS = {
+    "msplot": _detect_msplot,
+    "tvdmss": _detect_tvdmss,
+    "seq": _detect_seq,
+    "muod": _detect_muod,
+    "fbplot": _detect_fbplot,
+}
 
 
 def run_detect(args) -> int:
     sample = _load_sample(args)
-    report = _detect_report(args, sample)
+    parameters, outliers, diagnostics, warnings = DETECTORS[args.method](args, sample)
     if not sample.grid.is_uniform:
-        note = ("grid spacing is non-uniform; summaries that average over the "
-                "grid treat all points equally")
-        report = dataclasses.replace(report, warnings=report.warnings + (note,))
+        warnings = (*warnings, "grid spacing is non-uniform; summaries that average "
+                    "over the grid treat all points equally")
+    report = DetectionReport(
+        method=args.method,
+        parameters=parameters,
+        n=sample.n, p=sample.p, d=sample.d,
+        outliers={name: to_external_indices(idx) for name, idx in outliers.items()},
+        diagnostics=diagnostics,
+        warnings=tuple(warnings),
+    )
     atomic_write_text(args.report, report.to_json())
     if args.plot:
-        plot_sample = sample
-        if isinstance(sample, MultiCurveSample) and sample.d == 1:
-            plot_sample = sample.to_univariate()
-        emit_plot(report, plot_sample, args.plot_kind, args.plot)
+        emit_plot(report, sample, args.plot_kind, args.plot)
     return EXIT_OK
 
 
 def run_depth(args) -> int:
     sample = _load_sample(args)
-    if isinstance(sample, MultiCurveSample) and sample.d == 1:
-        sample = sample.to_univariate()
     depth = _detect.depth_by_name(
         sample, args.method, erld_type=args.erld_type, rng=RandomSource(args.seed)
     )
@@ -326,55 +297,48 @@ def run_plot(args) -> int:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = DetectionReport.from_json(handle.read())
     else:
-        n, p, d = _dims(sample)
         report = DetectionReport(
-            method="none", parameters={}, n=n, p=p, d=d, outliers={"all": []}
+            method="none", parameters={}, n=sample.n, p=sample.p, d=sample.d,
+            outliers={"all": []},
         )
-    if isinstance(sample, MultiCurveSample) and sample.d == 1:
-        sample = sample.to_univariate()
     emit_plot(report, sample, args.kind, args.out)
     return EXIT_OK
 
 
-def _error_report(args, exc: FdoutError) -> None:
-    """Best-effort error report so pipelines can inspect failures."""
-    report = DetectionReport(
-        method=getattr(args, "method", "unknown"),
-        parameters={},
-        n=0, p=0, d=0,
-        outliers={},
-        error={"type": type(exc).__name__, "message": str(exc)},
-    )
-    try:
-        atomic_write_text(args.report, report.to_json())
-    except OSError:
-        pass
+def _report_failure(args, exc: Exception, code: int) -> int:
+    """Print the failure and, for detect, write a best-effort error report so
+    pipelines can inspect it."""
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    if args.subcommand == "detect":
+        report = DetectionReport(
+            method=args.method,
+            parameters={},
+            n=0, p=0, d=0,
+            outliers={},
+            error={"type": type(exc).__name__, "message": str(exc)},
+        )
+        try:
+            atomic_write_text(args.report, report.to_json())
+        except OSError:
+            pass
+    return code
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runners = {
-        "simulate": run_simulate,
-        "detect": run_detect,
-        "depth": run_depth,
-        "plot": run_plot,
-    }
     try:
-        return runners[args.subcommand](args)
-    except NumericError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.subcommand == "detect":
-            _error_report(args, exc)
-        return EXIT_NUMERIC
-    except ValidationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.subcommand == "detect":
-            _error_report(args, exc)
-        return EXIT_VALIDATION
+        return args.run(args)
+    except FdoutError as exc:
+        code = EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_VALIDATION
+        return _report_failure(args, exc, code)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        # last-resort net for a fault inside fdout: still an exit code from
+        # the contract and an error report, never a traceback
+        return _report_failure(args, exc, EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

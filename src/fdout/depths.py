@@ -125,8 +125,8 @@ def modified_band_depth(sample: CurveSample) -> DepthVector:
     n_pairs = comb(n, 2)
     # strict below/above counts exclude ties, so containing-pair counts are
     # n_pairs minus pairs lying entirely on one strict side
-    n_below_strict = rankdata(values, method="min", axis=0) - 1
-    n_above_strict = n - rankdata(values, method="max", axis=0)
+    ranks = pointwise_ranks(values)
+    n_below_strict, n_above_strict = n - ranks.above, n - ranks.below
     failing = _choose2(n_below_strict) + _choose2(n_above_strict)
     scores = (n_pairs - failing).mean(axis=1) / n_pairs
     return DepthVector(scores, DEEPER_IS_LARGER, "mbd")
@@ -222,8 +222,8 @@ def extremal_depth(sample: CurveSample) -> DepthVector:
     """
     values = _require(sample, 2, "extremal_depth")
     n, p = values.shape
-    n_below_strict = rankdata(values, method="min", axis=0) - 1
-    n_above_strict = n - rankdata(values, method="max", axis=0)
+    ranks = pointwise_ranks(values)
+    n_below_strict, n_above_strict = n - ranks.above, n - ranks.below
     pointwise = 1.0 - np.abs(n_below_strict - n_above_strict) / n
     levels = np.unique(pointwise)
     sorted_rows = np.sort(pointwise, axis=1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,13 +23,22 @@ from .dirout import decompose, directional_outlyingness, pointwise_sdo
 from .errors import (
     BadCentralRegion,
     EmptySequence,
+    NonFiniteOutlyingness,
     OOnUnivariate,
     ShapeMismatch,
     TooFewCurves,
     UnknownDepthMethod,
     ValidationError,
 )
-from .fdcore import CurveSample, Grid, MultiCurveSample, RandomSource, ensure_valid
+from .fdcore import (
+    AnySample,
+    CurveSample,
+    Grid,
+    MultiCurveSample,
+    RandomSource,
+    as_univariate,
+    ensure_valid,
+)
 from .robust import FCutoff, fast_mcd, hardin_rocke_cutoff, robust_distances
 from .tvd import modified_shape_similarity, total_variation_depth
 
@@ -49,14 +58,6 @@ __all__ = [
     "seq_transform",
     "stage_set_differences",
 ]
-
-AnySample = Union[CurveSample, MultiCurveSample]
-
-# orderings usable by functional boxplots and sequential transformations;
-# rmd (robust distance of the MO/VO summary) is only meaningful per-sample
-DEPTH_METHODS = ("bd", "mbd", "erld", "dq", "linf", "ed", "tvd", "rmd")
-SEQ_STAGES = ("T0", "D0", "T1", "T2", "D1", "D2", "O")
-
 
 @dataclass(frozen=True)
 class FunctionalBoxplotResult:
@@ -100,6 +101,25 @@ class SeqTransformResult:
     warnings: tuple
 
 
+# name -> (orders d > 1 curves, ordering(sample, erld_type, rng)). Entries
+# look their kernels up when called, so a replaced module attribute is seen.
+_DEPTHS = {
+    "bd": (False, lambda sample, erld_type, rng: _depths.band_depth(sample)),
+    "mbd": (False, lambda sample, erld_type, rng: _depths.modified_band_depth(sample)),
+    "erld": (False, lambda sample, erld_type, rng: _depths.extreme_rank_length(
+        sample, type=erld_type or "two_sided")),
+    "dq": (False, lambda sample, erld_type, rng: _depths.directional_quantile(sample)),
+    "linf": (False, lambda sample, erld_type, rng: _depths.linfinity_depth(sample)),
+    "ed": (False, lambda sample, erld_type, rng: _depths.extremal_depth(sample)),
+    "tvd": (False, lambda sample, erld_type, rng: DepthVector(
+        total_variation_depth(sample), DEEPER_IS_LARGER, "tvd")),
+    # robust distance of the MO/VO summary: the only ordering for d > 1
+    "rmd": (True, lambda sample, erld_type, rng: DepthVector(
+        msplot(sample, rng=rng).distances, OUTLYING_IS_LARGER, "rmd")),
+}
+DEPTH_METHODS = tuple(_DEPTHS)
+
+
 def depth_by_name(
     sample: AnySample,
     method: str,
@@ -114,34 +134,19 @@ def depth_by_name(
     """
     if method not in DEPTH_METHODS:
         raise UnknownDepthMethod(f"unknown depth method {method!r}")
-    if method == "rmd":
-        ms = msplot(sample, rng=rng)
-        return DepthVector(ms.distances, OUTLYING_IS_LARGER, "rmd")
-    if isinstance(sample, MultiCurveSample):
-        if sample.d == 1:
-            sample = sample.to_univariate()
-        else:
-            raise ValidationError(
-                f"depth method {method!r} needs univariate curves; "
-                "apply an O stage first or order by rmd"
-            )
-    if method == "bd":
-        return _depths.band_depth(sample)
-    if method == "mbd":
-        return _depths.modified_band_depth(sample)
-    if method == "erld":
-        return _depths.extreme_rank_length(sample, type=erld_type or "two_sided")
-    if method == "dq":
-        return _depths.directional_quantile(sample)
-    if method == "linf":
-        return _depths.linfinity_depth(sample)
-    if method == "ed":
-        return _depths.extremal_depth(sample)
-    return DepthVector(total_variation_depth(sample), DEEPER_IS_LARGER, "tvd")
+    multivariate_ok, order = _DEPTHS[method]
+    if sample.d == 1:
+        sample = as_univariate(sample)
+    elif not multivariate_ok:
+        raise ValidationError(
+            f"depth method {method!r} needs univariate curves; "
+            "apply an O stage first or order by rmd"
+        )
+    return order(sample, erld_type, rng)
 
 
 def functional_boxplot(
-    sample: CurveSample,
+    sample: AnySample,
     depth: DepthVector,
     central_region: float = 0.5,
     factor: float = 1.5,
@@ -154,7 +159,7 @@ def functional_boxplot(
     ``factor`` times the envelope width beyond it, and any curve strictly
     outside a fence anywhere is an outlier.
     """
-    ensure_valid(sample)
+    sample = as_univariate(ensure_valid(sample))
     values = sample.values
     n = sample.n
     if len(depth) != n:
@@ -212,6 +217,12 @@ def msplot(
     if rng is None:
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
+    zero_mad = np.flatnonzero(np.isinf(field.sdo).any(axis=0))
+    if zero_mad.size:
+        raise NonFiniteOutlyingness(
+            "outlyingness is infinite where the pointwise MAD is zero and some "
+            f"curves are off the median: grid points {zero_mad.tolist()} (0-based)"
+        )
     summary = decompose(field)
     points = np.hstack([summary.mo, summary.vo[:, None]])
     fit = fast_mcd(points, coverage=coverage, rng=rng.child(1))
@@ -227,7 +238,7 @@ def msplot(
 
 
 def tvdmss(
-    sample: CurveSample,
+    sample: AnySample,
     emp_factor_mss: float = 1.5,
     emp_factor_tvd: float = 1.5,
     central_region_tvd: float = 0.5,
@@ -239,7 +250,7 @@ def tvdmss(
     depth of the remaining curves (central size relative to the original
     n) flags magnitude outliers.
     """
-    ensure_valid(sample)
+    sample = as_univariate(ensure_valid(sample))
     n = sample.n
     if n < 5:
         raise TooFewCurves(f"tvdmss needs n >= 5, got {n}")
@@ -307,6 +318,20 @@ def _difference_rows(sample: CurveSample) -> tuple[CurveSample, list]:
     return CurveSample(values, grid, ids=sample.ids), []
 
 
+# stage -> (needs d > 1 curves, transform(sample, rng) -> (sample, warnings));
+# every stage but O needs univariate curves
+_SEQ_TRANSFORMS = {
+    "T0": (False, lambda sample, rng: (sample, [])),
+    "D0": (False, lambda sample, rng: (sample, [])),
+    "T1": (False, lambda sample, rng: _center_rows(sample)),
+    "T2": (False, lambda sample, rng: _normalise_rows(sample)),
+    "D1": (False, lambda sample, rng: _difference_rows(sample)),
+    "D2": (False, lambda sample, rng: _difference_rows(sample)),
+    "O": (True, lambda sample, rng: (o_transform(sample, rng=rng), [])),
+}
+SEQ_STAGES = tuple(_SEQ_TRANSFORMS)
+
+
 def _stage_labels(sequence: list, warnings: list) -> list:
     counts = {}
     for name in sequence:
@@ -365,31 +390,19 @@ def seq_transform(
 
     warnings: list = []
     labels = _stage_labels(sequence, warnings)
-    current: AnySample = sample
-    if isinstance(current, MultiCurveSample) and current.d == 1:
-        current = current.to_univariate()
+    current = sample if sample.d > 1 else as_univariate(sample)
     stages = []
     for position, (name, label) in enumerate(zip(sequence, labels)):
         stage_rng = rng.child(position)
-        multivariate = isinstance(current, MultiCurveSample)
-        if name == "O":
-            if not multivariate:
-                raise OOnUnivariate("the O stage needs multivariate curves")
-            current = o_transform(current, rng=stage_rng.child(0))
-        elif multivariate:
+        needs_multivariate, transform = _SEQ_TRANSFORMS[name]
+        if needs_multivariate and current.d == 1:
+            raise OOnUnivariate(f"the {name} stage needs multivariate curves")
+        if current.d > 1 and not needs_multivariate:
             raise ValidationError(
                 f"stage {name} needs univariate curves; apply an O stage first"
             )
-        elif name in ("T0", "D0"):
-            pass
-        else:
-            if name == "T1":
-                current, extra = _center_rows(current)
-            elif name == "T2":
-                current, extra = _normalise_rows(current)
-            else:
-                current, extra = _difference_rows(current)
-            warnings.extend(extra)
+        current, extra = transform(current, stage_rng.child(0))
+        warnings.extend(extra)
 
         depth = depth_by_name(
             current, depth_method, erld_type=erld_type, rng=stage_rng.child(1)

@@ -140,3 +140,8 @@ class CovarianceNotPD(NumericError):
 
 class AllDegenerate(NumericError):
     """Every curve in the sample has zero variance."""
+
+
+class NonFiniteOutlyingness(NumericError):
+    """Outlyingness is infinite: the pointwise MAD is zero at a grid point
+    where some curve is off the median, so no finite MO/VO summary exists."""

@@ -37,7 +37,7 @@ __all__ = [
     "uniform_grid",
     "validate_sample",
     "ensure_valid",
-    "standard_normal",
+    "as_univariate",
 ]
 
 
@@ -140,6 +140,11 @@ class CurveSample:
     def p(self) -> int:
         return int(self.values.shape[1])
 
+    @property
+    def d(self) -> int:
+        """Curve dimension, always 1."""
+        return 1
+
     def to_multivariate(self) -> "MultiCurveSample":
         """Embed as a d=1 multivariate sample (lossless)."""
         return MultiCurveSample(self.values[:, :, np.newaxis], self.grid, ids=self.ids)
@@ -192,6 +197,14 @@ class MultiCurveSample:
 
 
 AnySample = Union[CurveSample, MultiCurveSample]
+
+
+def as_univariate(sample: AnySample) -> CurveSample:
+    """The sample as a CurveSample: a d=1 MultiCurveSample is a univariate
+    sample, collapsed bit-exactly; a d > 1 sample raises ValidationError."""
+    if isinstance(sample, CurveSample):
+        return sample
+    return sample.to_univariate()
 
 
 @dataclass(frozen=True)
@@ -281,10 +294,3 @@ class RandomSource:
         src.seed = self.seed
         src._generator = np.random.Generator(np.random.Philox(seed=ss))
         return src
-
-
-def standard_normal(rng: RandomSource, count: int) -> np.ndarray:
-    """``count`` i.i.d. standard normal draws from ``rng`` (empty array for 0)."""
-    if count < 0:
-        raise ValidationError("count must be non-negative")
-    return rng.standard_normal(int(count))

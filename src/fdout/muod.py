@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllDegenerate, TooFewCurves, TooFewPoints
-from .fdcore import CurveSample
+from .fdcore import AnySample, as_univariate
 
 __all__ = [
     "MuodIndices",
@@ -42,7 +42,7 @@ class MuodOutliers:
     cut_method: str
 
 
-def muod_indices(sample: CurveSample) -> MuodIndices:
+def muod_indices(sample: AnySample) -> MuodIndices:
     """Shape, magnitude and amplitude indices of every curve.
 
     With grid means x_bar and pairwise covariances C over grid points
@@ -52,7 +52,7 @@ def muod_indices(sample: CurveSample) -> MuodIndices:
     are dropped from the means; a curve with no valid pairs gets means of
     zero, which marks it maximally atypical in shape and amplitude.
     """
-    values = sample.values
+    values = as_univariate(sample).values
     n, p = values.shape
     if n < 3:
         raise TooFewCurves(f"muod indices need n >= 3, got {n}")
@@ -122,7 +122,7 @@ def muod_cutoff_tangent(indices) -> np.ndarray:
     return np.flatnonzero(x > cutoff)
 
 
-def muod(sample: CurveSample, cut_method: str = "boxplot"):
+def muod(sample: AnySample, cut_method: str = "boxplot"):
     """Flag shape, magnitude and amplitude outliers via the chosen cutoff."""
     if cut_method not in ("boxplot", "tangent"):
         raise ValueError(f"cut_method must be 'boxplot' or 'tangent', got {cut_method!r}")

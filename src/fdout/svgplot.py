@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import atomic_write_text
 from .errors import InconsistentReport
-from .fdcore import CurveSample, MultiCurveSample
+from .fdcore import AnySample, CurveSample, as_univariate
 from .report import DetectionReport
 
 __all__ = ["render_curves", "render_msplot", "emit_plot"]
@@ -157,7 +157,7 @@ def render_msplot(
 
 def emit_plot(
     report: DetectionReport,
-    sample: Optional[CurveSample],
+    sample: Optional[AnySample],
     kind: str,
     path: str,
 ) -> str:
@@ -168,12 +168,11 @@ def emit_plot(
     if kind == "curves":
         if sample is None:
             raise InconsistentReport("curve plots need the curve data")
-        if isinstance(sample, MultiCurveSample):
-            if sample.d != 1:
-                raise InconsistentReport(
-                    "curve plots need univariate curves; plot each dimension separately"
-                )
-            sample = sample.to_univariate()
+        if sample.d != 1:
+            raise InconsistentReport(
+                "curve plots need univariate curves; plot each dimension separately"
+            )
+        sample = as_univariate(sample)
         if report.n and report.n != sample.n:
             raise InconsistentReport(
                 f"report describes {report.n} curves, data has {sample.n}"

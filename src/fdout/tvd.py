@@ -121,7 +121,7 @@ def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
 
 
 def compute_tvd_mss(sample: CurveSample) -> TvdResult:
-    """Both statistics in one pass over the sample."""
+    """Both statistics for one sample, computed by two separate passes."""
     return TvdResult(
         tvd=total_variation_depth(sample),
         mss=modified_shape_similarity(sample),

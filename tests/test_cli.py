@@ -12,7 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from fdout.cli import build_parser, main
+import fdout.detect
+from fdout.cli import DETECTORS, build_parser, main
 from fdout.csvio import (
     atomic_write_text,
     read_curves,
@@ -21,6 +22,7 @@ from fdout.csvio import (
     write_truth,
 )
 from fdout.detect import (
+    DEPTH_METHODS,
     depth_by_name,
     functional_boxplot,
     msplot,
@@ -552,6 +554,89 @@ class TestCliCommands:
         assert any("non-uniform" in w for w in payload["warnings"])
 
 
+@pytest.fixture(scope="module")
+def sim_csv(tmp_path_factory):
+    """Model 1, 30 curves on 20 points, three planted outliers."""
+    path = tmp_path_factory.mktemp("sim") / "data.csv"
+    out = simulation_model(1, n=30, p=20, outlier_rate=0.1, deterministic=True, seed=3)
+    write_curves(str(path), out.data)
+    return str(path)
+
+
+# method -> (resolved parameters at the flag defaults, outlier classes, diagnostics)
+DETECT_REPORTS = {
+    "msplot": (
+        {"level": 0.05, "coverage": None, "seed": 0},
+        {"all"},
+        {"mo", "vo", "distances", "cutoff_threshold", "cutoff_dof"},
+    ),
+    "tvdmss": (
+        {"emp_factor_mss": 1.5, "emp_factor_tvd": 1.5, "central_region_tvd": 0.5},
+        {"all", "shape", "magnitude"},
+        {"tvd", "mss"},
+    ),
+    "seq": (
+        {"sequence": ["T0", "T1", "T2"], "depth": "mbd", "erld_type": None,
+         "seed": 0, "central_region": 0.5, "factor": 1.5},
+        {"all"},
+        {"stages", "new_per_stage"},
+    ),
+    "muod": (
+        {"cut": "boxplot"},
+        {"all", "shape", "magnitude", "amplitude"},
+        {"index_shape", "index_magnitude", "index_amplitude"},
+    ),
+    "fbplot": (
+        {"depth": "mbd", "erld_type": None, "central_region": 0.5, "factor": 1.5},
+        {"all"},
+        {"depth", "depth_direction", "central", "envelope_lower", "envelope_upper",
+         "fence_lower", "fence_upper"},
+    ),
+}
+
+
+class TestEveryMethodReport:
+    def test_table_covers_every_method(self):
+        assert list(DETECT_REPORTS) == list(DETECTORS)
+
+    @pytest.mark.parametrize("method", list(DETECT_REPORTS))
+    def test_report_layout(self, tmp_path, sim_csv, method):
+        parameters, classes, diagnostics = DETECT_REPORTS[method]
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", method, "--in", sim_csv,
+                   "--report", str(report_path)])
+        assert rc == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["parameters"] == parameters
+        assert set(payload["outliers"]) == classes
+        assert set(payload["diagnostics"]) == diagnostics
+        assert (payload["n"], payload["p"], payload["d"]) == (30, 20, 1)
+        assert payload["error"] is None
+        union = set().union(*(payload["outliers"][c] for c in classes))
+        assert payload["outliers"]["all"] == sorted(union)
+
+    @pytest.mark.parametrize("method", list(DETECT_REPORTS))
+    def test_one_file_per_dimension_input_matches_wide(self, tmp_path, sim_csv, method):
+        texts = []
+        for layout in ("wide", "per-dimension"):
+            report_path = tmp_path / f"{layout}.json"
+            rc = main(["detect", "--method", method, "--in", sim_csv,
+                       "--layout", layout, "--report", str(report_path)])
+            assert rc == 0
+            texts.append(report_path.read_text())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("method", DEPTH_METHODS)
+    def test_depth_subcommand_every_method(self, tmp_path, sim_csv, method):
+        out_path = tmp_path / "depth.csv"
+        rc = main(["depth", "--method", method, "--in", sim_csv, "--out", str(out_path)])
+        assert rc == 0
+        lines = out_path.read_text().strip().split("\n")
+        assert lines[0] == "curve,score"
+        expected = depth_by_name(read_curves(sim_csv), method, rng=RandomSource(0)).scores
+        assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
+
+
 class TestCliErrors:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -598,6 +683,34 @@ class TestCliErrors:
         assert "AllDegenerate" in capsys.readouterr().err
         payload = json.loads(report_path.read_text())
         assert payload["error"]["type"] == "AllDegenerate"
+
+    def test_zero_mad_msplot_exits_3_with_error_report(self, tmp_path, capsys):
+        values = np.random.default_rng(210).standard_normal((40, 20))
+        values[:25, 0] = 0.0
+        path = tmp_path / "zero_mad.csv"
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "msplot", "--in", str(path),
+                   "--report", str(report_path)])
+        assert rc == 3
+        assert "NonFiniteOutlyingness" in capsys.readouterr().err
+        payload = json.loads(report_path.read_text())
+        assert payload["error"]["type"] == "NonFiniteOutlyingness"
+        assert "grid points [0]" in payload["error"]["message"]
+
+    def test_unexpected_exception_exits_3_with_error_report(
+        self, tmp_path, sim_csv, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(fdout.detect, "fast_mcd", broken)
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "msplot", "--in", sim_csv,
+                   "--report", str(report_path)])
+        assert rc == 3
+        payload = json.loads(report_path.read_text())
+        assert payload["error"] == {"type": "RuntimeError", "message": "internal fault"}
 
     def test_simulate_bad_model_exits_2(self, tmp_path):
         rc = main(["simulate", "--model", "12", "--out", str(tmp_path / "sim")])

@@ -6,6 +6,7 @@ from fdout import (
     functional_boxplot,
     modified_band_depth,
     msplot,
+    muod,
     o_transform,
     seq_transform,
     simulation_model,
@@ -17,6 +18,7 @@ from fdout.detect import DEPTH_METHODS, depth_by_name
 from fdout.errors import (
     BadCentralRegion,
     EmptySequence,
+    NonFiniteOutlyingness,
     OOnUnivariate,
     TooFewCurves,
     UnknownDepthMethod,
@@ -179,6 +181,51 @@ class TestMsplot:
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
             msplot(constant_curves([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
+
+    def test_zero_mad_raises_numeric_error_naming_grid_points(self):
+        # 25 of 40 curves sit at 0 in column 0: the MAD there is 0 and the
+        # other 15 curves are infinitely outlying
+        values = np.random.default_rng(210).standard_normal((40, 20))
+        values[:25, 0] = 0.0
+        with pytest.raises(NonFiniteOutlyingness, match=r"grid points \[0\]"):
+            msplot(make_sample(values), rng=RandomSource(0))
+
+
+class TestD1MultiCurveSampleIsUnivariate:
+    """A d=1 MultiCurveSample gives exactly the results of its CurveSample."""
+
+    @staticmethod
+    def _pair():
+        out = simulation_model(6, n=30, p=16, outlier_rate=0.1,
+                               deterministic=True, seed=12)
+        return out.data, out.data.to_multivariate()
+
+    def test_tvdmss(self):
+        uni, multi = self._pair()
+        a, b = tvdmss(uni), tvdmss(multi)
+        for field in ("shape_outliers", "magnitude_outliers", "outliers", "tvd", "mss"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_muod(self):
+        uni, multi = self._pair()
+        (flags_a, idx_a), (flags_b, idx_b) = muod(uni), muod(multi)
+        for field in ("shape", "magnitude", "amplitude"):
+            np.testing.assert_array_equal(getattr(flags_a, field), getattr(flags_b, field))
+            np.testing.assert_array_equal(getattr(idx_a, field), getattr(idx_b, field))
+
+    def test_functional_boxplot(self):
+        uni, multi = self._pair()
+        depth = modified_band_depth(uni)
+        a, b = functional_boxplot(uni, depth), functional_boxplot(multi, depth)
+        for field in ("central_indices", "envelope_lower", "envelope_upper",
+                      "fence_lower", "fence_upper", "outliers"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("detector", [tvdmss, muod])
+    def test_d2_rejected_with_validation_error(self, detector):
+        values = np.random.default_rng(211).standard_normal((12, 6, 2))
+        with pytest.raises(ValidationError):
+            detector(make_multi(values))
 
 
 class TestTvdmss:

@@ -8,6 +8,7 @@ from fdout import (
     Grid,
     MultiCurveSample,
     RandomSource,
+    as_univariate,
     uniform_grid,
     validate_sample,
 )
@@ -98,6 +99,27 @@ class TestRoundTrip:
         multi = sample.to_multivariate()
         assert multi.d == 1
         assert np.array_equal(multi.values[:, :, 0], sample.values)
+
+
+class TestAsUnivariate:
+    def test_curve_sample_passes_through(self, np_rng):
+        sample = make_sample(np_rng.standard_normal((4, 5)))
+        assert sample.d == 1
+        assert as_univariate(sample) is sample
+
+    def test_d1_sample_collapses_bit_exact(self, np_rng):
+        values = np_rng.standard_normal((4, 5))
+        multi = MultiCurveSample(values[:, :, None], uniform_grid(5, 0.0, 1.0),
+                                 ids=["a", "b", "c", "d"])
+        uni = as_univariate(multi)
+        assert isinstance(uni, CurveSample)
+        assert np.array_equal(uni.values, values)
+        assert uni.ids == multi.ids
+        assert uni.grid is multi.grid
+
+    def test_d2_sample_rejected(self, np_rng):
+        with pytest.raises(ValidationError, match="d=2"):
+            as_univariate(make_multi(np_rng.standard_normal((4, 5, 2))))
 
 
 class TestRandomSource:
