@@ -46,10 +46,10 @@ from .fdcore import (
     Grid,
     MultiCurveSample,
     RandomSource,
+    as_multivariate,
     as_univariate,
     ensure_valid,
     uniform_grid,
-    validate_sample,
 )
 from .muod import (
     MuodIndices,
@@ -86,9 +86,9 @@ __all__ = [
     "MultiCurveSample",
     "RandomSource",
     "uniform_grid",
-    "validate_sample",
     "ensure_valid",
     "as_univariate",
+    "as_multivariate",
     "FdoutError",
     "ValidationError",
     "NumericError",

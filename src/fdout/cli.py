@@ -23,7 +23,7 @@ import numpy as np
 from . import detect as _detect
 from .csvio import atomic_write_text, read_curves, write_curves, write_truth
 from .depths import ERLD_TYPES
-from .errors import FdoutError, NumericError
+from .errors import FdoutError, NumericError, ValidationError
 from .fdcore import RandomSource
 from .muod import muod as _muod
 from .report import DetectionReport, to_external_indices
@@ -226,6 +226,11 @@ def _detect_muod(args, sample):
 
 
 def _detect_fbplot(args, sample):
+    if sample.d > 1:
+        raise ValidationError(
+            f"fbplot needs univariate curves, got d={sample.d}; "
+            "use msplot, or seq with a leading O stage"
+        )
     depth = _detect.depth_by_name(
         sample, args.depth, erld_type=args.erld_type, rng=RandomSource(args.seed)
     )

@@ -34,10 +34,10 @@ from .fdcore import (
     AnySample,
     CurveSample,
     Grid,
-    MultiCurveSample,
     RandomSource,
+    as_multivariate,
     as_univariate,
-    ensure_valid,
+    ensure_valid,  # noqa: F401 -- unused here, but perfbench/tracer.py wraps it
 )
 from .robust import FCutoff, fast_mcd, hardin_rocke_cutoff, robust_distances
 from .tvd import modified_shape_similarity, total_variation_depth
@@ -159,7 +159,7 @@ def functional_boxplot(
     ``factor`` times the envelope width beyond it, and any curve strictly
     outside a fence anywhere is an outlier.
     """
-    sample = as_univariate(ensure_valid(sample))
+    sample = as_univariate(sample)
     values = sample.values
     n = sample.n
     if len(depth) != n:
@@ -195,6 +195,17 @@ def functional_boxplot(
     )
 
 
+def _check_finite_outlyingness(sdo: np.ndarray) -> None:
+    """Raise NonFiniteOutlyingness naming the grid points where the pointwise
+    MAD is zero and some curve is off the median (infinite outlyingness)."""
+    zero_mad = np.flatnonzero(np.isinf(sdo).any(axis=0))
+    if zero_mad.size:
+        raise NonFiniteOutlyingness(
+            "outlyingness is infinite where the pointwise MAD is zero and some "
+            f"curves are off the median: grid points {zero_mad.tolist()} (0-based)"
+        )
+
+
 def msplot(
     sample: AnySample,
     level: float = 0.05,
@@ -208,21 +219,14 @@ def msplot(
     determinant estimate, and flags curves whose squared robust distance
     exceeds the F-approximation threshold at ``level``.
     """
-    if isinstance(sample, CurveSample):
-        sample = sample.to_multivariate()
-    ensure_valid(sample)
+    sample = as_multivariate(sample)
     n, d = sample.n, sample.d
     if n <= 2 * (d + 1) + 2:
         raise TooFewCurves(f"msplot needs n > {2 * (d + 1) + 2}, got {n}")
     if rng is None:
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
-    zero_mad = np.flatnonzero(np.isinf(field.sdo).any(axis=0))
-    if zero_mad.size:
-        raise NonFiniteOutlyingness(
-            "outlyingness is infinite where the pointwise MAD is zero and some "
-            f"curves are off the median: grid points {zero_mad.tolist()} (0-based)"
-        )
+    _check_finite_outlyingness(field.sdo)
     summary = decompose(field)
     points = np.hstack([summary.mo, summary.vo[:, None]])
     fit = fast_mcd(points, coverage=coverage, rng=rng.child(1))
@@ -250,7 +254,7 @@ def tvdmss(
     depth of the remaining curves (central size relative to the original
     n) flags magnitude outliers.
     """
-    sample = as_univariate(ensure_valid(sample))
+    sample = as_univariate(sample)
     n = sample.n
     if n < 5:
         raise TooFewCurves(f"tvdmss needs n >= 5, got {n}")
@@ -283,12 +287,17 @@ def tvdmss(
     )
 
 
-def o_transform(sample: MultiCurveSample, rng: Optional[RandomSource] = None) -> CurveSample:
-    """Univariate sample of pointwise outlyingness magnitudes (all >= 0)."""
-    ensure_valid(sample)
+def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveSample:
+    """Univariate sample of pointwise outlyingness magnitudes (all >= 0).
+
+    Raises NonFiniteOutlyingness where the pointwise MAD is zero and some
+    curve is off the median.
+    """
+    sample = as_multivariate(sample)
     if sample.n < 3:
         raise TooFewCurves(f"the O transform needs n >= 3, got {sample.n}")
     magnitudes = pointwise_sdo(sample, rng=rng)
+    _check_finite_outlyingness(magnitudes)
     return CurveSample(magnitudes, sample.grid, ids=sample.ids)
 
 
@@ -384,7 +393,6 @@ def seq_transform(
             )
     if depth_method not in DEPTH_METHODS:
         raise UnknownDepthMethod(f"unknown depth method {depth_method!r}")
-    ensure_valid(sample)
     if rng is None:
         rng = RandomSource(0)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWeights, TooFewCurves
-from .fdcore import Grid, MultiCurveSample, RandomSource
+from .fdcore import AnySample, Grid, RandomSource, as_multivariate
 from .robust import MAD_CONSISTENCY, geometric_median
 
 __all__ = [
@@ -54,8 +54,8 @@ def _sdo_ratio(dev: np.ndarray, mad: np.ndarray) -> np.ndarray:
     return np.where(mad > 0.0, dev / safe, np.where(dev == 0.0, 0.0, np.inf))
 
 
-def _unit_directions(rng: RandomSource, n_directions: int, d: int) -> np.ndarray:
-    u = rng.standard_normal((n_directions, d))
+def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
+    u = rng.standard_normal((DEFAULT_DIRECTIONS, d))
     norms = np.sqrt((u * u).sum(axis=1))
     while np.any(norms == 0.0):
         bad = norms == 0.0
@@ -65,18 +65,17 @@ def _unit_directions(rng: RandomSource, n_directions: int, d: int) -> np.ndarray
 
 
 def pointwise_sdo(
-    sample: MultiCurveSample,
+    sample: AnySample,
     rng: RandomSource | None = None,
-    n_directions: int = DEFAULT_DIRECTIONS,
 ) -> np.ndarray:
     """Stahel-Donoho outlyingness at every grid point, as an n x p array.
 
     Univariate data uses the exact form |y - median| / (1.4826 * MAD).
-    Higher dimensions maximise that ratio over ``n_directions`` random unit
-    projections shared across all grid points, so results are deterministic
-    given ``rng``.
+    Higher dimensions maximise that ratio over ``DEFAULT_DIRECTIONS`` random
+    unit projections shared across all grid points, so results are
+    deterministic given ``rng`` (no ``rng`` means ``RandomSource(0)``).
     """
-    values = sample.values
+    values = as_multivariate(sample).values
     n, p, d = values.shape
     if n < 3:
         raise TooFewCurves(f"pointwise outlyingness needs at least 3 curves, got {n}")
@@ -88,8 +87,8 @@ def pointwise_sdo(
         return _sdo_ratio(dev, mad)
 
     if rng is None:
-        raise ValueError("pointwise_sdo requires a RandomSource for d >= 2")
-    u = _unit_directions(rng, n_directions, d)
+        rng = RandomSource(0)
+    u = _unit_directions(rng, d)
     # proj[i, t, k] = <Y_i(t), u_k>; medians and MADs are per (t, k)
     proj = np.einsum("itd,kd->itk", values, u)
     med = np.median(proj, axis=0)
@@ -106,17 +105,17 @@ def _pointwise_center(values: np.ndarray) -> np.ndarray:
 
 
 def directional_outlyingness(
-    sample: MultiCurveSample,
+    sample: AnySample,
     rng: RandomSource | None = None,
-    n_directions: int = DEFAULT_DIRECTIONS,
 ) -> DirectionalOutlyingnessField:
     """Outlyingness vectors O_i(t) = SDO_i(t) * unit(Y_i(t) - Z(t)).
 
     Z(t) is the pointwise median (univariate) or geometric median. Curves
     sitting exactly on the center get a zero vector there.
     """
+    sample = as_multivariate(sample)
     values = sample.values
-    sdo = pointwise_sdo(sample, rng=rng, n_directions=n_directions)
+    sdo = pointwise_sdo(sample, rng=rng)
     center = _pointwise_center(values)
     diff = values - center[None, :, :]
     norms = np.sqrt((diff * diff).sum(axis=2))

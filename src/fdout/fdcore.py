@@ -2,8 +2,9 @@
 
 A functional sample is an ``n x p`` matrix of curve values observed on a
 common grid of ``p`` evaluation points, or an ``n x p x d`` array for
-d-dimensional curves. All containers are immutable after construction and
-safe to share across threads.
+d-dimensional curves. All containers copy their input, are immutable after
+construction and safe to share across threads; sample values are always
+finite.
 
 Randomness everywhere in the package flows through :class:`RandomSource`,
 a thin wrapper over numpy's Philox counter-based bit generator (4x64)
@@ -33,18 +34,17 @@ __all__ = [
     "CurveSample",
     "MultiCurveSample",
     "RandomSource",
-    "ValidationResult",
     "uniform_grid",
-    "validate_sample",
     "ensure_valid",
     "as_univariate",
+    "as_multivariate",
 ]
 
 
 def _as_float_matrix(values, ndim):
-    """Coerce nested sequences to a float array, mapping ragged input to RaggedRows."""
+    """A float copy of nested sequences, mapping ragged input to RaggedRows."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)
     except (ValueError, TypeError) as exc:
         raise RaggedRows(f"could not form a rectangular array: {exc}") from None
     if arr.ndim != ndim:
@@ -103,26 +103,26 @@ def uniform_grid(p: int, a: float, b: float) -> Grid:
     return Grid(np.linspace(a, b, p))
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """``n x p`` univariate functional sample on a common grid.
-
-    Construction checks shape consistency only; use :func:`validate_sample`
-    (or :func:`ensure_valid`) for the full finite-value scan.
-    """
+@dataclass(frozen=True, init=False)
+class _Sample:
+    """The constructor and shape properties shared by both sample types."""
 
     values: np.ndarray
     grid: Grid
     ids: Optional[tuple] = None
 
+    _ndim = 2  # axes of values: curve, grid point (and dimension for d-variate)
+
     def __init__(self, values, grid: Grid, ids: Optional[Sequence] = None):
-        vals = _as_float_matrix(values, 2)
+        vals = _as_float_matrix(values, self._ndim)
         if vals.shape[0] < 1:
             raise ValidationError("sample needs at least one curve")
         if vals.shape[1] != grid.size:
             raise ValidationError(
                 f"curve length {vals.shape[1]} does not match grid size {grid.size}"
             )
+        if vals.ndim == 3 and vals.shape[2] < 1:
+            raise ValidationError("dimension d must be >= 1")
         if ids is not None:
             ids = tuple(str(i) for i in ids)
             if len(ids) != vals.shape[0]:
@@ -131,6 +131,7 @@ class CurveSample:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
+        ensure_valid(self)
 
     @property
     def n(self) -> int:
@@ -139,6 +140,15 @@ class CurveSample:
     @property
     def p(self) -> int:
         return int(self.values.shape[1])
+
+
+@dataclass(frozen=True, init=False)
+class CurveSample(_Sample):
+    """``n x p`` univariate functional sample on a common grid.
+
+    Construction copies the values and checks the shape, the ids and that
+    every value is finite (:class:`~fdout.errors.NonFiniteValue` otherwise).
+    """
 
     @property
     def d(self) -> int:
@@ -150,40 +160,14 @@ class CurveSample:
         return MultiCurveSample(self.values[:, :, np.newaxis], self.grid, ids=self.ids)
 
 
-@dataclass(frozen=True)
-class MultiCurveSample:
-    """``n x p x d`` multivariate functional sample on a common grid."""
+@dataclass(frozen=True, init=False)
+class MultiCurveSample(_Sample):
+    """``n x p x d`` multivariate functional sample on a common grid.
 
-    values: np.ndarray
-    grid: Grid
-    ids: Optional[tuple] = None
+    Construction checks what :class:`CurveSample` checks, and d >= 1.
+    """
 
-    def __init__(self, values, grid: Grid, ids: Optional[Sequence] = None):
-        vals = _as_float_matrix(values, 3)
-        if vals.shape[0] < 1:
-            raise ValidationError("sample needs at least one curve")
-        if vals.shape[1] != grid.size:
-            raise ValidationError(
-                f"curve length {vals.shape[1]} does not match grid size {grid.size}"
-            )
-        if vals.shape[2] < 1:
-            raise ValidationError("dimension d must be >= 1")
-        if ids is not None:
-            ids = tuple(str(i) for i in ids)
-            if len(ids) != vals.shape[0]:
-                raise ValidationError("ids length must equal the number of curves")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "ids", ids)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def p(self) -> int:
-        return int(self.values.shape[1])
+    _ndim = 3
 
     @property
     def d(self) -> int:
@@ -207,46 +191,20 @@ def as_univariate(sample: AnySample) -> CurveSample:
     return sample.to_univariate()
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of :func:`validate_sample`: ok flag plus first violation, if any."""
-
-    ok: bool
-    error: Optional[str] = None
-    location: Optional[tuple] = None
-    message: str = ""
-
-
-def validate_sample(sample: AnySample) -> ValidationResult:
-    """Check a sample against its invariants, reporting the first violation.
-
-    Shape problems (ragged rows, grid mismatch) are caught at construction
-    time; this function performs the full finite-value scan, which is the
-    expensive part and therefore opt-in.
-    """
-    vals = sample.values
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        if vals.ndim == 2:
-            loc = (int(idx[0]), int(idx[1]))
-        else:
-            loc = (int(idx[0]), int(idx[1]), int(idx[2]))
-        return ValidationResult(
-            ok=False,
-            error="NonFiniteValue",
-            location=loc,
-            message=f"non-finite value at {loc}",
-        )
-    return ValidationResult(ok=True)
+def as_multivariate(sample: AnySample) -> MultiCurveSample:
+    """The sample as a MultiCurveSample: a CurveSample becomes the d=1
+    sample with the same values, bit-exactly."""
+    if isinstance(sample, MultiCurveSample):
+        return sample
+    return sample.to_multivariate()
 
 
 def ensure_valid(sample: AnySample) -> AnySample:
-    """Raise the matching typed error if the sample is invalid; else return it."""
-    result = validate_sample(sample)
-    if not result.ok:
-        loc = result.location
-        raise NonFiniteValue(*loc)
+    """Raise NonFiniteValue at the first NaN or infinite value; else return
+    the sample. Every sample runs this check when it is constructed."""
+    bad = ~np.isfinite(sample.values)
+    if bad.any():
+        raise NonFiniteValue(*(int(i) for i in np.argwhere(bad)[0]))
     return sample
 
 

@@ -41,6 +41,13 @@ __all__ = [
 # scales the raw MAD to be consistent for the standard deviation under normality
 MAD_CONSISTENCY = 1.4826
 
+# FastMCD search budget: random elemental starts, C-steps on each start, the
+# number of best starts refined, and the cap on C-steps per refinement
+N_TRIALS = 500
+N_INITIAL_CSTEPS = 2
+N_BEST = 10
+MAX_REFINE_CSTEPS = 30
+
 
 @dataclass(frozen=True)
 class RobustLocationScale:
@@ -218,16 +225,12 @@ def fast_mcd(
     points,
     coverage: float | None = None,
     rng: RandomSource | None = None,
-    n_trials: int = 500,
-    n_initial_csteps: int = 2,
-    n_best: int = 10,
-    max_refine_csteps: int = 30,
 ) -> McdFit:
     """Raw minimum covariance determinant fit of an ``m x d`` point cloud.
 
     ``coverage`` is the fraction h/m of points defining the fit; default is
     the maximum-breakdown choice floor((m + d + 1)/2) / m. Deterministic
-    for a given ``rng`` seed.
+    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -261,10 +264,10 @@ def fast_mcd(
         )
 
     if rng is None:
-        raise ValueError("fast_mcd requires a RandomSource for d >= 2")
+        rng = RandomSource(0)
 
     candidates = []
-    for _ in range(n_trials):
+    for _ in range(N_TRIALS):
         perm = rng.choice_without_replacement(m, m)
         # grow the elemental subset until its covariance is nonsingular
         size = d + 1
@@ -278,7 +281,7 @@ def fast_mcd(
             size += 1
         if state is None:
             continue
-        for _ in range(n_initial_csteps):
+        for _ in range(N_INITIAL_CSTEPS):
             nxt = _c_step(x, state[0], state[1], h)
             if nxt is None:
                 state = None
@@ -291,12 +294,12 @@ def fast_mcd(
         raise SingularSubsets("all candidate subsets produced singular covariances")
 
     logdets = np.array([c[2] for c in candidates])
-    keep = np.argsort(logdets, kind="stable")[:n_best]
+    keep = np.argsort(logdets, kind="stable")[:N_BEST]
 
     best = None
     for idx in keep:
         state = candidates[idx]
-        for _ in range(max_refine_csteps):
+        for _ in range(MAX_REFINE_CSTEPS):
             nxt = _c_step(x, state[0], state[1], h)
             if nxt is None:
                 break

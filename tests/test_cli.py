@@ -637,6 +637,41 @@ class TestEveryMethodReport:
         assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
 
 
+@pytest.fixture(scope="module", params=["nan", "inf"])
+def nonfinite_csv(request, tmp_path_factory):
+    """The sim_csv data with one non-finite cell: curve 2 (row 1), grid point 4 (col 3)."""
+    out = simulation_model(1, n=30, p=20, outlier_rate=0.1, deterministic=True, seed=3)
+    path = tmp_path_factory.mktemp("nonfinite") / f"{request.param}.csv"
+    write_curves(str(path), out.data)
+    lines = path.read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[3] = request.param
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("method", list(DETECTORS))
+    def test_detect_exits_2_with_error_report(self, tmp_path, nonfinite_csv, method):
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", method, "--in", nonfinite_csv,
+                   "--report", str(report_path)])
+        assert rc == 2
+        payload = json.loads(report_path.read_text())
+        assert payload["error"] == {"type": "NonFiniteValue",
+                                    "message": "non-finite value at (1, 3)"}
+
+    @pytest.mark.parametrize("method", DEPTH_METHODS)
+    def test_depth_exits_2(self, tmp_path, nonfinite_csv, method, capsys):
+        out_path = tmp_path / "depth.csv"
+        rc = main(["depth", "--method", method, "--in", nonfinite_csv,
+                   "--out", str(out_path)])
+        assert rc == 2
+        assert "NonFiniteValue" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
 class TestCliErrors:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -711,6 +746,37 @@ class TestCliErrors:
         assert rc == 3
         payload = json.loads(report_path.read_text())
         assert payload["error"] == {"type": "RuntimeError", "message": "internal fault"}
+
+    def test_zero_mad_seq_o_stage_exits_3(self, tmp_path, capsys):
+        values = np.random.default_rng(212).standard_normal((40, 20, 2))
+        values[:25, 0] = 0.0
+        paths = [str(tmp_path / f"dim{k}.csv") for k in range(2)]
+        for k, path in enumerate(paths):
+            write_curves(path, make_sample(values[:, :, k]))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "seq", "--sequence", "O,T0",
+                   "--in", ",".join(paths), "--report", str(report_path)])
+        assert rc == 3
+        assert "NonFiniteOutlyingness" in capsys.readouterr().err
+        payload = json.loads(report_path.read_text())
+        assert payload["error"]["type"] == "NonFiniteOutlyingness"
+        assert "grid points [0]" in payload["error"]["message"]
+
+    def test_fbplot_rejects_multivariate_before_ordering(
+        self, tmp_path, sim_csv, monkeypatch
+    ):
+        def ordering(*args, **kwargs):
+            raise AssertionError("fbplot ordered d > 1 curves")
+
+        monkeypatch.setattr(fdout.detect, "depth_by_name", ordering)
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "fbplot", "--depth", "rmd",
+                   "--in", f"{sim_csv},{sim_csv}", "--report", str(report_path)])
+        assert rc == 2
+        error = json.loads(report_path.read_text())["error"]
+        assert error["type"] == "ValidationError"
+        assert "msplot" in error["message"] and "leading O stage" in error["message"]
+        assert "rmd" not in error["message"]
 
     def test_simulate_bad_model_exits_2(self, tmp_path):
         rc = main(["simulate", "--model", "12", "--out", str(tmp_path / "sim")])

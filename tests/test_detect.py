@@ -221,6 +221,10 @@ class TestD1MultiCurveSampleIsUnivariate:
                       "fence_lower", "fence_upper", "outliers"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
+    def test_o_transform(self):
+        uni, multi = self._pair()
+        np.testing.assert_array_equal(o_transform(uni).values, o_transform(multi).values)
+
     @pytest.mark.parametrize("detector", [tvdmss, muod])
     def test_d2_rejected_with_validation_error(self, detector):
         values = np.random.default_rng(211).standard_normal((12, 6, 2))
@@ -284,6 +288,18 @@ class TestOTransform:
     def test_too_few_curves(self):
         values = np.zeros((2, 4, 2))
         with pytest.raises(TooFewCurves):
+            o_transform(make_multi(values))
+
+    def test_no_rng_means_seed_zero(self):
+        sample = make_multi(np.random.default_rng(206).standard_normal((12, 6, 2)))
+        np.testing.assert_array_equal(
+            o_transform(sample).values, o_transform(sample, rng=RandomSource(0)).values
+        )
+
+    def test_zero_mad_raises_numeric_error(self):
+        values = np.random.default_rng(207).standard_normal((20, 6, 2))
+        values[:12, 3] = 0.0
+        with pytest.raises(NonFiniteOutlyingness, match=r"grid points \[3\]"):
             o_transform(make_multi(values))
 
 

@@ -13,7 +13,7 @@ from fdout.dirout import DirectionalOutlyingnessField
 from fdout.errors import BadWeights, TooFewCurves
 
 from . import oracles
-from .conftest import constant_curves, make_multi
+from .conftest import constant_curves, make_multi, make_sample
 
 
 def random_field(seed, n=8, p=6, d=1):
@@ -63,6 +63,21 @@ class TestPointwiseSdo:
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
             pointwise_sdo(make_multi(np.zeros((2, 3, 1))))
+
+
+class TestCurveSampleEqualsD1Multi:
+    def test_pointwise_sdo(self):
+        sample = make_sample(np.random.default_rng(34).standard_normal((9, 5)))
+        np.testing.assert_array_equal(
+            pointwise_sdo(sample), pointwise_sdo(sample.to_multivariate())
+        )
+
+    def test_directional_outlyingness(self):
+        sample = make_sample(np.random.default_rng(35).standard_normal((9, 5)))
+        a = directional_outlyingness(sample)
+        b = directional_outlyingness(sample.to_multivariate())
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.sdo, b.sdo)
 
 
 class TestDirectionalOutlyingness:

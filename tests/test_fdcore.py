@@ -10,7 +10,6 @@ from fdout import (
     RandomSource,
     as_univariate,
     uniform_grid,
-    validate_sample,
 )
 from fdout.errors import (
     DegenerateInterval,
@@ -63,28 +62,43 @@ class TestUniformGrid:
 class TestValidation:
     def test_accepts_well_formed(self):
         sample = make_sample([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        result = validate_sample(sample)
-        assert result.ok
+        np.testing.assert_array_equal(sample.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_locates_non_finite_entry(self):
         values = np.ones((3, 4))
         values[1, 2] = np.nan
-        sample = make_sample(values)
-        result = validate_sample(sample)
-        assert not result.ok
-        assert result.error == "NonFiniteValue"
-        assert result.location == (1, 2)
+        with pytest.raises(NonFiniteValue) as info:
+            make_sample(values)
+        assert (info.value.row, info.value.col, info.value.dim) == (1, 2, None)
 
     def test_multivariate_non_finite(self):
         values = np.zeros((2, 3, 2))
         values[0, 1, 1] = np.inf
-        result = validate_sample(make_multi(values))
-        assert not result.ok
-        assert result.error == "NonFiniteValue"
+        with pytest.raises(NonFiniteValue) as info:
+            make_multi(values)
+        assert (info.value.row, info.value.col, info.value.dim) == (0, 1, 1)
 
     def test_shape_grid_mismatch_raises_at_construction(self):
         with pytest.raises(ValidationError):
             CurveSample(np.ones((2, 3)), uniform_grid(4, 0, 1))
+
+
+class TestConstructionCopies:
+    def test_caller_keeps_a_writable_array(self):
+        values, points = np.zeros((3, 4)), np.linspace(0.0, 1.0, 4)
+        grid = Grid(points)
+        sample = CurveSample(values, grid)
+        multi = MultiCurveSample(values[:, :, None], grid)
+        values[0, 0] = 1.0
+        points[0] = -1.0
+        assert sample.values[0, 0] == 0.0
+        assert multi.values[0, 0, 0] == 0.0
+        assert grid.points[0] == 0.0
+
+    def test_sample_values_are_read_only(self):
+        sample = make_sample(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[0, 0] = 1.0
 
 
 class TestRoundTrip:

@@ -100,6 +100,12 @@ class TestFastMcd:
         fit = fast_mcd(points, rng=RandomSource(99))
         assert np.intersect1d(fit.subset_indices, np.arange(180, 200)).size == 0
 
+    def test_no_rng_means_seed_zero(self):
+        points = RandomSource(6).standard_normal((40, 2))
+        a, b = fast_mcd(points), fast_mcd(points, rng=RandomSource(0))
+        np.testing.assert_array_equal(a.subset_indices, b.subset_indices)
+        np.testing.assert_array_equal(a.covariance, b.covariance)
+
     def test_exact_line_is_singular(self):
         x = np.linspace(0.0, 1.0, 50)
         points = np.column_stack([x, 2.0 * x])
