@@ -23,7 +23,7 @@ import numpy as np
 from . import detect as _detect
 from .csvio import atomic_write_text, read_curves, write_curves, write_truth
 from .depths import ERLD_TYPES
-from .errors import FdoutError, NumericError, ValidationError
+from .errors import FdoutError, InconsistentReport, NumericError, ValidationError
 from .fdcore import RandomSource
 from .muod import muod as _muod
 from .report import DetectionReport, to_external_indices
@@ -264,6 +264,17 @@ DETECTORS = {
 
 def run_detect(args) -> int:
     sample = _load_sample(args)
+    # reject a plot that cannot be drawn before detecting, so a failed plot
+    # never replaces a finished report with an error report
+    if args.plot and args.plot_kind == "curves" and sample.d > 1:
+        raise InconsistentReport(
+            "curve plots need univariate curves; plot each dimension separately"
+        )
+    if args.plot and args.plot_kind == "msplot" and args.method != "msplot":
+        raise InconsistentReport(
+            "msplot plots need 'mo' and 'vo' diagnostics in the report; "
+            "use --method msplot"
+        )
     parameters, outliers, diagnostics, warnings = DETECTORS[args.method](args, sample)
     if not sample.grid.is_uniform:
         warnings = (*warnings, "grid spacing is non-uniform; summaries that average "

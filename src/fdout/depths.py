@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InvalidTail, TooFewCurves
 from .fdcore import CurveSample
@@ -25,6 +24,7 @@ __all__ = [
     "OUTLYING_IS_LARGER",
     "DepthVector",
     "PointwiseRanks",
+    "rankdata",
     "pointwise_ranks",
     "band_depth",
     "modified_band_depth",
@@ -85,12 +85,36 @@ def _require(sample: CurveSample, min_n: int, op: str) -> np.ndarray:
     return sample.values
 
 
+def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Below and above counts (see :class:`PointwiseRanks`) of an ``n x p`` matrix.
+
+    One sort per grid point; in sorted order a tie group spans the
+    positions first..last, so below = last + 1 and above = n - first.
+    Both results are ``.T`` views of ``p x n`` arrays, column-major as
+    SciPy's ``rankdata(axis=0)`` returns them, so reductions along axis 1
+    sum in the same order as they did on SciPy's ranks, bit for bit.
+    """
+    columns = values.T
+    n = columns.shape[1]
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones(ordered.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    positions = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, positions, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    below = np.empty(order.shape, dtype=np.int64)
+    above = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(below, order, last + 1, axis=1)
+    np.put_along_axis(above, order, n - first, axis=1)
+    return below.T, above.T
+
+
 def pointwise_ranks(values: np.ndarray) -> PointwiseRanks:
     """Below/above counts for every curve at every grid point."""
-    n = values.shape[0]
-    below = rankdata(values, method="max", axis=0)
-    above = n + 1 - rankdata(values, method="min", axis=0)
-    return PointwiseRanks(below=below.astype(np.int64), above=above.astype(np.int64))
+    return PointwiseRanks(*rankdata(values))
 
 
 def band_depth(sample: CurveSample) -> DepthVector:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import chi2, f as f_dist
+import scipy
 
 from .errors import (
     BadCoverage,
@@ -167,12 +166,17 @@ def geometric_median(points, tol: float = 1e-10, max_iter: int = 1000) -> np.nda
     raise NonConvergence(f"geometric median did not converge in {max_iter} iterations")
 
 
+def _chi2_ppf(alpha: float, d: int) -> float:
+    """Chi-square quantile by the formula of SciPy's ``chi2.ppf``, whose
+    results it matches bit for bit (``scipy.special.chdtri`` does not)."""
+    return 2.0 * scipy.special.gammaincinv(d / 2.0, alpha)
+
+
 def _chi2_consistency(alpha: float, d: int) -> float:
     """Factor making the h-subset covariance consistent under normality."""
     if alpha >= 1.0 - 1e-12:
         return 1.0
-    q = chi2.ppf(alpha, d)
-    return alpha / chi2.cdf(q, d + 2)
+    return alpha / scipy.special.chdtr(d + 2, _chi2_ppf(alpha, d))
 
 
 def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,12 +189,11 @@ def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     """Squared Mahalanobis distances, or None when cov is not PD."""
     try:
-        factor = cho_factor(cov, lower=True)
+        lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         return None
-    diff = x - center
-    solved = cho_solve(factor, diff.T)
-    return np.einsum("ij,ji->i", diff, solved)
+    solved = np.linalg.solve(lower, (x - center).T)
+    return np.einsum("ji,ji->i", solved, solved)
 
 
 def _c_step(x: np.ndarray, center, cov, h: int):
@@ -337,10 +340,11 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
 
 def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:
     """Croux-Haesbroeck asymptotic Wishart degrees of freedom of the MCD scatter."""
-    q = chi2.ppf(alpha, d)
-    c_alpha = alpha / chi2.cdf(q, d + 2)
-    c2 = -chi2.cdf(q, d + 2) / 2.0
-    c3 = -chi2.cdf(q, d + 4) / 2.0
+    q = _chi2_ppf(alpha, d)
+    cdf_d2 = scipy.special.chdtr(d + 2, q)
+    c_alpha = alpha / cdf_d2
+    c2 = -cdf_d2 / 2.0
+    c3 = -scipy.special.chdtr(d + 4, q) / 2.0
     c4 = 3.0 * c3
     b1 = c_alpha * (c3 - c4) / (1.0 - alpha)
     b2 = 0.5 + c_alpha / (1.0 - alpha) * (c3 - (q / d) * (c2 + (1.0 - alpha) / 2.0))
@@ -382,6 +386,6 @@ def hardin_rocke_cutoff(m: int, d: int, coverage: float | None = None,
 
     dof2 = m_hr - d + 1.0
     scale = d * m_hr / dof2
-    threshold = scale * f_dist.ppf(1.0 - level, d, dof2)
+    threshold = scale * scipy.special.fdtri(d, dof2, 1.0 - level)
     return FCutoff(level=level, dof1=float(d), dof2=float(dof2),
                    scale=float(scale), threshold=float(threshold))

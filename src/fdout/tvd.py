@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
+from .depths import rankdata
 from .errors import TooFewCurves, TooFewPoints
 from .fdcore import CurveSample
 
@@ -43,8 +43,8 @@ def total_variation_depth(sample: CurveSample) -> np.ndarray:
     n = values.shape[0]
     if n < 2:
         raise TooFewCurves(f"total variation depth needs n >= 2, got {n}")
-    # rank with 'max' counts every j with Y_j(t) <= Y_i(t), self included
-    p_hat = rankdata(values, method="max", axis=0) / n
+    # the below count includes every j with Y_j(t) <= Y_i(t), self included
+    p_hat = rankdata(values)[0] / n
     return (p_hat * (1.0 - p_hat)).mean(axis=1)
 
 

@@ -778,6 +778,27 @@ class TestCliErrors:
         assert "msplot" in error["message"] and "leading O stage" in error["message"]
         assert "rmd" not in error["message"]
 
+    @pytest.mark.parametrize("method, kind, inputs", [
+        ("msplot", "curves", 2),
+        ("fbplot", "msplot", 1),
+        ("tvdmss", "msplot", 1),
+    ])
+    def test_impossible_plot_rejected_before_detecting(
+        self, tmp_path, sim_csv, monkeypatch, method, kind, inputs
+    ):
+        def detector(*args, **kwargs):
+            raise AssertionError("detector ran although the plot cannot be drawn")
+
+        monkeypatch.setitem(DETECTORS, method, detector)
+        report_path = tmp_path / "r.json"
+        svg_path = tmp_path / "p.svg"
+        rc = main(["detect", "--method", method, "--in", ",".join([sim_csv] * inputs),
+                   "--report", str(report_path),
+                   "--plot", str(svg_path), "--plot-kind", kind])
+        assert rc == 2
+        assert json.loads(report_path.read_text())["error"]["type"] == "InconsistentReport"
+        assert not svg_path.exists()
+
     def test_simulate_bad_model_exits_2(self, tmp_path):
         rc = main(["simulate", "--model", "12", "--out", str(tmp_path / "sim")])
         assert rc == 2

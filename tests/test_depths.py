@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from fdout import (
     band_depth,
@@ -16,6 +18,7 @@ from fdout.depths import (
     OUTLYING_IS_LARGER,
     DepthVector,
     pointwise_ranks,
+    rankdata,
 )
 from fdout.errors import InvalidTail, TooFewCurves
 
@@ -246,6 +249,27 @@ class TestPointwiseRanks:
         ranks = pointwise_ranks(values)
         assert np.all(ranks.below + ranks.above >= 4)
         assert ranks.below[0, 0] + ranks.above[0, 0] == 5  # tied pair at t=0
+
+
+# heavy ties from a few small integers, signed zeros, and magnitudes near the
+# ends of the double range, on shapes down to one curve and one grid point
+RANK_CELLS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+              elements=RANK_CELLS))
+def test_rankdata_matches_scipy(values):
+    n = values.shape[0]
+    below, above = rankdata(values)
+    assert below.dtype == above.dtype == np.int64
+    np.testing.assert_array_equal(below, stats.rankdata(values, method="max", axis=0))
+    np.testing.assert_array_equal(
+        above, n + 1 - stats.rankdata(values, method="min", axis=0)
+    )
 
 
 class TestShiftInvariance:

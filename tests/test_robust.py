@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import fdout.robust
 
 from fdout import (
     RandomSource,
@@ -19,7 +23,7 @@ from fdout.errors import (
     SingularSubsets,
     TooFewPoints,
 )
-from fdout.robust import MAD_CONSISTENCY, McdFit
+from fdout.robust import MAD_CONSISTENCY, McdFit, _chi2_consistency
 
 from . import oracles
 
@@ -289,3 +293,40 @@ class TestHardinRockeCutoff:
                     assert cut.threshold > 0.0
                     assert cut.dof2 > 0.0
                     assert cut.dof1 == d
+
+
+# m, d in 1..6, coverage and level grids on which the scipy.special cutoffs
+# must equal the scipy.stats formulas bit for bit
+CUTOFF_GRID = [
+    (m, d, coverage, level)
+    for m in (12, 40, 150, 2000)
+    for d in range(1, 7)
+    if m > 2 * d
+    for coverage in (None, 0.6, 0.75, 0.9, 0.995, 1.0)
+    for level in (0.001, 0.025, 0.05, 0.25)
+]
+
+# the scipy.stats counterpart of each scipy.special function robust.py calls
+STATS_SPECIAL = SimpleNamespace(
+    gammaincinv=lambda a, y: stats.chi2.ppf(y, 2.0 * a) / 2.0,
+    chdtr=lambda k, x: stats.chi2.cdf(x, k),
+    fdtri=lambda dfn, dfd, y: stats.f.ppf(y, dfn, dfd),
+)
+
+
+class TestCutoffsEqualScipyStats:
+    def test_hardin_rocke_cutoff(self, monkeypatch):
+        special = [hardin_rocke_cutoff(*case) for case in CUTOFF_GRID]
+        monkeypatch.setattr(fdout.robust, "scipy", SimpleNamespace(special=STATS_SPECIAL))
+        reference = [hardin_rocke_cutoff(*case) for case in CUTOFF_GRID]
+        assert special == reference
+
+    def test_mcd_consistency_factor(self):
+        for m, d, coverage, _level in CUTOFF_GRID:
+            h_min = (m + d + 1) // 2
+            h = h_min if coverage is None else min(max(int(coverage * m), h_min), m)
+            alpha = h / m
+            expected = 1.0 if h == m else (
+                alpha / stats.chi2.cdf(stats.chi2.ppf(alpha, d), d + 2)
+            )
+            assert _chi2_consistency(alpha, d) == expected, (m, d, coverage)

@@ -1,8 +1,15 @@
-"""The traced benchmark run (perfbench/tracer.py) wraps fdout functions by
+"""Checks on what the tooling relies on.
+
+The traced benchmark run (perfbench/tracer.py) wraps fdout functions by
 attribute name; a name it lists that its owner no longer holds makes the
-traced run fail, so the names are checked here."""
+traced run fail, so the names are checked here. A cold CLI run is mostly
+import time, so which scipy subpackages each step loads is checked too.
+"""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import fdout.cli  # noqa: F401 -- the tracer finds its owners in sys.modules
@@ -26,3 +33,35 @@ def test_every_traced_boundary_is_an_attribute_of_its_owner():
         if attr not in tracer._owner(path).__dict__
     ]
     assert missing == []
+
+
+# runs in a fresh interpreter: which of the heavy scipy subpackages are
+# loaded after import, after rank-based CLI runs and after an msplot run
+LOADED_SCIPY = """
+import json, os, sys
+work = sys.argv[1]
+data, report = os.path.join(work, "data.csv"), os.path.join(work, "r.json")
+def heavy():
+    return [m for m in ("scipy.stats", "scipy.linalg", "scipy.special") if m in sys.modules]
+loaded = {}
+import fdout
+from fdout.cli import main
+loaded["import"] = heavy()
+assert main(["simulate", "--model", "1", "--n", "40", "--p", "20", "--out", work]) == 0
+for method in ("fbplot", "tvdmss"):
+    assert main(["detect", "--method", method, "--in", data, "--report", report]) == 0
+loaded["fbplot_tvdmss"] = heavy()
+assert main(["detect", "--method", "msplot", "--in", data, "--report", report]) == 0
+loaded["msplot"] = heavy()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_msplot_loads_scipy_special(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "fbplot_tvdmss": [], "msplot": ["scipy.special"]}

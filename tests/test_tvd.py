@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from fdout import compute_tvd_mss, modified_shape_similarity, total_variation_depth
 from fdout.depths import pointwise_ranks
@@ -60,6 +61,15 @@ class TestTotalVariationDepth:
     def test_range(self):
         tvd = total_variation_depth(random_sample(74, 20, 9))
         assert np.all(tvd >= 0.0) and np.all(tvd <= 0.25)
+
+    def test_equals_scipy_rank_formula_bit_for_bit(self):
+        # the mean along the grid sums in memory order, so this also pins the
+        # rank kernel's column-major layout
+        sample = random_sample(71, 60, 300, ties=True)
+        p_hat = stats.rankdata(sample.values, method="max", axis=0) / sample.n
+        np.testing.assert_array_equal(
+            total_variation_depth(sample), (p_hat * (1.0 - p_hat)).mean(axis=1)
+        )
 
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
