@@ -161,7 +161,9 @@ def _choose2(counts: np.ndarray) -> np.ndarray:
 
 
 def _lex_extremeness_scores(vectors: np.ndarray) -> np.ndarray:
-    """For each row, the fraction of rows lexicographically <= it (ties share scores)."""
+    """Sort each row ascending; score it by the fraction of sorted rows
+    lexicographically <= it (ties share scores)."""
+    vectors = np.sort(vectors, axis=1)
     n = vectors.shape[0]
     order = np.lexsort(vectors.T[::-1])
     ordered = vectors[order]
@@ -195,9 +197,7 @@ def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVe
         r = ranks.below / n
     else:
         r = np.minimum(ranks.below, ranks.above) / n
-    r = np.sort(r, axis=1)
-    scores = _lex_extremeness_scores(r)
-    return DepthVector(scores, DEEPER_IS_LARGER, f"erld_{type}")
+    return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
 
 
 def directional_quantile(sample: CurveSample, tail: float = 0.025) -> DepthVector:
@@ -243,17 +243,14 @@ def extremal_depth(sample: CurveSample) -> DepthVector:
     is more extreme than another when, at the lowest depth level where
     their depth distributions differ, it carries more mass. Scores are the
     fraction of curves weakly more extreme or tied.
+
+    Comparing ascending pointwise-depth rows lexicographically gives this
+    order: two CDFs first differ at the first position where the sorted
+    rows differ, and the smaller row carries more mass there.
     """
     values = _require(sample, 2, "extremal_depth")
-    n, p = values.shape
+    n = values.shape[0]
     ranks = pointwise_ranks(values)
     n_below_strict, n_above_strict = n - ranks.above, n - ranks.below
     pointwise = 1.0 - np.abs(n_below_strict - n_above_strict) / n
-    levels = np.unique(pointwise)
-    sorted_rows = np.sort(pointwise, axis=1)
-    cdf = np.empty((n, levels.size))
-    for i in range(n):
-        cdf[i] = np.searchsorted(sorted_rows[i], levels, side="right") / p
-    # heavier mass at low levels = lexicographically larger cdf = more extreme
-    scores = _lex_extremeness_scores(-cdf)
-    return DepthVector(scores, DEEPER_IS_LARGER, "extremal")
+    return DepthVector(_lex_extremeness_scores(pointwise), DEEPER_IS_LARGER, "extremal")

@@ -70,31 +70,28 @@ def pointwise_sdo(
 ) -> np.ndarray:
     """Stahel-Donoho outlyingness at every grid point, as an n x p array.
 
-    Univariate data uses the exact form |y - median| / (1.4826 * MAD).
-    Higher dimensions maximise that ratio over ``DEFAULT_DIRECTIONS`` random
-    unit projections shared across all grid points, so results are
-    deterministic given ``rng`` (no ``rng`` means ``RandomSource(0)``).
+    Univariate data uses the exact form |y - median| / (1.4826 * MAD): the
+    single direction +1 projects each value onto itself. Higher dimensions
+    maximise that ratio over ``DEFAULT_DIRECTIONS`` random unit projections
+    shared across all grid points, so results are deterministic given
+    ``rng`` (no ``rng`` means ``RandomSource(0)``). Grid points are taken
+    in blocks whose projections hold at most about n * max(p, 500) values.
     """
     values = as_multivariate(sample).values
     n, p, d = values.shape
     if n < 3:
         raise TooFewCurves(f"pointwise outlyingness needs at least 3 curves, got {n}")
-    if d == 1:
-        x = values[:, :, 0]
-        med = np.median(x, axis=0)
-        dev = np.abs(x - med)
+    u = np.ones((1, 1)) if d == 1 else _unit_directions(rng or RandomSource(0), d)
+    step = max(1, p // len(u))
+    sdo = np.empty((n, p))
+    for t in range(0, p, step):
+        # proj[i, t, k] = <Y_i(t), u_k>; medians and MADs are per (t, k)
+        proj = np.einsum("itd,kd->itk", values[:, t:t + step], u)
+        med = np.median(proj, axis=0)
+        dev = np.abs(proj - med)
         mad = MAD_CONSISTENCY * np.median(dev, axis=0)
-        return _sdo_ratio(dev, mad)
-
-    if rng is None:
-        rng = RandomSource(0)
-    u = _unit_directions(rng, d)
-    # proj[i, t, k] = <Y_i(t), u_k>; medians and MADs are per (t, k)
-    proj = np.einsum("itd,kd->itk", values, u)
-    med = np.median(proj, axis=0)
-    dev = np.abs(proj - med)
-    mad = MAD_CONSISTENCY * np.median(dev, axis=0)
-    return _sdo_ratio(dev, mad).max(axis=2)
+        sdo[:, t:t + step] = _sdo_ratio(dev, mad).max(axis=2)
+    return sdo
 
 
 def _pointwise_center(values: np.ndarray) -> np.ndarray:

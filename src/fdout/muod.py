@@ -51,6 +51,11 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     |mean_j alpha| and |mean_j beta - 1|. Pairs with a zero-variance member
     are dropped from the means; a curve with no valid pairs gets means of
     zero, which marks it maximally atypical in shape and amplitude.
+
+    The values are first scaled by the power of two that brings their
+    largest magnitude into [0.5, 1), so covariances neither overflow nor
+    underflow; being exact, this makes the indices exactly equivariant
+    under scaling by powers of two.
     """
     values = as_univariate(sample).values
     n, p = values.shape
@@ -59,31 +64,30 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     if p < 3:
         raise TooFewPoints(f"muod indices need p >= 3, got {p}")
 
+    exponent = np.frexp(np.abs(values).max())[1]
+    values = np.ldexp(values, -exponent)
     grid_means = values.mean(axis=1)
     centered = values - grid_means[:, None]
     cov = centered @ centered.T / (p - 1)
     variances = np.diag(cov).copy()
     valid = variances > 0.0
-    if not valid.any():
+    count = int(valid.sum())
+    if count == 0:
         raise AllDegenerate("every curve has zero variance over the grid")
 
-    pair_ok = valid[:, None] & valid[None, :]
-    counts = pair_ok.sum(axis=1)
+    # row means over valid j as products with C; a zero-variance curve j
+    # gets weight 0, which drops it from every sum
     safe_var = np.where(valid, variances, 1.0)
     sd = np.sqrt(safe_var)
-
-    rho = np.where(pair_ok, cov / (sd[:, None] * sd[None, :]), 0.0)
-    beta = np.where(pair_ok, cov / safe_var[None, :], 0.0)
-    alpha = np.where(pair_ok, grid_means[:, None] - beta * grid_means[None, :], 0.0)
-
-    denom = np.where(counts > 0, counts, 1)
-    mean_rho = np.where(counts > 0, rho.sum(axis=1) / denom, 0.0)
-    mean_beta = np.where(counts > 0, beta.sum(axis=1) / denom, 0.0)
-    mean_alpha = np.where(counts > 0, alpha.sum(axis=1) / denom, 0.0)
+    inv_var = np.where(valid, 1.0 / safe_var, 0.0)
+    mean_rho = cov @ np.where(valid, 1.0 / sd, 0.0) / (sd * count)
+    mean_beta = cov @ inv_var / count
+    mean_alpha = grid_means - cov @ (grid_means * inv_var) / count
+    mean_rho, mean_beta, mean_alpha = np.where(valid, [mean_rho, mean_beta, mean_alpha], 0.0)
 
     return MuodIndices(
         shape=np.abs(mean_rho - 1.0),
-        magnitude=np.abs(mean_alpha),
+        magnitude=np.ldexp(np.abs(mean_alpha), exponent),
         amplitude=np.abs(mean_beta - 1.0),
     )
 

@@ -441,6 +441,21 @@ class TestCliCommands:
         flags, _ = muod(sample)
         assert payload["outliers"]["magnitude"] == to_external_indices(flags.magnitude)
 
+    def test_detect_muod_tangent_on_extreme_magnitudes(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        values = np.random.default_rng(5).standard_normal((20, 6)) * 1e300
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "report.json"
+        rc = main([
+            "detect", "--method", "muod", "--cut", "tangent", "--in", str(path),
+            "--report", str(report_path),
+        ])
+        assert rc == 0
+        text = report_path.read_text()
+        assert "NaN" not in text
+        flags, _ = muod(read_curves(str(path)), cut_method="tangent")
+        assert json.loads(text)["outliers"]["shape"] == to_external_indices(flags.shape)
+
     def test_depth_subcommand_matches_library(self, tmp_path, boxplot_csv):
         out_path = tmp_path / "depth.csv"
         rc = main([

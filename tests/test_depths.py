@@ -334,3 +334,11 @@ def test_erld_always_matches_oracle(seed, n, p):
         extreme_rank_length(sample, type="two_sided").scores,
         oracles.extreme_rank_length(sample.values, "two_sided"),
     )
+
+
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(2, 6))
+def test_ed_always_matches_oracle(seed, n, p):
+    sample = random_sample(seed, n, p, ties=bool(seed % 2))
+    np.testing.assert_array_equal(
+        extremal_depth(sample).scores, oracles.extremal_depth(sample.values)
+    )

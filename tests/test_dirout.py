@@ -60,6 +60,16 @@ class TestPointwiseSdo:
         b = pointwise_sdo(sample, rng=RandomSource(5))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 17, 999, 1201])
+    def test_columns_depend_only_on_their_grid_point(self, p, d):
+        # grid points are processed in blocks; a column must not see its block
+        values = np.round(np.random.default_rng(p * 10 + d).standard_normal((6, p, d)), 1)
+        full = pointwise_sdo(make_multi(values), rng=RandomSource(d))
+        for t in sorted({0, 1, p // 2, p - 2}):
+            pair = pointwise_sdo(make_multi(values[:, t:t + 2]), rng=RandomSource(d))
+            np.testing.assert_array_equal(full[:, t:t + 2], pair)
+
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
             pointwise_sdo(make_multi(np.zeros((2, 3, 1))))

@@ -84,6 +84,23 @@ class TestMuodIndices:
         np.testing.assert_allclose(after.amplitude, before.amplitude, rtol=0, atol=1e-12)
         assert after.magnitude[2] != pytest.approx(before.magnitude[2], abs=1e-6)
 
+    @pytest.mark.parametrize("exponent", [900, -900])
+    def test_exact_under_power_of_two_scaling(self, exponent):
+        # at 2**900 the covariances would overflow, at 2**-900 underflow to 0
+        values = np.random.default_rng(304).standard_normal((20, 6))
+        base = muod_indices(make_sample(values))
+        scaled = muod_indices(make_sample(np.ldexp(values, exponent)))
+        np.testing.assert_array_equal(scaled.shape, base.shape)
+        np.testing.assert_array_equal(scaled.amplitude, base.amplitude)
+        np.testing.assert_array_equal(scaled.magnitude, np.ldexp(base.magnitude, exponent))
+        for cut in ("boxplot", "tangent"):
+            flags, _ = muod(make_sample(values), cut_method=cut)
+            scaled_flags, _ = muod(make_sample(np.ldexp(values, exponent)), cut_method=cut)
+            for kind in ("shape", "magnitude", "amplitude"):
+                np.testing.assert_array_equal(
+                    getattr(scaled_flags, kind), getattr(flags, kind)
+                )
+
     def test_preconditions(self):
         with pytest.raises(TooFewCurves):
             muod_indices(make_sample(np.random.default_rng(1).standard_normal((2, 5))))
