@@ -25,10 +25,10 @@ from .csvio import atomic_write_text, read_curves, write_curves, write_truth
 from .depths import ERLD_TYPES
 from .errors import FdoutError, InconsistentReport, NumericError, ValidationError
 from .fdcore import RandomSource
-from .muod import muod as _muod
+from .muod import MUOD_CUTS, muod as _muod
 from .report import DetectionReport, to_external_indices
 from .simmodels import simulation_model
-from .svgplot import emit_plot
+from .svgplot import PLOT_KINDS, emit_plot
 
 __all__ = ["main", "build_parser", "run_simulate", "run_detect", "run_depth", "run_plot"]
 
@@ -41,17 +41,15 @@ def _default(func, name):
     return inspect.signature(func).parameters[name].default
 
 
+# --header/--id-column value -> the read_curves argument
+_TRISTATE = {"auto": "auto", "yes": True, "no": False}
+
+
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layout", choices=["wide", "per-dimension"], default="wide",
-                        help="input CSV layout (multiple files imply per-dimension)")
-    parser.add_argument("--header", choices=["auto", "yes", "no"], default="auto",
+    parser.add_argument("--header", choices=list(_TRISTATE), default="auto",
                         help="whether the first CSV row holds grid points")
-    parser.add_argument("--id-column", choices=["auto", "yes", "no"], default="auto",
+    parser.add_argument("--id-column", choices=list(_TRISTATE), default="auto",
                         help="whether the first CSV column holds curve ids")
-
-
-def _tristate(value: str):
-    return {"auto": "auto", "yes": True, "no": False}[value]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     det.set_defaults(run=run_detect)
     det.add_argument("--method", required=True, choices=list(DETECTORS))
     det.add_argument("--in", dest="infile", required=True,
-                     help="input CSV path(s), comma separated for per-dimension input")
+                     help="input CSV path, or one path per dimension, comma separated")
     det.add_argument("--report", required=True, help="output JSON report path")
     det.add_argument("--plot", default=None, help="optional SVG output path")
-    det.add_argument("--plot-kind", choices=["curves", "msplot"], default="curves")
+    det.add_argument("--plot-kind", choices=list(PLOT_KINDS), default="curves")
     det.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
     det.add_argument("--level", type=float, default=_default(_detect.msplot, "level"),
                      help="msplot: flagging tail probability")
@@ -105,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=_default(_detect.functional_boxplot, "factor"),
                      help="fbplot/seq: fence factor")
     det.add_argument("--cut", default=_default(_muod, "cut_method"),
-                     choices=["boxplot", "tangent"], help="muod: cutoff method")
+                     choices=MUOD_CUTS, help="muod: cutoff method")
     _add_csv_flags(det)
 
     dep = sub.add_parser("depth", help="write per-curve ordering scores as CSV")
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     plo = sub.add_parser("plot", help="render an SVG from data and a stored report")
     plo.set_defaults(run=run_plot)
     plo.add_argument("--in", dest="infile", required=True)
-    plo.add_argument("--kind", choices=["curves", "msplot"], default="curves")
+    plo.add_argument("--kind", choices=list(PLOT_KINDS), default="curves")
     plo.add_argument("--out", required=True)
     plo.add_argument("--report", default=None, help="JSON report with outliers to highlight")
     _add_csv_flags(plo)
@@ -130,12 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_sample(args):
     paths = [p for p in args.infile.split(",") if p]
-    return read_curves(
-        paths,
-        layout=args.layout,
-        header=_tristate(args.header),
-        id_column=_tristate(args.id_column),
-    )
+    return read_curves(paths, header=_TRISTATE[args.header], id_column=_TRISTATE[args.id_column])
 
 
 def run_simulate(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,60 +44,57 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _parse_cell(cell: str, line: int, column: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(line, column, f"could not parse {cell!r} as a number") from None
-
-
 def _read_wide(path: str, header, id_column):
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
-    if not rows:
+        reader = csv.reader(handle)
+        # line number -> stripped cells of every row with a non-blank cell;
+        # float() ignores padding, such as '\x1c', that numpy rejects, and a
+        # tuple per row would pin freed memory in the tuple free list
+        numbered = {}
+        for row in reader:
+            cells = [c.strip() for c in row]
+            if any(cells):
+                numbered[reader.line_num] = cells
+    if not numbered:
         raise EmptyInput(f"{path} holds no data")
+    lines, rows = list(numbered), list(numbered.values())
     width = len(rows[0])
-    for k, row in enumerate(rows):
+    for line, row in zip(lines, rows):
         if len(row) != width:
-            raise ParseError(k + 1, len(row) + 1,
+            raise ParseError(line, len(row) + 1,
                              f"row has {len(row)} cells, expected {width}")
 
     if id_column == "auto":
-        has_ids = not _is_float(rows[-1][0].strip())
+        has_ids = not _is_float(rows[-1][0])
     else:
         has_ids = bool(id_column)
-    first = rows[0][1:] if has_ids else rows[0]
+    shift = 1 if has_ids else 0
+    first = rows[0][shift:]
+    numeric = all(_is_float(c) for c in first)
     if header == "auto":
-        cells = [c.strip() for c in first]
-        if any(not _is_float(c) for c in cells):
-            has_header = True
-        elif len(rows) >= 2:
-            numbers = np.array([float(c) for c in cells])
-            has_header = bool(numbers.size >= 2 and np.all(np.diff(numbers) > 0))
-        else:
-            has_header = False
+        # a header has a cell that is not a number, or strictly increasing
+        # grid points above at least one more row
+        has_header = not numeric or (len(rows) >= 2 and len(first) >= 2
+                                     and bool(np.all(np.diff(np.array(first, dtype=float)) > 0)))
     else:
         has_header = bool(header)
-
-    grid_points = None
-    if has_header:
-        cells = [c.strip() for c in first]
-        if all(_is_float(c) for c in cells):
-            grid_points = np.array([float(c) for c in cells])
-        data_rows = rows[1:]
-        offset = 1
-    else:
-        data_rows = rows
-        offset = 0
+    grid_points = np.array(first, dtype=float) if has_header and numeric else None
+    offset = 1 if has_header else 0
+    data_rows = rows[offset:]
     if not data_rows:
         raise EmptyInput(f"{path} holds a header but no curves")
 
-    ids = [row[0].strip() for row in data_rows] if has_ids else None
-    shift = 1 if has_ids else 0
-    values = np.empty((len(data_rows), width - shift))
-    for r, row in enumerate(data_rows):
-        for c, cell in enumerate(row[shift:]):
-            values[r, c] = _parse_cell(cell.strip(), r + 1 + offset, c + 1 + shift)
+    # popped in place, so the numeric block needs no second copy of the rows
+    ids = [row.pop(0) for row in data_rows] if has_ids else None
+    try:
+        values = np.array(data_rows, dtype=float)
+    except ValueError:
+        for line, row in zip(lines[offset:], data_rows):
+            for c, cell in enumerate(row):
+                if not _is_float(cell):
+                    raise ParseError(line, c + 1 + shift,
+                                     f"could not parse {cell!r} as a number") from None
+        raise
 
     p = values.shape[1]
     if grid_points is not None:
@@ -111,7 +108,6 @@ def _read_wide(path: str, header, id_column):
 
 def read_curves(
     paths: Union[str, Sequence[str]],
-    layout: str = "wide",
     header="auto",
     id_column="auto",
 ) -> Union[CurveSample, MultiCurveSample]:
@@ -126,28 +122,25 @@ def read_curves(
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
     paths = list(paths)
-    if layout not in ("wide", "per-dimension"):
-        raise ShapeMismatch(f"unknown layout {layout!r}")
-    if layout == "wide" and len(paths) > 1:
-        layout = "per-dimension"
+    if not paths:
+        raise EmptyInput("no input file given")
 
     parsed = [_read_wide(str(path), header, id_column) for path in paths]
-    if layout == "wide":
+    if len(parsed) == 1:
         values, grid, ids = parsed[0]
         return CurveSample(values, grid, ids=ids)
 
     base_values, base_grid, base_ids = parsed[0]
-    stack = [base_values]
     for path, (values, grid, _ids) in zip(paths[1:], parsed[1:]):
         if values.shape != base_values.shape:
             raise ShapeMismatch(
                 f"{path} is {values.shape[0]}x{values.shape[1]}, expected "
                 f"{base_values.shape[0]}x{base_values.shape[1]}"
             )
-        if grid.size != base_grid.size or not np.array_equal(grid.points, base_grid.points):
+        if not np.array_equal(grid.points, base_grid.points):
             raise ShapeMismatch(f"{path} has a different grid")
-        stack.append(values)
-    return MultiCurveSample(np.stack(stack, axis=2), base_grid, ids=base_ids)
+    stack = np.stack([values for values, _grid, _ids in parsed], axis=2)
+    return MultiCurveSample(stack, base_grid, ids=base_ids)
 
 
 def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample],
@@ -160,15 +153,14 @@ def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample],
     lines = []
     has_ids = sample.ids is not None
     if include_header:
-        cells = [repr(float(v)) for v in sample.grid.points]
+        cells = list(map(repr, sample.grid.points.tolist()))
         if has_ids:
             cells.insert(0, "id")
         lines.append(",".join(cells))
-    for i in range(sample.n):
-        cells = [repr(float(v)) for v in sample.values[i]]
-        if has_ids:
-            cells.insert(0, str(sample.ids[i]))
-        lines.append(",".join(cells))
+    # a row at a time: a whole-matrix tolist() would pin its freed floats' memory
+    for i, row in enumerate(sample.values):
+        cells = ",".join(map(repr, row.tolist()))
+        lines.append(f"{sample.ids[i]},{cells}" if has_ids else cells)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

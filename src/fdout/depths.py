@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidTail, TooFewCurves
+from .errors import InvalidTail, TooFewCurves, UnknownErldType
 from .fdcore import CurveSample
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
 
 DEEPER_IS_LARGER = "deeper_is_larger"
 OUTLYING_IS_LARGER = "outlying_is_larger"
-
-ERLD_TYPES = ("two_sided", "one_sided_right", "one_sided_left")
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,15 @@ def _lex_extremeness_scores(vectors: np.ndarray) -> np.ndarray:
     return scores
 
 
+# type -> pointwise extremeness counts (small = extreme) from the ranks
+_ERLD_TAILS = {
+    "two_sided": lambda ranks: np.minimum(ranks.below, ranks.above),
+    "one_sided_right": lambda ranks: ranks.above,
+    "one_sided_left": lambda ranks: ranks.below,
+}
+ERLD_TYPES = tuple(_ERLD_TAILS)
+
+
 def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVector:
     """Extreme rank length depth with one- or two-sided extremeness.
 
@@ -188,15 +195,8 @@ def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVe
     """
     values = _require(sample, 2, "extreme_rank_length")
     if type not in ERLD_TYPES:
-        raise ValueError(f"type must be one of {ERLD_TYPES}, got {type!r}")
-    n = values.shape[0]
-    ranks = pointwise_ranks(values)
-    if type == "one_sided_right":
-        r = ranks.above / n
-    elif type == "one_sided_left":
-        r = ranks.below / n
-    else:
-        r = np.minimum(ranks.below, ranks.above) / n
+        raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {type!r}")
+    r = _ERLD_TAILS[type](pointwise_ranks(values)) / values.shape[0]
     return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
 
 

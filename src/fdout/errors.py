@@ -99,6 +99,14 @@ class UnknownDepthMethod(ValidationError):
     """Depth/ordering method label not recognised."""
 
 
+class UnknownErldType(ValidationError):
+    """Extreme rank length tail convention not recognised."""
+
+
+class UnknownCutMethod(ValidationError):
+    """MUOD cutoff method not recognised."""
+
+
 class ParseError(ValidationError):
     """A CSV cell could not be parsed.
 
@@ -140,6 +148,10 @@ class CovarianceNotPD(NumericError):
 
 class AllDegenerate(NumericError):
     """Every curve in the sample has zero variance."""
+
+
+class NonFiniteIndex(NumericError):
+    """A MUOD index overflows, as for curves near the largest double."""
 
 
 class NonFiniteOutlyingness(NumericError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDegenerate, TooFewCurves, TooFewPoints
+from .errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
 from .fdcore import AnySample, as_univariate
 
 __all__ = [
@@ -55,7 +55,8 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     The values are first scaled by the power of two that brings their
     largest magnitude into [0.5, 1), so covariances neither overflow nor
     underflow; being exact, this makes the indices exactly equivariant
-    under scaling by powers of two.
+    under scaling by powers of two. For curves near the largest double
+    the magnitude index can still overflow; that raises NonFiniteIndex.
     """
     values = as_univariate(sample).values
     n, p = values.shape
@@ -85,9 +86,14 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     mean_alpha = grid_means - cov @ (grid_means * inv_var) / count
     mean_rho, mean_beta, mean_alpha = np.where(valid, [mean_rho, mean_beta, mean_alpha], 0.0)
 
+    with np.errstate(over="ignore"):  # reported just below
+        magnitude = np.ldexp(np.abs(mean_alpha), exponent)
+    if np.any(np.isinf(magnitude)):
+        raise NonFiniteIndex(f"the magnitude index overflows for {np.isinf(magnitude).sum()} "
+                             "curve(s): their mean intercept exceeds the largest double")
     return MuodIndices(
         shape=np.abs(mean_rho - 1.0),
-        magnitude=np.ldexp(np.abs(mean_alpha), exponent),
+        magnitude=magnitude,
         amplitude=np.abs(mean_beta - 1.0),
     )
 
@@ -126,12 +132,21 @@ def muod_cutoff_tangent(indices) -> np.ndarray:
     return np.flatnonzero(x > cutoff)
 
 
+# cut_method -> cutoff; the lambdas look the cutoffs up when called, so a
+# wrapper installed on the module attribute sees every call
+_CUTOFFS = {
+    "boxplot": lambda indices: muod_cutoff_boxplot(indices),
+    "tangent": lambda indices: muod_cutoff_tangent(indices),
+}
+MUOD_CUTS = tuple(_CUTOFFS)
+
+
 def muod(sample: AnySample, cut_method: str = "boxplot"):
     """Flag shape, magnitude and amplitude outliers via the chosen cutoff."""
-    if cut_method not in ("boxplot", "tangent"):
-        raise ValueError(f"cut_method must be 'boxplot' or 'tangent', got {cut_method!r}")
+    if cut_method not in MUOD_CUTS:
+        raise UnknownCutMethod(f"cut_method must be one of {MUOD_CUTS}, got {cut_method!r}")
     idx = muod_indices(sample)
-    cut = muod_cutoff_boxplot if cut_method == "boxplot" else muod_cutoff_tangent
+    cut = _CUTOFFS[cut_method]
     flags = MuodOutliers(
         shape=cut(idx.shape),
         magnitude=cut(idx.magnitude),

@@ -29,9 +29,6 @@ __all__ = [
     "MODEL_IDS",
 ]
 
-MODEL_IDS = tuple(range(1, 10))
-
-
 @dataclass(frozen=True)
 class GaussianProcessSpec:
     """Gaussian process with covariance amplitude * exp(-range * |s-t|^exponent)."""
@@ -95,34 +92,80 @@ def _signs(rng: RandomSource, k: int) -> np.ndarray:
     return rng.integers(0, 2, size=k) * 2 - 1
 
 
-_DEFAULTS = {
-    "gp_amplitude": 1.0,
-    "gp_range": 1.0,
-    "gp_exponent": 1.0,
-    "shift": 8.0,
-    "interval_length": None,
-    "phase_shift": 0.15,
-    "amplitude_low": 1.5,
-    "amplitude_high": 2.0,
-    "outlier_gp_amplitude": 8.0,
-    "outlier_gp_range": 2.0,
-    "outlier_gp_exponent": 0.5,
-    "wave_amplitude": 2.0,
-    "wave_cycles": None,
-}
+def _linear(t: np.ndarray) -> np.ndarray:
+    return _BASE_TREND * t
 
-_ALLOWED_OVERRIDES = {
-    1: {"shift"},
-    2: {"shift", "interval_length"},
-    3: {"shift"},
-    4: set(),
-    5: {"outlier_gp_amplitude", "outlier_gp_range", "outlier_gp_exponent"},
-    6: {"wave_amplitude", "wave_cycles"},
-    7: {"phase_shift"},
-    8: {"amplitude_low", "amplitude_high"},
-    9: {"wave_amplitude", "wave_cycles", "interval_length"},
+
+def _periodic(t: np.ndarray) -> np.ndarray:
+    return 4.0 * np.sin(2.0 * np.pi * t)
+
+
+def _window(t: np.ndarray, crng: RandomSource, count: int, length: float) -> np.ndarray:
+    """One random subinterval of the given length per row, as a row mask."""
+    starts = crng.uniform(0.0, 1.0 - length, size=count)
+    return (t[None, :] >= starts[:, None]) & (t[None, :] <= (starts + length)[:, None])
+
+
+def _wave(t: np.ndarray, cfg: dict) -> np.ndarray:
+    return cfg["wave_amplitude"] * np.sin(2.0 * np.pi * cfg["wave_cycles"] * t)
+
+
+def _spike(rows, grid, crng, cfg):
+    signs = _signs(crng, len(rows))
+    inside = _window(grid.points, crng, len(rows), cfg["interval_length"])
+    return rows + cfg["shift"] * signs[:, None] * inside
+
+
+def _partial_shift(rows, grid, crng, cfg):
+    signs = _signs(crng, len(rows))
+    onsets = crng.uniform(0.2, 0.8, size=len(rows))
+    return rows + cfg["shift"] * signs[:, None] * (grid.points[None, :] >= onsets[:, None])
+
+
+def _gp_spec(cfg: dict, prefix: str) -> GaussianProcessSpec:
+    return GaussianProcessSpec(*(cfg[prefix + key] for key in ("amplitude", "range", "exponent")))
+
+
+def _rougher(rows, grid, crng, cfg):
+    rough = gp_sample(_gp_spec(cfg, "outlier_gp_"), grid, len(rows), crng).values
+    return _linear(grid.points) + rough
+
+
+def _phase_shift(rows, grid, crng, cfg):
+    t = grid.points
+    signs = _signs(crng, len(rows))
+    return rows + (_periodic(t[None, :] + cfg["phase_shift"] * signs[:, None]) - _periodic(t))
+
+
+def _amplitude(rows, grid, crng, cfg):
+    theta = crng.uniform(cfg["amplitude_low"], cfg["amplitude_high"], size=len(rows))
+    return rows + 4.0 * (theta[:, None] - 1.0) * np.sin(2.0 * np.pi * grid.points)[None, :]
+
+
+def _burst(rows, grid, crng, cfg):
+    inside = _window(grid.points, crng, len(rows), cfg["interval_length"])
+    return rows + _wave(grid.points, cfg)[None, :] * inside
+
+
+# model -> (bulk mean on the grid points, the model's own parameters and
+# their defaults, contaminate(rows, grid, crng, cfg) returning the planted
+# rows from the bulk rows; model 5 replaces them, the others add to them)
+_MODELS = {
+    1: (_linear, {"shift": 8.0},
+        lambda rows, grid, crng, cfg: rows + cfg["shift"] * _signs(crng, len(rows))[:, None]),
+    2: (_linear, {"shift": 8.0, "interval_length": 0.04}, _spike),
+    3: (_linear, {"shift": 8.0}, _partial_shift),
+    4: (_linear, {}, lambda rows, grid, crng, cfg: rows + (4.0 - 8.0 * grid.points[None, :])),
+    5: (_linear, {"outlier_gp_amplitude": 8.0, "outlier_gp_range": 2.0,
+                  "outlier_gp_exponent": 0.5}, _rougher),
+    6: (_linear, {"wave_amplitude": 2.0, "wave_cycles": 2.0},
+        lambda rows, grid, crng, cfg: rows + _wave(grid.points, cfg)),
+    7: (_periodic, {"phase_shift": 0.15}, _phase_shift),
+    8: (_periodic, {"amplitude_low": 1.5, "amplitude_high": 2.0}, _amplitude),
+    9: (_linear, {"wave_amplitude": 2.0, "wave_cycles": 20.0, "interval_length": 0.2}, _burst),
 }
-_GP_OVERRIDES = {"gp_amplitude", "gp_range", "gp_exponent"}
+MODEL_IDS = tuple(_MODELS)
+_GP_DEFAULTS = {"gp_amplitude": 1.0, "gp_range": 1.0, "gp_exponent": 1.0}
 
 
 def simulation_model(
@@ -151,80 +194,22 @@ def simulation_model(
         raise BadRate(f"outlier rate must lie in [0, 1], got {outlier_rate}")
     if n < 1:
         raise TooFewCurves(f"need n >= 1, got {n}")
-    unknown = set(overrides) - _ALLOWED_OVERRIDES[k] - _GP_OVERRIDES
+    mean, own, contaminate = _MODELS[k]
+    unknown = set(overrides) - set(own) - set(_GP_DEFAULTS)
     if unknown:
         raise BadModel(f"model {k} does not accept overrides: {sorted(unknown)}")
-    cfg = dict(_DEFAULTS)
-    if cfg["interval_length"] is None:
-        cfg["interval_length"] = 0.04 if k == 2 else 0.2
-    if cfg["wave_cycles"] is None:
-        cfg["wave_cycles"] = 2.0 if k == 6 else 20.0
-    cfg.update(overrides)
+    cfg = {**_GP_DEFAULTS, **own, **overrides}
 
     grid = uniform_grid(p, 0.0, 1.0)
-    t = grid.points
     root = RandomSource(seed)
-    base_spec = GaussianProcessSpec(
-        amplitude=cfg["gp_amplitude"],
-        range_=cfg["gp_range"],
-        exponent=cfg["gp_exponent"],
-    )
-    noise = gp_sample(base_spec, grid, n, root.child(0)).values
+    noise = gp_sample(_gp_spec(cfg, "gp_"), grid, n, root.child(0)).values
     out_rows = _select_outliers(n, outlier_rate, deterministic, root.child(1))
-    n_out = out_rows.size
-    crng = root.child(2)
+    values = mean(grid.points)[None, :] + noise
+    if out_rows.size:
+        values[out_rows] = contaminate(values[out_rows], grid, root.child(2), cfg)
 
-    periodic_bulk = k in (7, 8)
-    if periodic_bulk:
-        values = 4.0 * np.sin(2.0 * np.pi * t)[None, :] + noise
-    else:
-        values = _BASE_TREND * t[None, :] + noise
-
-    if n_out:
-        if k == 1:
-            values[out_rows] += cfg["shift"] * _signs(crng, n_out)[:, None]
-        elif k == 2:
-            signs = _signs(crng, n_out)
-            length = cfg["interval_length"]
-            starts = crng.uniform(0.0, 1.0 - length, size=n_out)
-            inside = (t[None, :] >= starts[:, None]) & (t[None, :] <= (starts + length)[:, None])
-            values[out_rows] += cfg["shift"] * signs[:, None] * inside
-        elif k == 3:
-            signs = _signs(crng, n_out)
-            onsets = crng.uniform(0.2, 0.8, size=n_out)
-            values[out_rows] += cfg["shift"] * signs[:, None] * (t[None, :] >= onsets[:, None])
-        elif k == 4:
-            values[out_rows] += 4.0 - 8.0 * t[None, :]
-        elif k == 5:
-            out_spec = GaussianProcessSpec(
-                amplitude=cfg["outlier_gp_amplitude"],
-                range_=cfg["outlier_gp_range"],
-                exponent=cfg["outlier_gp_exponent"],
-            )
-            rough = gp_sample(out_spec, grid, n_out, crng).values
-            values[out_rows] = _BASE_TREND * t[None, :] + rough
-        elif k == 6:
-            wave = cfg["wave_amplitude"] * np.sin(2.0 * np.pi * cfg["wave_cycles"] * t)
-            values[out_rows] += wave[None, :]
-        elif k == 7:
-            signs = _signs(crng, n_out)
-            shifted = 4.0 * np.sin(
-                2.0 * np.pi * (t[None, :] + cfg["phase_shift"] * signs[:, None])
-            )
-            values[out_rows] += shifted - 4.0 * np.sin(2.0 * np.pi * t)[None, :]
-        elif k == 8:
-            theta = crng.uniform(cfg["amplitude_low"], cfg["amplitude_high"], size=n_out)
-            values[out_rows] += 4.0 * (theta[:, None] - 1.0) * np.sin(2.0 * np.pi * t)[None, :]
-        else:
-            length = cfg["interval_length"]
-            starts = crng.uniform(0.0, 1.0 - length, size=n_out)
-            inside = (t[None, :] >= starts[:, None]) & (t[None, :] <= (starts + length)[:, None])
-            wave = cfg["wave_amplitude"] * np.sin(2.0 * np.pi * cfg["wave_cycles"] * t)
-            values[out_rows] += wave[None, :] * inside
-
-    params = dict(cfg)
-    params.update(
-        model=k, n=n, p=p, outlier_rate=outlier_rate,
+    params = dict(
+        cfg, model=k, n=n, p=p, outlier_rate=outlier_rate,
         deterministic=deterministic, seed=seed,
     )
     return SimulationOutput(

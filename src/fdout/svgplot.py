@@ -155,6 +155,34 @@ def render_msplot(
     return "".join(parts)
 
 
+def _curves_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
+    if sample is None:
+        raise InconsistentReport("curve plots need the curve data")
+    if sample.d != 1:
+        raise InconsistentReport(
+            "curve plots need univariate curves; plot each dimension separately"
+        )
+    sample = as_univariate(sample)
+    if report.n and report.n != sample.n:
+        raise InconsistentReport(f"report describes {report.n} curves, data has {sample.n}")
+    return render_curves(sample, flagged)
+
+
+def _msplot_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
+    mo = report.diagnostics.get("mo")
+    vo = report.diagnostics.get("vo")
+    if mo is None or vo is None:
+        raise InconsistentReport("msplot plots need 'mo' and 'vo' diagnostics in the report")
+    if len(vo) != len(mo):
+        raise InconsistentReport("mo and vo diagnostics disagree in length")
+    return render_msplot(np.asarray(mo, dtype=float), np.asarray(vo, dtype=float), flagged,
+                         d=max(int(report.d), 1))
+
+
+# kind -> renderer(report, sample, flagged 0-based rows) returning the SVG text
+PLOT_KINDS = {"curves": _curves_svg, "msplot": _msplot_svg}
+
+
 def emit_plot(
     report: DetectionReport,
     sample: Optional[AnySample],
@@ -162,36 +190,9 @@ def emit_plot(
     path: str,
 ) -> str:
     """Render the plot named by ``kind`` for a report and write it to path."""
-    if kind not in ("curves", "msplot"):
+    if kind not in PLOT_KINDS:
         raise InconsistentReport(f"unknown plot kind {kind!r}")
     flagged = [int(i) - 1 for i in report.outliers.get("all", [])]
-    if kind == "curves":
-        if sample is None:
-            raise InconsistentReport("curve plots need the curve data")
-        if sample.d != 1:
-            raise InconsistentReport(
-                "curve plots need univariate curves; plot each dimension separately"
-            )
-        sample = as_univariate(sample)
-        if report.n and report.n != sample.n:
-            raise InconsistentReport(
-                f"report describes {report.n} curves, data has {sample.n}"
-            )
-        text = render_curves(sample, flagged)
-    else:
-        mo = report.diagnostics.get("mo")
-        vo = report.diagnostics.get("vo")
-        if mo is None or vo is None:
-            raise InconsistentReport(
-                "msplot plots need 'mo' and 'vo' diagnostics in the report"
-            )
-        if len(vo) != len(mo):
-            raise InconsistentReport("mo and vo diagnostics disagree in length")
-        text = render_msplot(
-            np.asarray(mo, dtype=float),
-            np.asarray(vo, dtype=float),
-            flagged,
-            d=max(int(report.d), 1),
-        )
+    text = PLOT_KINDS[kind](report, sample, flagged)
     atomic_write_text(path, text)
     return text

@@ -5,6 +5,7 @@ and byte-determinism contracts across OS processes are covered again in the
 acceptance suite via subprocess.
 """
 
+import argparse
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+import fdout.cli
 import fdout.detect
 from fdout.cli import DETECTORS, build_parser, main
 from fdout.csvio import (
@@ -21,6 +23,7 @@ from fdout.csvio import (
     write_curves,
     write_truth,
 )
+from fdout.depths import ERLD_TYPES
 from fdout.detect import (
     DEPTH_METHODS,
     depth_by_name,
@@ -35,11 +38,17 @@ from fdout.errors import (
     ParseError,
     ShapeMismatch,
 )
-from fdout.fdcore import CurveSample, MultiCurveSample, RandomSource, uniform_grid
-from fdout.muod import muod
+from fdout.fdcore import (
+    CurveSample,
+    MultiCurveSample,
+    RandomSource,
+    as_multivariate,
+    uniform_grid,
+)
+from fdout.muod import MUOD_CUTS, muod
 from fdout.report import DetectionReport, to_external_indices
 from fdout.simmodels import simulation_model
-from fdout.svgplot import emit_plot, render_curves, render_msplot
+from fdout.svgplot import PLOT_KINDS, emit_plot, render_curves, render_msplot
 
 from .conftest import make_sample
 
@@ -123,6 +132,23 @@ class TestReadCurves:
         assert err.value.line == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1.0,2.0,3.0\n\n4.0,5.0,6.0\n7.0,x,9.0\n", 4, 2),
+        ("id,0,0.5,1\n\n \na,1,2,3\n,,,\nb,4,5,y\n", 6, 4),
+        ("1.0,2.0,3.0\n\n4.0,5.0\n", 3, 3),
+    ])
+    def test_positions_count_blank_lines(self, tmp_path, text, line, column):
+        path = tmp_path / "a.csv"
+        _write(path, text)
+        with pytest.raises(ParseError) as err:
+            read_curves(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_padded_cells_parse(self, tmp_path):
+        path = tmp_path / "a.csv"
+        _write(path, "3,1,2\n\x1c4 , 5\t,\u20036\n")
+        assert np.array_equal(read_curves(str(path)).values, [[3, 1, 2], [4, 5, 6]])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         _write(path, "1,2,3\n4,5\n")
@@ -140,12 +166,6 @@ class TestReadCurves:
         _write(path, "0.0,0.5,1.0\n")
         with pytest.raises(EmptyInput):
             read_curves(str(path), header=True)
-
-    def test_unknown_layout(self, tmp_path):
-        path = tmp_path / "a.csv"
-        _write(path, "1,2\n3,4\n")
-        with pytest.raises(ShapeMismatch):
-            read_curves(str(path), layout="long")
 
 
 class TestRoundTrip:
@@ -631,15 +651,19 @@ class TestEveryMethodReport:
         assert payload["outliers"]["all"] == sorted(union)
 
     @pytest.mark.parametrize("method", list(DETECT_REPORTS))
-    def test_one_file_per_dimension_input_matches_wide(self, tmp_path, sim_csv, method):
-        texts = []
-        for layout in ("wide", "per-dimension"):
-            report_path = tmp_path / f"{layout}.json"
-            rc = main(["detect", "--method", method, "--in", sim_csv,
-                       "--layout", layout, "--report", str(report_path)])
-            assert rc == 0
-            texts.append(report_path.read_text())
-        assert texts[0] == texts[1]
+    def test_one_file_per_dimension_input_matches_wide(
+        self, tmp_path, sim_csv, method, monkeypatch
+    ):
+        # the d = 1 MultiCurveSample that one per-dimension file stands for
+        # reports exactly as the wide CurveSample read from the file
+        wide, per_dimension = tmp_path / "wide.json", tmp_path / "per_dimension.json"
+        assert main(["detect", "--method", method, "--in", sim_csv, "--report", str(wide)]) == 0
+        read = fdout.cli.read_curves
+        monkeypatch.setattr(fdout.cli, "read_curves",
+                            lambda *args, **kwargs: as_multivariate(read(*args, **kwargs)))
+        assert main(["detect", "--method", method, "--in", sim_csv,
+                     "--report", str(per_dimension)]) == 0
+        assert wide.read_text() == per_dimension.read_text()
 
     @pytest.mark.parametrize("method", DEPTH_METHODS)
     def test_depth_subcommand_every_method(self, tmp_path, sim_csv, method):
@@ -733,6 +757,28 @@ class TestCliErrors:
         assert "AllDegenerate" in capsys.readouterr().err
         payload = json.loads(report_path.read_text())
         assert payload["error"]["type"] == "AllDegenerate"
+
+    @pytest.mark.parametrize("cut", MUOD_CUTS)
+    def test_muod_index_overflow_exits_3_with_error_report(self, tmp_path, cut, capsys):
+        rng = np.random.default_rng(1)
+        signs = rng.choice([-1.0, 1.0], size=(20, 6))
+        values = signs * rng.uniform(0.99, 1.0, size=(20, 6)) * 1.79e308
+        path = tmp_path / "edge.csv"
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "muod", "--cut", cut, "--in", str(path),
+                   "--report", str(report_path)])
+        assert rc == 3
+        assert "NonFiniteIndex" in capsys.readouterr().err
+        text = report_path.read_text()
+        assert "Infinity" not in text
+        assert json.loads(text)["error"]["type"] == "NonFiniteIndex"
+
+    def test_no_input_path_exits_2(self, tmp_path):
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "fbplot", "--in", ",", "--report", str(report_path)])
+        assert rc == 2
+        assert json.loads(report_path.read_text())["error"]["type"] == "EmptyInput"
 
     def test_zero_mad_msplot_exits_3_with_error_report(self, tmp_path, capsys):
         values = np.random.default_rng(210).standard_normal((40, 20))
@@ -833,6 +879,30 @@ class TestCliDefaultsMirrorLibrary:
         assert args.factor == sig(functional_boxplot, "factor")
         assert args.cut == sig(muod, "cut_method")
         assert args.depth == sig(seq_transform, "depth_method")
+
+    def test_choices_are_table_keys(self):
+        tables = {
+            ("detect", "--method"): DETECTORS,
+            ("detect", "--plot-kind"): PLOT_KINDS,
+            ("detect", "--depth"): DEPTH_METHODS,
+            ("detect", "--erld-type"): ERLD_TYPES,
+            ("detect", "--cut"): MUOD_CUTS,
+            ("depth", "--method"): DEPTH_METHODS,
+            ("depth", "--erld-type"): ERLD_TYPES,
+            ("plot", "--kind"): PLOT_KINDS,
+        }
+        for sub in ("detect", "depth", "plot"):
+            tables[sub, "--header"] = tables[sub, "--id-column"] = fdout.cli._TRISTATE
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        choices = {
+            (sub, action.option_strings[0]): list(action.choices)
+            for sub, parser in subparsers.items()
+            for action in parser._actions if action.choices is not None
+        }
+        assert choices == {flag: list(table) for flag, table in tables.items()}
 
     def test_simulate_flag_defaults(self):
         parser = build_parser()

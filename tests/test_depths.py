@@ -20,7 +20,7 @@ from fdout.depths import (
     pointwise_ranks,
     rankdata,
 )
-from fdout.errors import InvalidTail, TooFewCurves
+from fdout.errors import InvalidTail, TooFewCurves, UnknownErldType
 
 from . import oracles
 from .conftest import constant_curves, make_sample
@@ -138,7 +138,7 @@ class TestExtremeRankLength:
         np.testing.assert_array_equal(right_on_neg, left_on_orig)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownErldType):
             extreme_rank_length(random_sample(109, 4, 3), type="sideways")
 
     def test_too_few_curves(self):

@@ -10,7 +10,7 @@ from fdout import (
     muod_indices,
     simulation_model,
 )
-from fdout.errors import AllDegenerate, TooFewCurves, TooFewPoints
+from fdout.errors import AllDegenerate, TooFewCurves, TooFewPoints, UnknownCutMethod
 
 from . import oracles
 from .conftest import make_sample
@@ -170,7 +170,7 @@ class TestMuod:
 
     def test_unknown_cut_method(self):
         out = simulation_model(1, n=10, p=8, outlier_rate=0.0, seed=19)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownCutMethod):
             muod(out.data, cut_method="fences")
 
 

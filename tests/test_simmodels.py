@@ -345,6 +345,8 @@ class TestOutputRecord:
         assert p["seed"] == 99
         assert p["shift"] == 6.0
         assert p["interval_length"] == 0.04
+        assert p["gp_amplitude"] == 1.0
+        assert "wave_cycles" not in p and "phase_shift" not in p
 
     def test_same_seed_reproduces_everything(self):
         a = simulation_model(6, n=20, p=15, outlier_rate=0.2, seed=31)
