@@ -23,12 +23,12 @@ import numpy as np
 from . import detect as _detect
 from .csvio import atomic_write_text, read_curves, write_curves, write_truth
 from .depths import ERLD_TYPES
-from .errors import FdoutError, InconsistentReport, NumericError, ValidationError
+from .errors import FdoutError, NumericError, ValidationError
 from .fdcore import RandomSource
 from .muod import MUOD_CUTS, muod as _muod
 from .report import DetectionReport, to_external_indices
 from .simmodels import simulation_model
-from .svgplot import PLOT_KINDS, emit_plot
+from .svgplot import PLOT_CHECKS, PLOT_KINDS, emit_plot
 
 __all__ = ["main", "build_parser", "run_simulate", "run_detect", "run_depth", "run_plot"]
 
@@ -257,17 +257,8 @@ DETECTORS = {
 
 def run_detect(args) -> int:
     sample = _load_sample(args)
-    # reject a plot that cannot be drawn before detecting, so a failed plot
-    # never replaces a finished report with an error report
-    if args.plot and args.plot_kind == "curves" and sample.d > 1:
-        raise InconsistentReport(
-            "curve plots need univariate curves; plot each dimension separately"
-        )
-    if args.plot and args.plot_kind == "msplot" and args.method != "msplot":
-        raise InconsistentReport(
-            "msplot plots need 'mo' and 'vo' diagnostics in the report; "
-            "use --method msplot"
-        )
+    if args.plot:
+        PLOT_CHECKS[args.plot_kind](args.method, sample)
     parameters, outliers, diagnostics, warnings = DETECTORS[args.method](args, sample)
     if not sample.grid.is_uniform:
         warnings = (*warnings, "grid spacing is non-uniform; summaries that average "

@@ -98,22 +98,35 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     )
 
 
-def muod_cutoff_boxplot(indices) -> np.ndarray:
-    """Indices above Q3 + 1.5 IQR (upper side only; large = outlying)."""
+# an index exceeds a cutoff only by more than this many times its scale, so
+# indices that differ only by the rounding of their sums are ties
+TIE_TOLERANCE = 8 * np.finfo(float).eps
+
+
+def _beyond(x: np.ndarray, cutoff: float, scale: float | None) -> np.ndarray:
+    scale = np.abs(x).max() if scale is None else scale
+    return np.flatnonzero(x > cutoff + TIE_TOLERANCE * scale)
+
+
+def muod_cutoff_boxplot(indices, scale: float | None = None) -> np.ndarray:
+    """Indices above Q3 + 1.5 IQR (upper side only; large = outlying) by more
+    than TIE_TOLERANCE * ``scale``, the size of the values the indices come
+    from (default: the largest index); closer ones are ties with the fence."""
     x = np.asarray(indices, dtype=float).ravel()
     if x.size < 5:
         raise TooFewCurves(f"boxplot cutoff needs n >= 5, got {x.size}")
     q1, q3 = np.percentile(x, [25.0, 75.0])
-    return np.flatnonzero(x > q3 + 1.5 * (q3 - q1))
+    return _beyond(x, q3 + 1.5 * (q3 - q1), scale)
 
 
-def muod_cutoff_tangent(indices) -> np.ndarray:
+def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:
     """Tangent-line cutoff on the sorted index curve.
 
     The terminal slope is a least-squares fit over the last
     max(3, ceil(0.02 n)) sorted points; the tangent through the maximum
     meets the x axis at k*, and the cutoff is the sorted value at
-    ceil(k*) clamped into range. Non-increasing tails flag nothing.
+    ceil(k*) clamped into range. Non-increasing tails flag nothing, and
+    ties with the cutoff are treated as in ``muod_cutoff_boxplot``.
     """
     x = np.asarray(indices, dtype=float).ravel()
     n = x.size
@@ -128,15 +141,14 @@ def muod_cutoff_tangent(indices) -> np.ndarray:
         return np.array([], dtype=np.intp)
     k_star = n - g[-1] / slope
     k_cut = min(max(int(np.ceil(k_star)), 1), n)
-    cutoff = g[k_cut - 1]
-    return np.flatnonzero(x > cutoff)
+    return _beyond(x, g[k_cut - 1], scale)
 
 
 # cut_method -> cutoff; the lambdas look the cutoffs up when called, so a
 # wrapper installed on the module attribute sees every call
 _CUTOFFS = {
-    "boxplot": lambda indices: muod_cutoff_boxplot(indices),
-    "tangent": lambda indices: muod_cutoff_tangent(indices),
+    "boxplot": lambda indices, scale: muod_cutoff_boxplot(indices, scale),
+    "tangent": lambda indices, scale: muod_cutoff_tangent(indices, scale),
 }
 MUOD_CUTS = tuple(_CUTOFFS)
 
@@ -147,10 +159,12 @@ def muod(sample: AnySample, cut_method: str = "boxplot"):
         raise UnknownCutMethod(f"cut_method must be one of {MUOD_CUTS}, got {cut_method!r}")
     idx = muod_indices(sample)
     cut = _CUTOFFS[cut_method]
+    # each index is rounded to a few eps of what it is computed from: shape
+    # and amplitude are distances from 1, magnitude is in the curves' units
     flags = MuodOutliers(
-        shape=cut(idx.shape),
-        magnitude=cut(idx.magnitude),
-        amplitude=cut(idx.amplitude),
+        shape=cut(idx.shape, 1.0 + idx.shape.max()),
+        magnitude=cut(idx.magnitude, np.abs(sample.values).max()),
+        amplitude=cut(idx.amplitude, 1.0 + idx.amplitude.max()),
         cut_method=cut_method,
     )
     return flags, idx

@@ -46,6 +46,9 @@ N_TRIALS = 500
 N_INITIAL_CSTEPS = 2
 N_BEST = 10
 MAX_REFINE_CSTEPS = 30
+# trials whose initial phase runs as one stack: a block holds a few
+# TRIAL_BLOCK x m x d arrays, about 1 MB of temporaries at m = 300, d = 4
+TRIAL_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -180,31 +183,72 @@ def _chi2_consistency(alpha: float, d: int) -> float:
 
 
 def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center = x.mean(axis=0)
-    diff = x - center
-    cov = diff.T @ diff / (x.shape[0] - 1)
+    """Mean and covariance of the rows of x, or of each matrix of a stack."""
+    center = x.mean(axis=-2)
+    diff = x - center[..., None, :]
+    cov = np.swapaxes(diff, -1, -2) @ diff / (x.shape[-2] - 1)
     return center, cov
 
 
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
-    """Squared Mahalanobis distances, or None when cov is not PD."""
+    """Squared Mahalanobis distances of the rows of x from each (center, cov)
+    of a stack, with the mask of the PD covariances; the other rows are
+    garbage. Stacked numpy linalg runs LAPACK matrix by matrix, so each row
+    is bit for bit what one matrix alone gives."""
+    ok = np.ones(len(cov), dtype=bool)
     try:
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        return None
-    solved = np.linalg.solve(lower, (x - center).T)
-    return np.einsum("ji,ji->i", solved, solved)
+        # some matrix is not PD: factor one by one, identity for the failures
+        lower = np.empty_like(cov)
+        for i, single in enumerate(cov):
+            try:
+                lower[i] = np.linalg.cholesky(single)
+            except np.linalg.LinAlgError:
+                lower[i], ok[i] = np.eye(len(single)), False
+    solved = np.linalg.solve(lower, np.swapaxes(x - center[:, None, :], -1, -2))
+    return np.einsum("kji,kji->ki", solved, solved), ok
+
+
+def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
+    """One C-step from each (center, cov) of a stack: the h points nearest in
+    Mahalanobis distance, as mean, covariance, log-determinant and sorted
+    indices, with a mask of the steps whose covariances in and out are PD."""
+    dist, ok = _mahalanobis_sq(x, center, cov)
+    support = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
+    center, cov = _subset_cov(x[support])
+    sign, logdet = np.linalg.slogdet(cov)
+    ok &= (sign > 0) & np.isfinite(logdet)
+    return center, cov, logdet, support, ok
 
 
 def _c_step(x: np.ndarray, center, cov, h: int):
-    dist = _mahalanobis_sq(x, center, cov)
-    if dist is None:
-        return None
-    support = np.sort(np.argsort(dist, kind="stable")[:h])
-    center, cov = _subset_cov(x[support])
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
-        return None
+    center, cov, logdet, support, ok = _c_steps(x, center[None], cov[None], h)
+    return (center[0], cov[0], logdet[0], support[0]) if ok[0] else None
+
+
+def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
+    """Stacked center, cov, logdet and support of a block of trials, one per
+    row of ``perms``, in order: the first d+1 permuted points, grown until
+    nonsingular, then N_INITIAL_CSTEPS C-steps. Trials that stay singular or
+    meet a non-PD covariance are dropped."""
+    k, m = perms.shape
+    d = x.shape[1]
+    center, cov = np.empty((k, d)), np.empty((k, d, d))
+    started = np.zeros(k, dtype=bool)
+    for size in range(d + 1, m + 1):
+        pending = np.flatnonzero(~started)
+        c, s = _subset_cov(x[perms[pending, :size]])
+        sign, logdet = np.linalg.slogdet(s)
+        good = (sign > 0) & np.isfinite(logdet)
+        center[pending[good]], cov[pending[good]] = c[good], s[good]
+        started[pending[good]] = True
+        if started.all():
+            break
+    center, cov = center[started], cov[started]
+    for _ in range(N_INITIAL_CSTEPS):
+        center, cov, logdet, support, ok = _c_steps(x, center, cov, h)
+        center, cov, logdet, support = center[ok], cov[ok], logdet[ok], support[ok]
     return center, cov, logdet, support
 
 
@@ -269,39 +313,22 @@ def fast_mcd(
     if rng is None:
         rng = RandomSource(0)
 
-    candidates = []
-    for _ in range(N_TRIALS):
-        perm = rng.choice_without_replacement(m, m)
-        # grow the elemental subset until its covariance is nonsingular
-        size = d + 1
-        state = None
-        while size <= m:
-            center, cov = _subset_cov(x[perm[:size]])
-            sign, logdet = np.linalg.slogdet(cov)
-            if sign > 0 and np.isfinite(logdet):
-                state = (center, cov, logdet, np.sort(perm[:size]))
-                break
-            size += 1
-        if state is None:
-            continue
-        for _ in range(N_INITIAL_CSTEPS):
-            nxt = _c_step(x, state[0], state[1], h)
-            if nxt is None:
-                state = None
-                break
-            state = nxt
-        if state is not None:
-            candidates.append(state)
-
-    if not candidates:
+    # the trials draw their permutations in order, as one loop would, and
+    # run side by side a block at a time
+    blocks = []
+    for start in range(0, N_TRIALS, TRIAL_BLOCK):
+        perms = [rng.choice_without_replacement(m, m)
+                 for _ in range(min(TRIAL_BLOCK, N_TRIALS - start))]
+        blocks.append(_initial_candidates(x, h, np.array(perms)))
+    centers, covs, logdets, supports = (np.concatenate(part) for part in zip(*blocks))
+    if not logdets.size:
         raise SingularSubsets("all candidate subsets produced singular covariances")
 
-    logdets = np.array([c[2] for c in candidates])
     keep = np.argsort(logdets, kind="stable")[:N_BEST]
 
     best = None
     for idx in keep:
-        state = candidates[idx]
+        state = (centers[idx], covs[idx], logdets[idx], supports[idx])
         for _ in range(MAX_REFINE_CSTEPS):
             nxt = _c_step(x, state[0], state[1], h)
             if nxt is None:
@@ -329,13 +356,14 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
         x = x[:, None]
     cov = np.asarray(fit.covariance, dtype=float)
     d = cov.shape[0]
-    dist = _mahalanobis_sq(x, fit.center, cov)
-    if dist is None:
+    center = np.asarray(fit.center, dtype=float)[None]
+    dist, ok = _mahalanobis_sq(x, center, cov[None])
+    if not ok[0]:
         jitter = 1e-12 * np.trace(cov) / d
-        dist = _mahalanobis_sq(x, fit.center, cov + jitter * np.eye(d))
-        if dist is None:
+        dist, ok = _mahalanobis_sq(x, center, (cov + jitter * np.eye(d))[None])
+        if not ok[0]:
             raise SingularCovariance("covariance not invertible after regularisation")
-    return np.maximum(dist, 0.0)
+    return np.maximum(dist[0], 0.0)
 
 
 def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:

@@ -155,13 +155,24 @@ def render_msplot(
     return "".join(parts)
 
 
-def _curves_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
-    if sample is None:
-        raise InconsistentReport("curve plots need the curve data")
+def _curves_check(method: str, sample: AnySample) -> None:
     if sample.d != 1:
         raise InconsistentReport(
             "curve plots need univariate curves; plot each dimension separately"
         )
+
+
+def _msplot_check(method: str, sample: AnySample) -> None:
+    if method != "msplot":
+        raise InconsistentReport(
+            "msplot plots need 'mo' and 'vo' diagnostics in the report; use --method msplot"
+        )
+
+
+def _curves_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
+    if sample is None:
+        raise InconsistentReport("curve plots need the curve data")
+    _curves_check(report.method, sample)
     sample = as_univariate(sample)
     if report.n and report.n != sample.n:
         raise InconsistentReport(f"report describes {report.n} curves, data has {sample.n}")
@@ -181,6 +192,11 @@ def _msplot_svg(report: DetectionReport, sample: Optional[AnySample], flagged: l
 
 # kind -> renderer(report, sample, flagged 0-based rows) returning the SVG text
 PLOT_KINDS = {"curves": _curves_svg, "msplot": _msplot_svg}
+
+# kind -> check(method, sample) raising InconsistentReport when a report of
+# that method on that sample cannot be drawn; `fdout detect` runs it before
+# detecting, so a plot that fails never replaces a finished report
+PLOT_CHECKS = {"curves": _curves_check, "msplot": _msplot_check}
 
 
 def emit_plot(

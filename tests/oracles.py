@@ -238,6 +238,74 @@ def subset_covariance_determinant(points, subset):
     return np.linalg.det(np.atleast_2d(cov))
 
 
+def fast_mcd_raw(points, coverage, rng, n_trials=500, n_initial=2, n_best=10, max_refine=30):
+    """FastMCD for d >= 2 with h < m, one trial at a time.
+
+    The scalar form of the package's search: every trial draws a full
+    permutation from ``rng``, grows its elemental start until nonsingular,
+    takes ``n_initial`` C-steps, and the ``n_best`` lowest log-determinants
+    are refined. Returns the center, the covariance before the consistency
+    factor, and the sorted subset indices.
+    """
+    x = np.asarray(points, dtype=float)
+    m, d = x.shape
+    h_min = (m + d + 1) // 2
+    h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
+
+    def subset_cov(rows):
+        center = rows.mean(axis=0)
+        diff = rows - center
+        return center, diff.T @ diff / (rows.shape[0] - 1)
+
+    def c_step(center, cov):
+        try:
+            lower = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            return None
+        solved = np.linalg.solve(lower, (x - center).T)
+        dist = np.einsum("ji,ji->i", solved, solved)
+        support = np.sort(np.argsort(dist, kind="stable")[:h])
+        center, cov = subset_cov(x[support])
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0 or not np.isfinite(logdet):
+            return None
+        return center, cov, logdet, support
+
+    candidates = []
+    for _ in range(n_trials):
+        perm = rng.choice_without_replacement(m, m)
+        state = None
+        for size in range(d + 1, m + 1):
+            center, cov = subset_cov(x[perm[:size]])
+            sign, logdet = np.linalg.slogdet(cov)
+            if sign > 0 and np.isfinite(logdet):
+                state = (center, cov, logdet, np.sort(perm[:size]))
+                break
+        for _ in range(n_initial):
+            if state is not None:
+                state = c_step(state[0], state[1])
+        if state is not None:
+            candidates.append(state)
+    if not candidates:
+        return None
+
+    best = None
+    for idx in np.argsort([c[2] for c in candidates], kind="stable")[:n_best]:
+        state = candidates[idx]
+        for _ in range(max_refine):
+            nxt = c_step(state[0], state[1])
+            if nxt is None:
+                break
+            improved = nxt[2] < state[2] - 1e-12 * max(1.0, abs(state[2]))
+            same_support = np.array_equal(nxt[3], state[3])
+            state = nxt
+            if same_support or not improved:
+                break
+        if best is None or state[2] < best[2]:
+            best = state
+    return best[0], best[1], best[3]
+
+
 # ---------------------------------------------------------------- dirout
 
 def sdo_projection(points, direction):

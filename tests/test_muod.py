@@ -168,6 +168,30 @@ class TestMuod:
         assert flags.cut_method == "tangent"
         assert idx.shape.size == 40
 
+    @pytest.mark.parametrize("offset", [0.0, -3.0, 1000.0])
+    @pytest.mark.parametrize("cut", ["boxplot", "tangent"])
+    @pytest.mark.parametrize("wave", [np.sin, lambda t: np.sin(2 * np.pi * t)])
+    def test_rounding_ties_flag_nothing(self, wave, cut, offset):
+        # identical curves get indices that differ only in the last bits
+        # (0, 1.1e-16, 2.2e-16, ...); only the shifted curve is an outlier
+        values = np.tile(wave(np.linspace(0.0, 1.0, 20)), (30, 1)) + offset
+        values[29] += 1.0
+        idx = muod_indices(make_sample(values))
+        assert np.ptp(idx.shape) > 0 or np.ptp(idx.amplitude) > 0 or np.ptp(idx.magnitude[:29]) > 0
+        flags, _ = muod(make_sample(values), cut_method=cut)
+        assert flags.shape.size == 0
+        assert flags.amplitude.size == 0
+        np.testing.assert_array_equal(flags.magnitude, [29])
+
+    @pytest.mark.parametrize("cutoff, flagged", [
+        (muod_cutoff_boxplot, [8, 9]),
+        (muod_cutoff_tangent, [9]),
+    ])
+    def test_cutoff_scale_sets_the_tie_width(self, cutoff, flagged):
+        values = np.array([0.0] * 8 + [1e-16, 2e-16])
+        np.testing.assert_array_equal(cutoff(values), flagged)
+        assert cutoff(values, scale=1.0).size == 0
+
     def test_unknown_cut_method(self):
         out = simulation_model(1, n=10, p=8, outlier_rate=0.0, seed=19)
         with pytest.raises(UnknownCutMethod):

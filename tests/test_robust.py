@@ -201,6 +201,73 @@ class TestFastMcd:
             fast_mcd(points, coverage=coverage, rng=RandomSource(0))
 
 
+def _gaussian(m, d, seed):
+    return np.random.default_rng(seed).standard_normal((m, d))
+
+
+def _repeated_rows(m, d, seed):
+    # few distinct rows, so many (d+1)-point elemental starts are singular
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((d + 3, d))
+    return distinct[rng.integers(d + 3, size=m)]
+
+
+def _line_plus_scatter(m, d, seed):
+    # most points on one line: C-steps that settle on it turn singular
+    rng = np.random.default_rng(seed)
+    points = np.outer(rng.standard_normal(m), np.arange(1.0, d + 1.0))
+    points[: m // 3] = rng.standard_normal((m // 3, d))
+    return points
+
+
+def _exact_line(m, d, seed):
+    return np.outer(np.linspace(0.0, 1.0, m), np.arange(1.0, d + 1.0))
+
+
+class TestFastMcdMatchesScalarOracle:
+    """The blocked trials reproduce the one-trial-at-a-time search bit for bit."""
+
+    @pytest.mark.parametrize("make, m, d, coverage, seed", [
+        (_gaussian, 9, 4, None, 0),
+        (_gaussian, 10, 2, 0.9, 1),
+        (_gaussian, 40, 3, 0.6, 2),
+        (_gaussian, 57, 2, None, 3),
+        (_gaussian, 120, 4, 0.9, 4),
+        (_gaussian, 200, 2, 0.6, 5),
+        (_gaussian, 300, 3, None, 6),
+        (_gaussian, 300, 4, 0.6, 7),
+        (_repeated_rows, 30, 2, None, 8),
+        (_repeated_rows, 80, 3, 0.6, 9),
+        (_repeated_rows, 150, 4, 0.9, 10),
+        (_line_plus_scatter, 60, 2, None, 11),
+        (_line_plus_scatter, 90, 3, 0.9, 12),
+        (_exact_line, 50, 2, None, 13),
+        (_exact_line, 40, 3, 0.6, 14),
+    ])
+    def test_bit_identical(self, make, m, d, coverage, seed):
+        points = make(m, d, seed)
+        expected = oracles.fast_mcd_raw(points, coverage, RandomSource(seed))
+        if expected is None:
+            with pytest.raises(SingularSubsets):
+                fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
+            return
+        center, cov, subset = expected
+        fit = fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
+        factor = _chi2_consistency(fit.coverage_fraction, d)
+        assert np.array_equal(fit.center, center)
+        assert np.array_equal(fit.covariance, cov * factor)
+        assert np.array_equal(fit.subset_indices, subset)
+
+    def test_cases_cover_growth_and_failure(self):
+        # the repeated-row clouds do have singular elemental starts
+        for m, d, seed in ((30, 2, 8), (80, 3, 9), (150, 4, 10)):
+            points = _repeated_rows(m, d, seed)
+            rng = RandomSource(seed)
+            starts = [points[rng.choice_without_replacement(m, m)[: d + 1]] for _ in range(20)]
+            assert any(np.linalg.matrix_rank(s - s.mean(axis=0)) < d for s in starts)
+        assert oracles.fast_mcd_raw(_exact_line(50, 2, 13), None, RandomSource(13)) is None
+
+
 class TestRobustDistances:
     def _identity_fit(self, d):
         return McdFit(
