@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidTail, TooFewCurves, UnknownErldType
+from .errors import InvalidTail, NonFiniteResult, TooFewCurves, UnknownErldType
 from .fdcore import CurveSample
 
 __all__ = [
@@ -52,7 +52,7 @@ class DepthVector:
         if self.direction not in (DEEPER_IS_LARGER, OUTLYING_IS_LARGER):
             raise ValueError(f"unknown direction {self.direction!r}")
         if not np.all(np.isfinite(scores)):
-            raise ValueError("depth scores must be finite")
+            raise NonFiniteResult(f"{self.method} depth scores are not finite")
 
     def as_deeper_is_larger(self) -> "DepthVector":
         """Return an equivalent ordering with deeper-is-larger direction."""
@@ -127,12 +127,11 @@ def band_depth(sample: CurveSample) -> DepthVector:
     n_pairs = comb(n, 2)
     scores = np.empty(n)
     for i in range(n):
-        strictly_below = (values < values[i]).astype(np.float64)
-        strictly_above = (values > values[i]).astype(np.float64)
-        # counts of grid points where both pair members are on the same strict side
-        both_below = strictly_below @ strictly_below.T
-        both_above = strictly_above @ strictly_above.T
-        contains = (both_below == 0.0) & (both_above == 0.0)
+        # [strictly below | strictly above]: a pair's product counts the grid
+        # points where both members sit on the same strict side, a sum of 0/1
+        # terms that is 0 exactly when every term is, in any precision
+        side = np.hstack([values < values[i], values > values[i]], dtype=np.float32)
+        contains = side @ side.T == 0.0
         contains[i, :] = False
         contains[:, i] = False
         n_containing = int(np.triu(contains, k=1).sum())
@@ -211,9 +210,7 @@ def directional_quantile(sample: CurveSample, tail: float = 0.025) -> DepthVecto
     values = _require(sample, 5, "directional_quantile")
     if not 0.0 < tail < 0.5:
         raise InvalidTail(f"tail probability must lie in (0, 0.5), got {tail}")
-    med = np.quantile(values, 0.5, axis=0)
-    q_hi = np.quantile(values, 1.0 - tail, axis=0)
-    q_lo = np.quantile(values, tail, axis=0)
+    q_lo, med, q_hi = np.quantile(values, [tail, 0.5, 1.0 - tail], axis=0)
     den_up = np.maximum(q_hi - med, 1e-12)
     den_dn = np.maximum(med - q_lo, 1e-12)
     up = (values - med) / den_up

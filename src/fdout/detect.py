@@ -24,6 +24,8 @@ from .errors import (
     BadCentralRegion,
     EmptySequence,
     NonFiniteOutlyingness,
+    NonFiniteResult,
+    NonFiniteValue,
     OOnUnivariate,
     ShapeMismatch,
     TooFewCurves,
@@ -183,6 +185,8 @@ def functional_boxplot(
     spread = envelope_upper - envelope_lower
     fence_lower = envelope_lower - factor * spread
     fence_upper = envelope_upper + factor * spread
+    if not (np.isfinite(fence_lower).all() and np.isfinite(fence_upper).all()):
+        raise NonFiniteResult("functional boxplot fences overflow: the curves are too large")
     exceed = (values > fence_upper[None, :]) | (values < fence_lower[None, :])
     return FunctionalBoxplotResult(
         depth=depth,
@@ -308,7 +312,10 @@ def _center_rows(sample: CurveSample) -> tuple[CurveSample, list]:
 
 
 def _normalise_rows(sample: CurveSample) -> tuple[CurveSample, list]:
-    values = sample.values
+    # scaling each row by the power of two of its largest |value| is exact and
+    # keeps the squares from overflowing or underflowing, as in MUOD
+    exponents = np.frexp(np.abs(sample.values).max(axis=1))[1]
+    values = np.ldexp(sample.values, -exponents[:, None])
     rms = np.sqrt((values * values).mean(axis=1))
     degenerate = np.flatnonzero(rms == 0.0)
     safe = np.where(rms > 0.0, rms, 1.0)
@@ -377,7 +384,8 @@ def seq_transform(
     curve's grid mean; T2 divides each curve by its root-mean-square over
     the grid (zero-norm curves stay zero, with a warning); D1/D2 take
     lag-1 differences, dropping the first grid point; O replaces
-    multivariate curves by their pointwise outlyingness magnitudes.
+    multivariate curves by their pointwise outlyingness magnitudes. A stage
+    whose output overflows raises NonFiniteResult naming it.
 
     Every stage's raw flag set comes from a functional boxplot under
     ``depth_method``; no curves are removed between stages. Use
@@ -409,7 +417,13 @@ def seq_transform(
             raise ValidationError(
                 f"stage {name} needs univariate curves; apply an O stage first"
             )
-        current, extra = transform(current, stage_rng.child(0))
+        try:
+            current, extra = transform(current, stage_rng.child(0))
+        except NonFiniteValue as exc:
+            # the stage's input is a checked sample, so its output overflowed
+            raise NonFiniteResult(
+                f"stage {label} overflows: its output at ({exc.row}, {exc.col}) is not finite"
+            ) from None
         warnings.extend(extra)
 
         depth = depth_by_name(

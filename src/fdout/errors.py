@@ -157,3 +157,9 @@ class NonFiniteIndex(NumericError):
 class NonFiniteOutlyingness(NumericError):
     """Outlyingness is infinite: the pointwise MAD is zero at a grid point
     where some curve is off the median, so no finite MO/VO summary exists."""
+
+
+class NonFiniteResult(NumericError):
+    """A computed result is infinite or NaN although the input is finite, as
+    when curves near the largest double overflow a fence, a depth score, a
+    sequential stage or a report value."""

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentReport
+from .errors import InconsistentReport, NonFiniteResult
 
 __all__ = ["SCHEMA_VERSION", "DetectionReport", "to_external_indices"]
 
@@ -75,7 +75,11 @@ class DetectionReport:
             "warnings": list(self.warnings),
             "error": _plain(self.error),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NonFiniteResult(f"the report cannot hold a non-finite value: {exc}") from None
+        return text + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DetectionReport":

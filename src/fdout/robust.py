@@ -222,11 +222,6 @@ def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
     return center, cov, logdet, support, ok
 
 
-def _c_step(x: np.ndarray, center, cov, h: int):
-    center, cov, logdet, support, ok = _c_steps(x, center[None], cov[None], h)
-    return (center[0], cov[0], logdet[0], support[0]) if ok[0] else None
-
-
 def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
     """Stacked center, cov, logdet and support of a block of trials, one per
     row of ``perms``, in order: the first d+1 permuted points, grown until
@@ -324,25 +319,25 @@ def fast_mcd(
     if not logdets.size:
         raise SingularSubsets("all candidate subsets produced singular covariances")
 
+    # refine the best candidates side by side; a candidate stops when its
+    # step is not PD (keeping its state), its support is unchanged, or its
+    # log-determinant no longer falls
     keep = np.argsort(logdets, kind="stable")[:N_BEST]
+    centers, covs, logdets, supports = centers[keep], covs[keep], logdets[keep], supports[keep]
+    active = np.arange(keep.size)
+    for _ in range(MAX_REFINE_CSTEPS):
+        if not active.size:
+            break
+        center, cov, logdet, support, ok = _c_steps(x, centers[active], covs[active], h)
+        active = active[ok]
+        improved = logdet[ok] < logdets[active] - 1e-12 * np.maximum(1.0, np.abs(logdets[active]))
+        moved = (support[ok] != supports[active]).any(axis=1)
+        centers[active], covs[active] = center[ok], cov[ok]
+        logdets[active], supports[active] = logdet[ok], support[ok]
+        active = active[improved & moved]
 
-    best = None
-    for idx in keep:
-        state = (centers[idx], covs[idx], logdets[idx], supports[idx])
-        for _ in range(MAX_REFINE_CSTEPS):
-            nxt = _c_step(x, state[0], state[1], h)
-            if nxt is None:
-                break
-            improved = nxt[2] < state[2] - 1e-12 * max(1.0, abs(state[2]))
-            same_support = np.array_equal(nxt[3], state[3])
-            state = nxt
-            if same_support or not improved:
-                break
-        if best is None or state[2] < best[2]:
-            best = state
-
-    center, cov, _, support = best
-    return McdFit(center, cov * factor, support, alpha, True)
+    best = np.argmin(logdets)
+    return McdFit(centers[best], covs[best] * factor, supports[best], alpha, True)
 
 
 def robust_distances(points, fit: McdFit) -> np.ndarray:

@@ -35,6 +35,7 @@ from fdout.detect import (
 from fdout.errors import (
     EmptyInput,
     InconsistentReport,
+    NonFiniteResult,
     ParseError,
     ShapeMismatch,
 )
@@ -267,6 +268,13 @@ class TestReportJson:
         assert payload["outliers"]["all"] == [2]
         assert payload["parameters"]["seed"] == 3
         assert payload["diagnostics"]["scores"] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, value):
+        rep = DetectionReport(method="m", parameters={}, n=2, p=2, d=1,
+                              outliers={"all": []}, diagnostics={"scores": [0.5, value]})
+        with pytest.raises(NonFiniteResult):
+            rep.to_json()
 
     def test_invalid_json_rejected(self):
         with pytest.raises(InconsistentReport):
@@ -773,6 +781,26 @@ class TestCliErrors:
         text = report_path.read_text()
         assert "Infinity" not in text
         assert json.loads(text)["error"]["type"] == "NonFiniteIndex"
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "fbplot", "--depth", "mbd"],
+        ["--method", "fbplot", "--depth", "dq"],
+        ["--method", "seq", "--sequence", "T0,T1"],
+    ])
+    def test_overflowing_results_exit_3_with_error_report(self, tmp_path, args, capsys):
+        # fences, dq scores and T1's row means overflow on finite curves
+        rng = np.random.default_rng(1)
+        signs = rng.choice([-1.0, 1.0], size=(30, 8)) if "fbplot" in args else 1.0
+        values = signs * rng.uniform(0.99, 1.0, size=(30, 8)) * 1.7e308
+        path = tmp_path / "edge.csv"
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", *args, "--in", str(path), "--report", str(report_path)])
+        assert rc == 3
+        assert "NonFiniteResult" in capsys.readouterr().err
+        text = report_path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["error"]["type"] == "NonFiniteResult"
 
     def test_no_input_path_exits_2(self, tmp_path):
         report_path = tmp_path / "r.json"

@@ -20,7 +20,7 @@ from fdout.depths import (
     pointwise_ranks,
     rankdata,
 )
-from fdout.errors import InvalidTail, TooFewCurves, UnknownErldType
+from fdout.errors import InvalidTail, NonFiniteResult, TooFewCurves, UnknownErldType
 
 from . import oracles
 from .conftest import constant_curves, make_sample
@@ -304,7 +304,7 @@ class TestDepthVector:
         np.testing.assert_array_equal(dv.as_deeper_is_larger().scores, dv.scores)
 
     def test_rejects_non_finite_scores(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NonFiniteResult, match="demo depth scores are not finite"):
             DepthVector(np.array([0.1, np.nan]), DEEPER_IS_LARGER, "demo")
 
 

@@ -19,6 +19,7 @@ from fdout.errors import (
     BadCentralRegion,
     EmptySequence,
     NonFiniteOutlyingness,
+    NonFiniteResult,
     OOnUnivariate,
     TooFewCurves,
     UnknownDepthMethod,
@@ -91,6 +92,13 @@ class TestFunctionalBoxplot:
         sample = constant_curves(FIVE_LEVELS)
         with pytest.raises(BadCentralRegion):
             functional_boxplot(sample, modified_band_depth(sample), central_region=region)
+
+    def test_overflowing_fences_raise_numeric_error(self):
+        values = np.vstack([np.full(4, -1.7e308), np.full(4, 1.7e308), np.zeros(4)])
+        sample = make_sample(values)
+        depth = DepthVector(np.array([0.1, 0.2, 0.9]), DEEPER_IS_LARGER, "demo")
+        with pytest.raises(NonFiniteResult, match="fences"):
+            functional_boxplot(sample, depth, central_region=0.9)
 
     def test_depth_length_mismatch(self):
         sample = constant_curves(FIVE_LEVELS)
@@ -327,6 +335,23 @@ class TestSeqTransform:
         result = seq_transform(make_sample(values), ["T2"], save_data=True)
         np.testing.assert_array_equal(result.stages[0].sample.values[0], np.zeros(6))
         assert any("zero-norm" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("exponent", [600, -600, 1000, -900])
+    def test_t2_is_exact_under_power_of_two_scaling(self, exponent):
+        # without the row pre-scale the squares overflow (every curve became
+        # 0.0) or underflow (every curve was called zero-norm)
+        values = simulation_model(4, n=30, p=12, seed=5).data.values
+        plain = seq_transform(make_sample(values), ["T2"], save_data=True)
+        scaled = seq_transform(make_sample(np.ldexp(values, exponent)), ["T2"], save_data=True)
+        np.testing.assert_array_equal(scaled.stages[0].sample.values, plain.stages[0].sample.values)
+        np.testing.assert_array_equal(scaled.stages[0].outliers, plain.stages[0].outliers)
+        assert scaled.warnings == plain.warnings == ()
+
+    def test_overflowing_stage_raises_numeric_error_naming_it(self):
+        # the row means of curves near 3e307 overflow, not any input cell
+        values = np.random.default_rng(7).uniform(2.9e307, 3.1e307, size=(30, 8))
+        with pytest.raises(NonFiniteResult, match="stage T1 overflows"):
+            seq_transform(make_sample(values), ["T0", "T1"])
 
     def test_d1_shrinks_grid_by_one(self):
         out = simulation_model(1, n=8, p=10, outlier_rate=0.0, seed=14)

@@ -220,6 +220,15 @@ def _line_plus_scatter(m, d, seed):
     return points
 
 
+def _plane_plus_cluster(m, d, seed):
+    # h + 1 points on a hyperplane inside a shifted cloud: refinements that
+    # settle on the plane turn non-PD while others keep stepping
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((m, d)) + 3.0
+    points[: (m + d + 1) // 2 + 1, -1] = 0.0
+    return points
+
+
 def _exact_line(m, d, seed):
     return np.outer(np.linspace(0.0, 1.0, m), np.arange(1.0, d + 1.0))
 
@@ -241,6 +250,7 @@ class TestFastMcdMatchesScalarOracle:
         (_repeated_rows, 150, 4, 0.9, 10),
         (_line_plus_scatter, 60, 2, None, 11),
         (_line_plus_scatter, 90, 3, 0.9, 12),
+        (_plane_plus_cluster, 50, 4, None, 15),
         (_exact_line, 50, 2, None, 13),
         (_exact_line, 40, 3, 0.6, 14),
     ])
@@ -266,6 +276,24 @@ class TestFastMcdMatchesScalarOracle:
             starts = [points[rng.choice_without_replacement(m, m)[: d + 1]] for _ in range(20)]
             assert any(np.linalg.matrix_rank(s - s.mean(axis=0)) < d for s in starts)
         assert oracles.fast_mcd_raw(_exact_line(50, 2, 13), None, RandomSource(13)) is None
+
+    def test_case_covers_mixed_stops_in_one_refinement_stack(self, monkeypatch):
+        # in one refinement call some candidate meets a non-PD step while
+        # another steps and is refined again in the next call
+        masks = []
+        c_steps = fdout.robust._c_steps
+
+        def recording(*args):
+            out = c_steps(*args)
+            masks.append(out[-1])
+            return out
+
+        monkeypatch.setattr(fdout.robust, "_c_steps", recording)
+        fast_mcd(_plane_plus_cluster(50, 4, 15), rng=RandomSource(15))
+        n_blocks = len(range(0, fdout.robust.N_TRIALS, fdout.robust.TRIAL_BLOCK))
+        refine = masks[fdout.robust.N_INITIAL_CSTEPS * n_blocks:]
+        assert any(ok.any() and not ok.all() and later.any()
+                   for ok, later in zip(refine, refine[1:]))
 
 
 class TestRobustDistances:
