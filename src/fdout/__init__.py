@@ -70,12 +70,7 @@ from .robust import (
     robust_distances,
 )
 from .simmodels import GaussianProcessSpec, SimulationOutput, gp_sample, simulation_model
-from .tvd import (
-    TvdResult,
-    compute_tvd_mss,
-    modified_shape_similarity,
-    total_variation_depth,
-)
+from .tvd import modified_shape_similarity, total_variation_depth
 
 __version__ = "0.1.0"
 
@@ -114,10 +109,8 @@ __all__ = [
     "pointwise_sdo",
     "directional_outlyingness",
     "decompose",
-    "TvdResult",
     "total_variation_depth",
     "modified_shape_similarity",
-    "compute_tvd_mss",
     "FunctionalBoxplotResult",
     "MsplotResult",
     "TvdmssResult",

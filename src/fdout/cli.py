@@ -21,14 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import detect as _detect
-from .csvio import atomic_write_text, read_curves, write_curves, write_truth
+from .csvio import atomic_write_text, quote_cell, read_curves, write_curves, write_truth
 from .depths import ERLD_TYPES
 from .errors import FdoutError, NumericError, ValidationError
 from .fdcore import RandomSource
 from .muod import MUOD_CUTS, muod as _muod
 from .report import DetectionReport, to_external_indices
 from .simmodels import simulation_model
-from .svgplot import PLOT_CHECKS, PLOT_KINDS, emit_plot
+from .svgplot import PLOT_KINDS, emit_plot
 
 __all__ = ["main", "build_parser", "run_simulate", "run_detect", "run_depth", "run_plot"]
 
@@ -258,7 +258,8 @@ DETECTORS = {
 def run_detect(args) -> int:
     sample = _load_sample(args)
     if args.plot:
-        PLOT_CHECKS[args.plot_kind](args.method, sample)
+        check_plot, _render = PLOT_KINDS[args.plot_kind]
+        check_plot(args.method, sample)
     parameters, outliers, diagnostics, warnings = DETECTORS[args.method](args, sample)
     if not sample.grid.is_uniform:
         warnings = (*warnings, "grid spacing is non-uniform; summaries that average "
@@ -285,7 +286,7 @@ def run_depth(args) -> int:
     ids = sample.ids
     lines = ["curve,score"]
     for i, score in enumerate(depth.scores):
-        label = str(ids[i]) if ids is not None else str(i + 1)
+        label = quote_cell(ids[i]) if ids is not None else str(i + 1)
         lines.append(f"{label},{repr(float(score))}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -328,7 +329,10 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        # an overflow on curves near the largest double ends in a typed
+        # error, so numpy's floating-point warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.run(args)
     except FdoutError as exc:
         code = EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_VALIDATION
         return _report_failure(args, exc, code)

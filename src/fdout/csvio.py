@@ -143,24 +143,30 @@ def read_curves(
     return MultiCurveSample(stack, base_grid, ids=base_ids)
 
 
-def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample],
-                 include_header: bool = True) -> None:
-    """Serialise a univariate sample as a wide CSV (repr floats)."""
+def quote_cell(text: str) -> str:
+    """A CSV cell as ``csv.QUOTE_MINIMAL`` writes it: quoted, with inner
+    quotes doubled, only when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample]) -> None:
+    """Serialise a univariate sample as a wide CSV (repr floats) with a grid
+    header, and an id column when the sample has ids."""
     if isinstance(sample, MultiCurveSample):
         raise ShapeMismatch(
             "write_curves takes a univariate sample; write each dimension separately"
         )
-    lines = []
     has_ids = sample.ids is not None
-    if include_header:
-        cells = list(map(repr, sample.grid.points.tolist()))
-        if has_ids:
-            cells.insert(0, "id")
-        lines.append(",".join(cells))
+    cells = list(map(repr, sample.grid.points.tolist()))
+    if has_ids:
+        cells.insert(0, "id")
+    lines = [",".join(cells)]
     # a row at a time: a whole-matrix tolist() would pin its freed floats' memory
     for i, row in enumerate(sample.values):
         cells = ",".join(map(repr, row.tolist()))
-        lines.append(f"{sample.ids[i]},{cells}" if has_ids else cells)
+        lines.append(f"{quote_cell(sample.ids[i])},{cells}" if has_ids else cells)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

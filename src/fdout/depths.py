@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidTail, NonFiniteResult, TooFewCurves, UnknownErldType
+from .errors import NonFiniteResult, TooFewCurves, UnknownErldType
 from .fdcore import CurveSample
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
 
 DEEPER_IS_LARGER = "deeper_is_larger"
 OUTLYING_IS_LARGER = "outlying_is_larger"
+
+# tail probability of the quantile envelope that directional_quantile measures
+DQ_TAIL = 0.025
 
 
 @dataclass(frozen=True)
@@ -199,18 +202,17 @@ def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVe
     return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
 
 
-def directional_quantile(sample: CurveSample, tail: float = 0.025) -> DepthVector:
+def directional_quantile(sample: CurveSample) -> DepthVector:
     """Worst-case exceedance of a curve over the pointwise tail-quantile envelope.
 
+    The envelope is the ``DQ_TAIL`` and ``1 - DQ_TAIL`` quantile curves.
     Each column's median and tail quantiles use linear interpolation
     between order statistics; denominators are floored at 1e-12 so
     tie-heavy columns cannot blow up the ratio. Larger scores mean more
     outlying.
     """
     values = _require(sample, 5, "directional_quantile")
-    if not 0.0 < tail < 0.5:
-        raise InvalidTail(f"tail probability must lie in (0, 0.5), got {tail}")
-    q_lo, med, q_hi = np.quantile(values, [tail, 0.5, 1.0 - tail], axis=0)
+    q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
     den_up = np.maximum(q_hi - med, 1e-12)
     den_dn = np.maximum(med - q_lo, 1e-12)
     up = (values - med) / den_up

@@ -305,17 +305,23 @@ def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveS
     return CurveSample(magnitudes, sample.grid, ids=sample.ids)
 
 
+def _scaled_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row scaled by the power of two of its largest |value|, and the
+    (n, 1) exponents that undo it. The scaling is exact and keeps row sums
+    and squares from overflowing or underflowing, as in MUOD."""
+    exponents = np.frexp(np.abs(values).max(axis=1, keepdims=True))[1]
+    return np.ldexp(values, -exponents), exponents
+
+
 def _center_rows(sample: CurveSample) -> tuple[CurveSample, list]:
     values = sample.values
-    centered = values - values.mean(axis=1, keepdims=True)
+    scaled, exponents = _scaled_rows(values)
+    centered = values - np.ldexp(scaled.mean(axis=1, keepdims=True), exponents)
     return CurveSample(centered, sample.grid, ids=sample.ids), []
 
 
 def _normalise_rows(sample: CurveSample) -> tuple[CurveSample, list]:
-    # scaling each row by the power of two of its largest |value| is exact and
-    # keeps the squares from overflowing or underflowing, as in MUOD
-    exponents = np.frexp(np.abs(sample.values).max(axis=1))[1]
-    values = np.ldexp(sample.values, -exponents[:, None])
+    values, _exponents = _scaled_rows(sample.values)
     rms = np.sqrt((values * values).mean(axis=1))
     degenerate = np.flatnonzero(rms == 0.0)
     safe = np.where(rms > 0.0, rms, 1.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWeights, TooFewCurves
+from .errors import TooFewCurves
 from .fdcore import AnySample, Grid, RandomSource, as_multivariate
 from .robust import MAD_CONSISTENCY, geometric_median
 
@@ -125,33 +125,15 @@ def directional_outlyingness(
     return DirectionalOutlyingnessField(values=field, sdo=sdo, grid=sample.grid)
 
 
-def _check_weights(weights, p: int) -> np.ndarray:
-    if weights is None:
-        return np.full(p, 1.0 / p)
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != p:
-        raise BadWeights(f"expected {p} weights, got {w.size}")
-    if not np.all(np.isfinite(w)):
-        raise BadWeights("weights must be finite")
-    if np.any(w < 0.0):
-        raise BadWeights("weights must be non-negative")
-    total = w.sum()
-    if total <= 0.0:
-        raise BadWeights("weights must have a positive sum")
-    return w / total
-
-
-def decompose(
-    field: DirectionalOutlyingnessField, weights=None
-) -> OutlyingnessDecomposition:
+def decompose(field: DirectionalOutlyingnessField) -> OutlyingnessDecomposition:
     """Split an outlyingness field into mean (MO) and variation (VO) parts.
 
-    Weights over grid points default to uniform and are normalised to sum
-    to one, which makes FO = ||MO||^2 + VO an exact identity.
+    Grid points carry uniform weights 1/p, which sum to one and so make
+    FO = ||MO||^2 + VO an exact identity.
     """
     o = field.values
     n, p, d = o.shape
-    w = _check_weights(weights, p)
+    w = np.full(p, 1.0 / p)
     mo = np.einsum("itd,t->id", o, w)
     resid = o - mo[:, None, :]
     vo = np.einsum("itd,t->i", resid * resid, w)

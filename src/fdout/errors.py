@@ -59,16 +59,8 @@ class TooFewPoints(ValidationError):
     """Sample has fewer grid points than the operation requires."""
 
 
-class InvalidTail(ValidationError):
-    """Tail probability outside (0, 0.5)."""
-
-
 class InvalidLevel(ValidationError):
     """Significance level outside (0, 1)."""
-
-
-class BadWeights(ValidationError):
-    """Weight vector is negative, wrong length, or does not sum to 1."""
 
 
 class BadCentralRegion(ValidationError):

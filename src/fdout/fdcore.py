@@ -155,10 +155,6 @@ class CurveSample(_Sample):
         """Curve dimension, always 1."""
         return 1
 
-    def to_multivariate(self) -> "MultiCurveSample":
-        """Embed as a d=1 multivariate sample (lossless)."""
-        return MultiCurveSample(self.values[:, :, np.newaxis], self.grid, ids=self.ids)
-
 
 @dataclass(frozen=True, init=False)
 class MultiCurveSample(_Sample):
@@ -173,12 +169,6 @@ class MultiCurveSample(_Sample):
     def d(self) -> int:
         return int(self.values.shape[2])
 
-    def to_univariate(self) -> CurveSample:
-        """Collapse a d=1 sample to a CurveSample (lossless, bit-exact)."""
-        if self.d != 1:
-            raise ValidationError(f"cannot collapse d={self.d} sample to univariate")
-        return CurveSample(self.values[:, :, 0], self.grid, ids=self.ids)
-
 
 AnySample = Union[CurveSample, MultiCurveSample]
 
@@ -188,7 +178,9 @@ def as_univariate(sample: AnySample) -> CurveSample:
     sample, collapsed bit-exactly; a d > 1 sample raises ValidationError."""
     if isinstance(sample, CurveSample):
         return sample
-    return sample.to_univariate()
+    if sample.d != 1:
+        raise ValidationError(f"cannot collapse d={sample.d} sample to univariate")
+    return CurveSample(sample.values[:, :, 0], sample.grid, ids=sample.ids)
 
 
 def as_multivariate(sample: AnySample) -> MultiCurveSample:
@@ -196,7 +188,7 @@ def as_multivariate(sample: AnySample) -> MultiCurveSample:
     sample with the same values, bit-exactly."""
     if isinstance(sample, MultiCurveSample):
         return sample
-    return sample.to_multivariate()
+    return MultiCurveSample(sample.values[:, :, np.newaxis], sample.grid, ids=sample.ids)
 
 
 def ensure_valid(sample: AnySample) -> AnySample:

@@ -50,6 +50,11 @@ MAX_REFINE_CSTEPS = 30
 # TRIAL_BLOCK x m x d arrays, about 1 MB of temporaries at m = 300, d = 4
 TRIAL_BLOCK = 50
 
+# Weiszfeld stop test: a step no longer than GM_TOL times max(1, |y|), at
+# most GM_MAX_ITER steps before NonConvergence
+GM_TOL = 1e-10
+GM_MAX_ITER = 1000
+
 
 @dataclass(frozen=True)
 class RobustLocationScale:
@@ -59,13 +64,12 @@ class RobustLocationScale:
 
 @dataclass(frozen=True)
 class McdFit:
-    """Raw MCD location/scatter with the defining h-subset."""
+    """Raw MCD location and consistency-corrected scatter with the defining h-subset."""
 
     center: np.ndarray
     covariance: np.ndarray
     subset_indices: np.ndarray
     coverage_fraction: float
-    consistency_corrected: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def median_mad(xs) -> RobustLocationScale:
     return RobustLocationScale(median=med, mad=mad)
 
 
-def geometric_median(points, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
+def geometric_median(points) -> np.ndarray:
     """Point minimising the sum of Euclidean distances to the rows of ``points``.
 
     Weiszfeld iteration with the Vardi-Zhang correction for iterates that
@@ -119,7 +123,7 @@ def geometric_median(points, tol: float = 1e-10, max_iter: int = 1000) -> np.nda
         return float(np.sqrt((r_k * r_k).sum())) <= multiplicity * (1.0 + 1e-12)
 
     rejected = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(GM_MAX_ITER):
         diff = pts - y
         dist = np.sqrt((diff * diff).sum(axis=1))
         nearest = int(dist.argmin())
@@ -164,9 +168,9 @@ def geometric_median(points, tol: float = 1e-10, max_iter: int = 1000) -> np.nda
             y_new = (1.0 - gamma) * t + gamma * y
         step = np.sqrt(((y_new - y) ** 2).sum())
         y = y_new
-        if step <= tol * max(1.0, np.sqrt((y * y).sum())):
+        if step <= GM_TOL * max(1.0, np.sqrt((y * y).sum())):
             return y
-    raise NonConvergence(f"geometric median did not converge in {max_iter} iterations")
+    raise NonConvergence(f"geometric median did not converge in {GM_MAX_ITER} iterations")
 
 
 def _chi2_ppf(alpha: float, d: int) -> float:
@@ -295,15 +299,13 @@ def fast_mcd(
         sign, _ = np.linalg.slogdet(cov)
         if sign <= 0:
             raise SingularSubsets("full-sample covariance is singular")
-        return McdFit(center, cov * factor, np.arange(m), 1.0, True)
+        return McdFit(center, cov * factor, np.arange(m), 1.0)
 
     if d == 1:
         center, var, subset = _mcd_exact_1d(x, h)
         if var <= 0.0:
             raise SingularSubsets("more than h identical values in 1-d data")
-        return McdFit(
-            np.array([center]), np.array([[var * factor]]), subset, alpha, True
-        )
+        return McdFit(np.array([center]), np.array([[var * factor]]), subset, alpha)
 
     if rng is None:
         rng = RandomSource(0)
@@ -337,7 +339,7 @@ def fast_mcd(
         active = active[improved & moved]
 
     best = np.argmin(logdets)
-    return McdFit(centers[best], covs[best] * factor, supports[best], alpha, True)
+    return McdFit(centers[best], covs[best] * factor, supports[best], alpha)
 
 
 def robust_distances(points, fit: McdFit) -> np.ndarray:

@@ -14,7 +14,6 @@ identical across models (and contamination rates) for the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class GaussianProcessSpec:
     amplitude: float = 1.0
     range_: float = 1.0
     exponent: float = 1.0
-    mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,13 @@ def _cholesky_factor(spec: GaussianProcessSpec, grid: Grid) -> np.ndarray:
 
 
 def gp_sample(spec: GaussianProcessSpec, grid: Grid, n: int, rng: RandomSource) -> CurveSample:
-    """n Gaussian-process paths on the grid, via the lower Cholesky factor."""
+    """n zero-mean Gaussian-process paths on the grid, via the lower Cholesky
+    factor."""
     if n < 1:
         raise TooFewCurves(f"gp_sample needs n >= 1, got {n}")
     factor = _cholesky_factor(spec, grid)
     z = rng.standard_normal((n, grid.size))
-    paths = z @ factor.T
-    if spec.mean is not None:
-        paths = paths + spec.mean(grid.points)[None, :]
-    return CurveSample(paths, grid)
+    return CurveSample(z @ factor.T, grid)
 
 
 _BASE_TREND = 4.0

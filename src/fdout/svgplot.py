@@ -190,13 +190,14 @@ def _msplot_svg(report: DetectionReport, sample: Optional[AnySample], flagged: l
                          d=max(int(report.d), 1))
 
 
-# kind -> renderer(report, sample, flagged 0-based rows) returning the SVG text
-PLOT_KINDS = {"curves": _curves_svg, "msplot": _msplot_svg}
-
-# kind -> check(method, sample) raising InconsistentReport when a report of
-# that method on that sample cannot be drawn; `fdout detect` runs it before
-# detecting, so a plot that fails never replaces a finished report
-PLOT_CHECKS = {"curves": _curves_check, "msplot": _msplot_check}
+# kind -> (check(method, sample), renderer(report, sample, flagged 0-based
+# rows) returning the SVG text). The check raises InconsistentReport when a
+# report of that method on that sample cannot be drawn; `fdout detect` runs
+# it before detecting, so a plot that fails never replaces a finished report
+PLOT_KINDS = {
+    "curves": (_curves_check, _curves_svg),
+    "msplot": (_msplot_check, _msplot_svg),
+}
 
 
 def emit_plot(
@@ -209,6 +210,7 @@ def emit_plot(
     if kind not in PLOT_KINDS:
         raise InconsistentReport(f"unknown plot kind {kind!r}")
     flagged = [int(i) - 1 for i in report.outliers.get("all", [])]
-    text = PLOT_KINDS[kind](report, sample, flagged)
+    _check, render = PLOT_KINDS[kind]
+    text = render(report, sample, flagged)
     atomic_write_text(path, text)
     return text

@@ -11,8 +11,6 @@ outlier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .depths import rankdata
@@ -20,20 +18,10 @@ from .errors import TooFewCurves, TooFewPoints
 from .fdcore import CurveSample
 
 __all__ = [
-    "TvdResult",
     "total_variation_depth",
     "modified_shape_similarity",
-    "compute_tvd_mss",
     "indicator_variance_terms",
 ]
-
-
-@dataclass(frozen=True)
-class TvdResult:
-    """Per-curve total variation depth (in [0, 0.25]) and shape similarity."""
-
-    tvd: np.ndarray
-    mss: np.ndarray
 
 
 def total_variation_depth(sample: CurveSample) -> np.ndarray:
@@ -118,11 +106,3 @@ def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
         increments / np.where(flat, 1.0, denom)[:, None],
     )
     return (similarity * weights).sum(axis=1)
-
-
-def compute_tvd_mss(sample: CurveSample) -> TvdResult:
-    """Both statistics for one sample, computed by two separate passes."""
-    return TvdResult(
-        tvd=total_variation_depth(sample),
-        mss=modified_shape_similarity(sample),
-    )

@@ -6,9 +6,11 @@ acceptance suite via subprocess.
 """
 
 import argparse
+import csv
 import inspect
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -193,11 +195,21 @@ class TestRoundTrip:
         assert tuple(back.ids) == ("first", "second")
         assert np.array_equal(back.values, sample.values)
 
+    def test_ids_with_commas_and_quotes_survive_round_trip(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "plain"]
+        sample = CurveSample(np.arange(6.0).reshape(3, 2), uniform_grid(2, 0.0, 1.0), ids=ids)
+        path = tmp_path / "ids.csv"
+        write_curves(str(path), sample)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == ['"a,b",0.0,1.0', '"say ""hi""",2.0,3.0', "plain,4.0,5.0"]
+        back = read_curves(str(path))
+        assert back.ids == tuple(ids)
+        assert np.array_equal(back.values, sample.values)
+
     def test_no_header_round_trip(self, tmp_path):
         values = np.array([[3.0, 1.0, 2.0], [0.5, 0.25, 0.125]])
-        sample = make_sample(values)
         path = tmp_path / "nohdr.csv"
-        write_curves(str(path), sample, include_header=False)
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
         back = read_curves(str(path), header=False)
         assert np.array_equal(back.values, values)
 
@@ -514,6 +526,20 @@ class TestCliCommands:
         labels = [line.split(",")[0] for line in out_path.read_text().strip().split("\n")[1:]]
         assert labels == ["low", "mid", "high"]
 
+    def test_depth_subcommand_quotes_ids_with_commas(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        ids = ["a,b", 'q"x', "plain"]
+        write_curves(str(path), CurveSample(np.arange(6.0).reshape(3, 2),
+                                            uniform_grid(2, 0.0, 1.0), ids=ids))
+        out_path = tmp_path / "depth.csv"
+        rc = main(["depth", "--method", "mbd", "--in", str(path), "--out", str(out_path)])
+        assert rc == 0
+        with open(out_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [2, 2, 2, 2]
+        assert [row[0] for row in rows] == ["curve", *ids]
+        assert out_path.read_text().splitlines()[3].startswith("plain,")
+
     def test_erld_type_flag_changes_scores(self, tmp_path, boxplot_csv):
         paths = [tmp_path / "r.csv", tmp_path / "l.csv"]
         for path, kind in zip(paths, ["one_sided_right", "one_sided_left"]):
@@ -719,6 +745,16 @@ class TestNonFiniteInput:
         assert not out_path.exists()
 
 
+def _near_largest_double_csv(tmp_path):
+    """30 x 8 curves of mixed sign within 1 % of +-1.7e308, written as a CSV."""
+    rng = np.random.default_rng(1)
+    signs = rng.choice([-1.0, 1.0], size=(30, 8))
+    values = signs * rng.uniform(0.99, 1.0, size=(30, 8)) * 1.7e308
+    path = tmp_path / "edge.csv"
+    write_curves(str(path), make_sample(values))
+    return path
+
+
 class TestCliErrors:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -785,15 +821,11 @@ class TestCliErrors:
     @pytest.mark.parametrize("args", [
         ["--method", "fbplot", "--depth", "mbd"],
         ["--method", "fbplot", "--depth", "dq"],
-        ["--method", "seq", "--sequence", "T0,T1"],
+        ["--method", "seq", "--sequence", "T1"],
     ])
     def test_overflowing_results_exit_3_with_error_report(self, tmp_path, args, capsys):
-        # fences, dq scores and T1's row means overflow on finite curves
-        rng = np.random.default_rng(1)
-        signs = rng.choice([-1.0, 1.0], size=(30, 8)) if "fbplot" in args else 1.0
-        values = signs * rng.uniform(0.99, 1.0, size=(30, 8)) * 1.7e308
-        path = tmp_path / "edge.csv"
-        write_curves(str(path), make_sample(values))
+        # fences, dq scores and T1's centred curves overflow on finite curves
+        path = _near_largest_double_csv(tmp_path)
         report_path = tmp_path / "r.json"
         rc = main(["detect", *args, "--in", str(path), "--report", str(report_path)])
         assert rc == 3
@@ -801,6 +833,36 @@ class TestCliErrors:
         text = report_path.read_text()
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)["error"]["type"] == "NonFiniteResult"
+
+    def test_t1_on_curves_near_3e307_exits_0(self, tmp_path):
+        # the row means are formed after a power-of-two scale, so they stay finite
+        values = np.random.default_rng(7).uniform(2.9e307, 3.1e307, size=(30, 8))
+        path = tmp_path / "big.csv"
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "seq", "--sequence", "T0,T1", "--in", str(path),
+                   "--report", str(report_path)])
+        assert rc == 0
+        assert json.loads(report_path.read_text())["error"] is None
+
+    @pytest.mark.parametrize("method,error_type", [
+        ("fbplot", "NonFiniteResult"),
+        ("tvdmss", "NonFiniteResult"),
+        ("msplot", "SingularSubsets"),
+    ])
+    def test_failure_near_largest_double_prints_one_stderr_line(
+            self, tmp_path, method, error_type, capsys):
+        path = _near_largest_double_csv(tmp_path)
+        report_path = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            # a numpy RuntimeWarning would now raise and end in a different error type
+            warnings.simplefilter("error")
+            rc = main(["detect", "--method", method, "--in", str(path),
+                       "--report", str(report_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error_type}: ") and err.count("\n") == 1
+        assert json.loads(report_path.read_text())["error"]["type"] == error_type
 
     def test_no_input_path_exits_2(self, tmp_path):
         report_path = tmp_path / "r.json"

@@ -20,7 +20,7 @@ from fdout.depths import (
     pointwise_ranks,
     rankdata,
 )
-from fdout.errors import InvalidTail, NonFiniteResult, TooFewCurves, UnknownErldType
+from fdout.errors import NonFiniteResult, TooFewCurves, UnknownErldType
 
 from . import oracles
 from .conftest import constant_curves, make_sample
@@ -159,7 +159,7 @@ class TestDirectionalQuantile:
         # 41 flat curves at 1..41: the 0.975 type-7 quantile is exactly 40,
         # so the curve at 40 sits exactly on the upper quantile curve.
         sample = constant_curves(np.arange(1.0, 42.0))
-        scores = directional_quantile(sample, tail=0.025).scores
+        scores = directional_quantile(sample).scores
         assert scores[39] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_loop(self):
@@ -177,11 +177,6 @@ class TestDirectionalQuantile:
         deeper = depth.as_deeper_is_larger()
         assert deeper.direction == DEEPER_IS_LARGER
         np.testing.assert_array_equal(deeper.scores, -depth.scores)
-
-    @pytest.mark.parametrize("tail", [0.0, -0.1, 0.5, 0.9])
-    def test_invalid_tail(self, tail):
-        with pytest.raises(InvalidTail):
-            directional_quantile(random_sample(113, 8, 4), tail=tail)
 
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):

@@ -3,6 +3,7 @@ import pytest
 
 from fdout import (
     RandomSource,
+    as_multivariate,
     functional_boxplot,
     modified_band_depth,
     msplot,
@@ -155,7 +156,7 @@ class TestMsplot:
     def test_univariate_embedding_bit_identical(self):
         out = simulation_model(1, n=40, p=20, outlier_rate=0.1, seed=8)
         as_curve = msplot(out.data, rng=RandomSource(11))
-        as_multi = msplot(out.data.to_multivariate(), rng=RandomSource(11))
+        as_multi = msplot(as_multivariate(out.data), rng=RandomSource(11))
         np.testing.assert_array_equal(as_curve.outliers, as_multi.outliers)
         np.testing.assert_array_equal(as_curve.distances, as_multi.distances)
         np.testing.assert_array_equal(as_curve.mo, as_multi.mo)
@@ -206,7 +207,7 @@ class TestD1MultiCurveSampleIsUnivariate:
     def _pair():
         out = simulation_model(6, n=30, p=16, outlier_rate=0.1,
                                deterministic=True, seed=12)
-        return out.data, out.data.to_multivariate()
+        return out.data, as_multivariate(out.data)
 
     def test_tvdmss(self):
         uni, multi = self._pair()
@@ -277,7 +278,7 @@ class TestTvdmss:
 
 class TestOTransform:
     def test_median_curve_becomes_zero_row(self):
-        sample = constant_curves([1.0, 2.0, 3.0]).to_multivariate()
+        sample = as_multivariate(constant_curves([1.0, 2.0, 3.0]))
         curves = o_transform(sample)
         np.testing.assert_array_equal(curves.values[1], np.zeros(4))
 
@@ -347,11 +348,31 @@ class TestSeqTransform:
         np.testing.assert_array_equal(scaled.stages[0].outliers, plain.stages[0].outliers)
         assert scaled.warnings == plain.warnings == ()
 
+    @pytest.mark.parametrize("exponent", [600, -600, 1019])
+    def test_t1_is_exact_under_power_of_two_scaling(self, exponent):
+        # the row mean is formed after the same row pre-scale as T2's; without
+        # it the row sums overflow at 2^1019
+        values = simulation_model(4, n=30, p=12, seed=5).data.values
+        plain = seq_transform(make_sample(values), ["T1"], save_data=True)
+        scaled = seq_transform(make_sample(np.ldexp(values, exponent)), ["T1"], save_data=True)
+        np.testing.assert_array_equal(scaled.stages[0].sample.values,
+                                      np.ldexp(plain.stages[0].sample.values, exponent))
+        np.testing.assert_array_equal(scaled.stages[0].outliers, plain.stages[0].outliers)
+
+    @pytest.mark.parametrize("model", [1, 5, 7])
+    def test_t1_matches_the_plain_row_mean_at_ordinary_magnitudes(self, model):
+        values = simulation_model(model, n=25, p=40, seed=model).data.values
+        result = seq_transform(make_sample(values), ["T1"], save_data=True)
+        np.testing.assert_array_equal(result.stages[0].sample.values,
+                                      values - values.mean(axis=1, keepdims=True))
+
     def test_overflowing_stage_raises_numeric_error_naming_it(self):
-        # the row means of curves near 3e307 overflow, not any input cell
-        values = np.random.default_rng(7).uniform(2.9e307, 3.1e307, size=(30, 8))
+        # the centred curves of mixed-sign rows near the largest double
+        # overflow, not any input cell
+        rng = np.random.default_rng(7)
+        values = rng.choice([-1.0, 1.0], size=(30, 8)) * rng.uniform(0.99, 1.0, (30, 8)) * 1.7e308
         with pytest.raises(NonFiniteResult, match="stage T1 overflows"):
-            seq_transform(make_sample(values), ["T0", "T1"])
+            seq_transform(make_sample(values), ["T1"])
 
     def test_d1_shrinks_grid_by_one(self):
         out = simulation_model(1, n=8, p=10, outlier_rate=0.0, seed=14)

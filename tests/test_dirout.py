@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from fdout import (
     RandomSource,
+    as_multivariate,
     decompose,
     directional_outlyingness,
     pointwise_sdo,
 )
 from fdout.dirout import DirectionalOutlyingnessField
-from fdout.errors import BadWeights, TooFewCurves
+from fdout.errors import TooFewCurves
 
 from . import oracles
 from .conftest import constant_curves, make_multi, make_sample
@@ -27,14 +28,14 @@ def random_field(seed, n=8, p=6, d=1):
 
 class TestPointwiseSdo:
     def test_exact_univariate_column(self):
-        sample = constant_curves([1.0, 2.0, 3.0, 4.0, 5.0]).to_multivariate()
+        sample = as_multivariate(constant_curves([1.0, 2.0, 3.0, 4.0, 5.0]))
         sdo = pointwise_sdo(sample)
         np.testing.assert_allclose(sdo[4], 2.0 / 1.4826, rtol=0, atol=1e-15)
         np.testing.assert_allclose(sdo[3], 1.0 / 1.4826, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(sdo[2], np.zeros(4))
 
     def test_median_curve_scores_zero(self):
-        sample = constant_curves([1.0, 2.0, 3.0]).to_multivariate()
+        sample = as_multivariate(constant_curves([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(pointwise_sdo(sample)[1], np.zeros(4))
 
     def test_mad_zero_sentinel(self):
@@ -79,13 +80,13 @@ class TestCurveSampleEqualsD1Multi:
     def test_pointwise_sdo(self):
         sample = make_sample(np.random.default_rng(34).standard_normal((9, 5)))
         np.testing.assert_array_equal(
-            pointwise_sdo(sample), pointwise_sdo(sample.to_multivariate())
+            pointwise_sdo(sample), pointwise_sdo(as_multivariate(sample))
         )
 
     def test_directional_outlyingness(self):
         sample = make_sample(np.random.default_rng(35).standard_normal((9, 5)))
         a = directional_outlyingness(sample)
-        b = directional_outlyingness(sample.to_multivariate())
+        b = directional_outlyingness(as_multivariate(sample))
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.sdo, b.sdo)
 
@@ -99,7 +100,7 @@ class TestDirectionalOutlyingness:
         np.testing.assert_array_equal(np.sign(field.values[:, :, 0]), signs)
 
     def test_center_curve_zero_field(self):
-        field = directional_outlyingness(constant_curves([1.0, 2.0, 3.0]).to_multivariate())
+        field = directional_outlyingness(as_multivariate(constant_curves([1.0, 2.0, 3.0])))
         np.testing.assert_array_equal(field.values[1], np.zeros((4, 1)))
 
     def test_magnitude_equals_sdo_univariate(self):
@@ -156,27 +157,6 @@ class TestDecompose:
             dec.fo, (dec.mo**2).sum(axis=1) + dec.vo, rtol=0, atol=1e-10
         )
         assert np.all(dec.vo >= 0.0)
-
-    def test_custom_weights_are_normalised(self):
-        field = random_field(50, n=4, p=5)
-        raw = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-        dec = decompose(field, weights=raw)
-        np.testing.assert_allclose(dec.weights.sum(), 1.0, atol=1e-15)
-        same = decompose(field, weights=raw / raw.sum())
-        np.testing.assert_allclose(dec.mo, same.mo, atol=1e-14)
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [0.5, 0.5],  # wrong length for p=5
-            [0.2, 0.2, 0.2, 0.2, -0.2],
-            [0.0, 0.0, 0.0, 0.0, 0.0],
-            [0.2, 0.2, 0.2, 0.2, np.nan],
-        ],
-    )
-    def test_bad_weights(self, weights):
-        with pytest.raises(BadWeights):
-            decompose(random_field(51, n=4, p=5), weights=weights)
 
 
 class TestInvariance:

@@ -8,6 +8,7 @@ from fdout import (
     Grid,
     MultiCurveSample,
     RandomSource,
+    as_multivariate,
     as_univariate,
     uniform_grid,
 )
@@ -105,12 +106,12 @@ class TestRoundTrip:
     def test_d1_bit_exact(self, np_rng):
         values = np_rng.standard_normal((6, 9))
         multi = make_multi(values[:, :, None])
-        back = multi.to_univariate().to_multivariate()
+        back = as_multivariate(as_univariate(multi))
         assert np.array_equal(back.values, multi.values)
 
     def test_univariate_to_multivariate_shape(self, np_rng):
         sample = make_sample(np_rng.standard_normal((4, 5)))
-        multi = sample.to_multivariate()
+        multi = as_multivariate(sample)
         assert multi.d == 1
         assert np.array_equal(multi.values[:, :, 0], sample.values)
 

@@ -89,10 +89,12 @@ class TestGeometricMedian:
         pts = np.vstack([np.tile([1.0, 1.0], (5, 1)), [[0.0, 0.0], [2.0, 0.0]]])
         np.testing.assert_allclose(geometric_median(pts), [1.0, 1.0], atol=1e-8)
 
-    def test_nonconvergence_surfaces(self):
+    def test_nonconvergence_surfaces(self, monkeypatch):
+        monkeypatch.setattr(fdout.robust, "GM_TOL", 1e-30)
+        monkeypatch.setattr(fdout.robust, "GM_MAX_ITER", 3)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NonConvergence):
-            geometric_median(pts, tol=1e-30, max_iter=3)
+            geometric_median(pts)
 
 
 class TestFastMcd:
@@ -333,7 +335,6 @@ class TestRobustDistances:
             covariance=np.cov(points, rowvar=False),
             subset_indices=np.arange(40),
             coverage_fraction=1.0,
-            consistency_corrected=False,
         )
         np.testing.assert_allclose(
             robust_distances(points, fit),

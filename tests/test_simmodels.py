@@ -19,12 +19,6 @@ from fdout.simmodels import (
 
 
 class TestGpSample:
-    def test_negligible_amplitude_returns_mean(self):
-        grid = uniform_grid(30, 0.0, 1.0)
-        spec = GaussianProcessSpec(amplitude=1e-16, mean=lambda t: 4.0 * t)
-        out = gp_sample(spec, grid, 5, RandomSource(3))
-        assert np.allclose(out.values, 4.0 * grid.points[None, :], atol=1e-6)
-
     def test_zero_mean_by_default(self):
         grid = uniform_grid(5, 0.0, 1.0)
         out = gp_sample(GaussianProcessSpec(), grid, 4000, RandomSource(11))

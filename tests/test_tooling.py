@@ -2,16 +2,22 @@
 
 The traced benchmark run (perfbench/tracer.py) wraps fdout functions by
 attribute name; a name it lists that its owner no longer holds makes the
-traced run fail, so the names are checked here. A cold CLI run is mostly
-import time, so which scipy subpackages each step loads is checked too.
+traced run fail, so the names are checked here, and so are the names the
+package and its modules export. A cold CLI run is mostly import time, so
+which scipy subpackages each step loads is checked too.
 """
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import fdout
 import fdout.cli  # noqa: F401 -- the tracer finds its owners in sys.modules
 import fdout.report  # noqa: F401
 
@@ -33,6 +39,17 @@ def test_every_traced_boundary_is_an_attribute_of_its_owner():
         if attr not in tracer._owner(path).__dict__
     ]
     assert missing == []
+
+
+MODULES = ["fdout"] + [f"fdout.{info.name}" for info in pkgutil.iter_modules(fdout.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves_once(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
 
 
 # runs in a fresh interpreter: which of the heavy scipy subpackages are

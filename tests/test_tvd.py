@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from fdout import compute_tvd_mss, modified_shape_similarity, total_variation_depth
+from fdout import modified_shape_similarity, total_variation_depth
 from fdout.depths import pointwise_ranks
 from fdout.errors import TooFewCurves
 from fdout.tvd import indicator_variance_terms
@@ -148,14 +148,6 @@ class TestModifiedShapeSimilarity:
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
             modified_shape_similarity(make_sample([[1.0, 2.0]]))
-
-
-class TestComputeTvdMss:
-    def test_bundles_both_vectors(self):
-        sample = random_sample(80, 9, 6)
-        result = compute_tvd_mss(sample)
-        np.testing.assert_array_equal(result.tvd, total_variation_depth(sample))
-        np.testing.assert_array_equal(result.mss, modified_shape_similarity(sample))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(2, 8))
