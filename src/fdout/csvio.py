@@ -49,12 +49,14 @@ def _read_wide(path: str, header, id_column):
         reader = csv.reader(handle)
         # line number -> stripped cells of every row with a non-blank cell;
         # float() ignores padding, such as '\x1c', that numpy rejects, and a
-        # tuple per row would pin freed memory in the tuple free list
-        numbered = {}
+        # tuple per row would pin freed memory in the tuple free list. The
+        # first cells are also kept as read: an id keeps its padding.
+        numbered, firsts = {}, []
         for row in reader:
             cells = [c.strip() for c in row]
             if any(cells):
                 numbered[reader.line_num] = cells
+                firsts.append(row[0])
     if not numbered:
         raise EmptyInput(f"{path} holds no data")
     lines, rows = list(numbered), list(numbered.values())
@@ -65,7 +67,8 @@ def _read_wide(path: str, header, id_column):
                              f"row has {len(row)} cells, expected {width}")
 
     if id_column == "auto":
-        has_ids = not _is_float(rows[-1][0])
+        # write_curves heads an id column with "id", whatever the ids look like
+        has_ids = rows[0][0] == "id" or not _is_float(rows[-1][0])
     else:
         has_ids = bool(id_column)
     shift = 1 if has_ids else 0
@@ -84,8 +87,12 @@ def _read_wide(path: str, header, id_column):
     if not data_rows:
         raise EmptyInput(f"{path} holds a header but no curves")
 
-    # popped in place, so the numeric block needs no second copy of the rows
-    ids = [row.pop(0) for row in data_rows] if has_ids else None
+    ids = None
+    if has_ids:
+        ids = firsts[offset:]
+        # deleted in place, so the numeric block needs no second copy of the rows
+        for row in data_rows:
+            del row[0]
     try:
         values = np.array(data_rows, dtype=float)
     except ValueError:
@@ -116,8 +123,12 @@ def read_curves(
 
     ``header`` and ``id_column`` accept True/False or "auto". Auto header
     detection treats the first row as grid points when it is non-numeric
-    or strictly increasing; auto id detection checks whether the last
-    row's first cell is numeric. A missing grid defaults to uniform [0, 1].
+    or strictly increasing. Auto id detection finds an id column when the
+    first row's first cell is ``id`` (as ``write_curves`` writes it) or the
+    last row's first cell is not a number. A missing grid defaults to
+    uniform [0, 1]. Numeric cells are read with surrounding whitespace
+    stripped; id cells are kept exactly as the CSV reader returns them, so
+    padded ids round-trip.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]

@@ -199,15 +199,21 @@ def functional_boxplot(
     )
 
 
+_NON_FINITE_OUTLYINGNESS = (
+    (np.isinf, "infinite where the pointwise MAD is zero and some curves are off the median"),
+    (np.isnan, "NaN where deviations from the pointwise median overflow"),
+)
+
+
 def _check_finite_outlyingness(sdo: np.ndarray) -> None:
-    """Raise NonFiniteOutlyingness naming the grid points where the pointwise
-    MAD is zero and some curve is off the median (infinite outlyingness)."""
-    zero_mad = np.flatnonzero(np.isinf(sdo).any(axis=0))
-    if zero_mad.size:
-        raise NonFiniteOutlyingness(
-            "outlyingness is infinite where the pointwise MAD is zero and some "
-            f"curves are off the median: grid points {zero_mad.tolist()} (0-based)"
-        )
+    """Raise NonFiniteOutlyingness naming the grid points where outlyingness
+    is infinite (zero pointwise MAD) or NaN (overflowing deviations)."""
+    for test, where in _NON_FINITE_OUTLYINGNESS:
+        points = np.flatnonzero(test(sdo).any(axis=0))
+        if points.size:
+            raise NonFiniteOutlyingness(
+                f"outlyingness is {where}: grid points {points.tolist()} (0-based)"
+            )
 
 
 def msplot(
@@ -295,7 +301,7 @@ def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveS
     """Univariate sample of pointwise outlyingness magnitudes (all >= 0).
 
     Raises NonFiniteOutlyingness where the pointwise MAD is zero and some
-    curve is off the median.
+    curve is off the median, or where deviations overflow to NaN.
     """
     sample = as_multivariate(sample)
     if sample.n < 3:

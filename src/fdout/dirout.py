@@ -64,6 +64,48 @@ def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
     return u / norms[:, None]
 
 
+def _kth_smallest(valley: np.ndarray, k: int) -> np.ndarray:
+    """The 0-based k-th smallest entry of every column of ``valley``.
+
+    Each column falls and then rises along axis 0, so its k + 1 smallest
+    entries are k + 1 consecutive rows, and the largest of those sits at an
+    end of the run: the k-th smallest is the least over runs of their
+    larger end.
+    """
+    n = valley.shape[0]
+    return np.maximum(valley[:n - k], valley[k:]).min(axis=0)
+
+
+def _block_sdo(proj: np.ndarray) -> np.ndarray:
+    """Per-column SDO of a block of projections, n x step x k; overwrites
+    ``proj``.
+
+    Each column is sorted once. The median is read off it as ``np.median``
+    forms it, and along the sorted column |x - median| falls and then
+    rises, so the MAD comes from ``_kth_smallest`` instead of a second
+    selection: the same floats as two ``np.median`` calls. Finite curves
+    never project to NaN (|u_k| <= 1, and a sum that reaches +-inf stays
+    there), so a NaN deviation comes only from a median that is NaN or
+    +-inf; the window MAD is then NaN exactly where ``np.median``'s is.
+    """
+    n = proj.shape[0]
+    lo, hi = (n - 1) // 2, n // 2
+    dev_sorted = np.sort(proj, axis=0)
+    # a copy for odd n: dev_sorted is overwritten with the deviations next
+    med = dev_sorted[lo].copy() if lo == hi else (dev_sorted[lo] + dev_sorted[hi]) / 2
+    np.abs(np.subtract(dev_sorted, med, out=dev_sorted), out=dev_sorted)
+    mad = _kth_smallest(dev_sorted, lo)
+    if hi != lo:
+        mad = (mad + _kth_smallest(dev_sorted, hi)) / 2
+    mad = MAD_CONSISTENCY * mad
+    del dev_sorted
+    dev = np.abs(np.subtract(proj, med, out=proj), out=proj)
+    if np.all(mad > 0.0):
+        # _sdo_ratio divides by mad itself when every MAD is positive
+        return np.divide(dev, mad, out=dev).max(axis=2)
+    return _sdo_ratio(dev, mad).max(axis=2)
+
+
 def pointwise_sdo(
     sample: AnySample,
     rng: RandomSource | None = None,
@@ -76,6 +118,11 @@ def pointwise_sdo(
     shared across all grid points, so results are deterministic given
     ``rng`` (no ``rng`` means ``RandomSource(0)``). Grid points are taken
     in blocks whose projections hold at most about n * max(p, 500) values.
+
+    Each (grid point, direction) column of projections is sorted once and
+    gives both the median and the MAD (see ``_block_sdo``); the result is
+    that of two ``np.median`` calls bit for bit, NaN and infinite values
+    included.
     """
     values = as_multivariate(sample).values
     n, p, d = values.shape
@@ -87,10 +134,7 @@ def pointwise_sdo(
     for t in range(0, p, step):
         # proj[i, t, k] = <Y_i(t), u_k>; medians and MADs are per (t, k)
         proj = np.einsum("itd,kd->itk", values[:, t:t + step], u)
-        med = np.median(proj, axis=0)
-        dev = np.abs(proj - med)
-        mad = MAD_CONSISTENCY * np.median(dev, axis=0)
-        sdo[:, t:t + step] = _sdo_ratio(dev, mad).max(axis=2)
+        sdo[:, t:t + step] = _block_sdo(proj)
     return sdo
 
 

@@ -147,8 +147,10 @@ class NonFiniteIndex(NumericError):
 
 
 class NonFiniteOutlyingness(NumericError):
-    """Outlyingness is infinite: the pointwise MAD is zero at a grid point
-    where some curve is off the median, so no finite MO/VO summary exists."""
+    """Outlyingness is not finite, so no finite MO/VO summary exists: it is
+    infinite where the pointwise MAD is zero and some curve is off the
+    median, and NaN where deviations from the median overflow (curves near
+    the largest double)."""
 
 
 class NonFiniteResult(NumericError):

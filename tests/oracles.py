@@ -3,7 +3,10 @@
 Everything here is a direct transcription of the defining formulas:
 explicit loops over curves, pairs, grid points and directions, with no
 shared code paths with the package under test. Production kernels must
-agree with these to the tolerances asserted in the test modules.
+agree with these to the tolerances asserted in the test modules. The
+FastMCD and pointwise SDO references keep the package's earlier, plainer
+form with the same float operations, so those kernels are pinned bit for
+bit.
 """
 
 from itertools import combinations
@@ -317,6 +320,32 @@ def sdo_projection(points, direction):
     if mad > 0.0:
         return dev / mad
     return np.where(dev == 0.0, 0.0, np.inf)
+
+
+def pointwise_sdo_two_medians(values, directions):
+    """Pointwise SDO as the package computed it with two ``np.median`` calls.
+
+    values: n x p x d array; directions: k x d unit vectors (``[[1.0]]`` for
+    d = 1). Grid points are projected in the package's blocks with the same
+    ``einsum``, so the projections, medians and MADs are the same floats and
+    the result can be compared with ``np.array_equal``.
+    """
+    values = np.asarray(values, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    n, p, _ = values.shape
+    step = max(1, p // len(directions))
+    out = np.empty((n, p))
+    for t in range(0, p, step):
+        proj = np.einsum("itd,kd->itk", values[:, t:t + step], directions)
+        med = np.median(proj, axis=0)
+        dev = np.abs(proj - med)
+        mad = MAD_CONSTANT * np.median(dev, axis=0)
+        ratio = np.where(
+            mad > 0.0, dev / np.where(mad > 0.0, mad, 1.0),
+            np.where(dev == 0.0, 0.0, np.inf),
+        )
+        out[:, t:t + step] = ratio.max(axis=2)
+    return out
 
 
 def sdo_dense(values, directions, chunk=20000):

@@ -206,6 +206,25 @@ class TestRoundTrip:
         assert back.ids == tuple(ids)
         assert np.array_equal(back.values, sample.values)
 
+    @pytest.mark.parametrize("ids", [["a", "b", "3"], ["1", "2", "3"], ["x", "-inf", "1e5"]])
+    def test_numeric_looking_ids_survive_round_trip(self, tmp_path, ids):
+        # the "id" header cell settles detection, whatever the last id looks like
+        sample = CurveSample(np.arange(6.0).reshape(3, 2), uniform_grid(2, 0.0, 1.0), ids=ids)
+        path = tmp_path / "ids.csv"
+        write_curves(str(path), sample)
+        back = read_curves(str(path))
+        assert back.ids == tuple(ids)
+        assert np.array_equal(back.values, sample.values)
+
+    def test_padded_ids_survive_round_trip(self, tmp_path):
+        ids = [" a ", "b\t", "  c"]
+        sample = CurveSample(np.arange(6.0).reshape(3, 2), uniform_grid(2, 0.0, 1.0), ids=ids)
+        path = tmp_path / "ids.csv"
+        write_curves(str(path), sample)
+        back = read_curves(str(path))
+        assert back.ids == tuple(ids)
+        assert np.array_equal(back.values, sample.values)
+
     def test_no_header_round_trip(self, tmp_path):
         values = np.array([[3.0, 1.0, 2.0], [0.5, 0.25, 0.125]])
         path = tmp_path / "nohdr.csv"
@@ -848,7 +867,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("method,error_type", [
         ("fbplot", "NonFiniteResult"),
         ("tvdmss", "NonFiniteResult"),
-        ("msplot", "SingularSubsets"),
+        ("msplot", "NonFiniteOutlyingness"),
     ])
     def test_failure_near_largest_double_prints_one_stderr_line(
             self, tmp_path, method, error_type, capsys):

@@ -208,6 +208,13 @@ class TestLinfinityDepth:
             atol=1e-13,
         )
 
+    @pytest.mark.parametrize("n", [3, 9, 150, 301])
+    def test_upper_triangle_equals_full_rows_bit_for_bit(self, n):
+        # each row's mean over all n sup distances, the self term included
+        values = np.round(np.random.default_rng(n).standard_normal((n, 11)) * 8.0, 2)
+        full = np.array([np.abs(values - row).max(axis=1).mean() for row in values])
+        assert np.array_equal(linfinity_depth(make_sample(values)).scores, 1.0 / (1.0 + full))
+
 
 class TestExtremalDepth:
     def test_middle_constant_curve_deepest(self):

@@ -199,6 +199,16 @@ class TestMsplot:
         with pytest.raises(NonFiniteOutlyingness, match=r"grid points \[0\]"):
             msplot(make_sample(values), rng=RandomSource(0))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_outlyingness_raises_numeric_error_naming_grid_points(self, d):
+        # deviations from the median overflow near the largest double: every
+        # SDO value is NaN, which used to surface later as SingularSubsets
+        rng = np.random.default_rng(211)
+        values = rng.choice([-1.0, 1.0], (30, 8, d)) * rng.uniform(0.9, 1.0, (30, 8, d)) * 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteOutlyingness, match=r"NaN .* grid points \[0, 1, 2, 3, 4, 5, 6, 7\]"):
+            msplot(make_multi(values), rng=RandomSource(0))
+
 
 class TestD1MultiCurveSampleIsUnivariate:
     """A d=1 MultiCurveSample gives exactly the results of its CurveSample."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdout import (
@@ -10,7 +10,7 @@ from fdout import (
     directional_outlyingness,
     pointwise_sdo,
 )
-from fdout.dirout import DirectionalOutlyingnessField
+from fdout.dirout import DirectionalOutlyingnessField, _unit_directions
 from fdout.errors import TooFewCurves
 
 from . import oracles
@@ -74,6 +74,86 @@ class TestPointwiseSdo:
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
             pointwise_sdo(make_multi(np.zeros((2, 3, 1))))
+
+
+def two_median_sdo(values, seed):
+    d = values.shape[2]
+    directions = np.ones((1, 1)) if d == 1 else _unit_directions(RandomSource(seed), d)
+    return oracles.pointwise_sdo_two_medians(values, directions)
+
+
+def assert_matches_two_medians(values, seed=1):
+    expected = two_median_sdo(values, seed)
+    got = pointwise_sdo(make_multi(values), rng=RandomSource(seed))
+    assert np.array_equal(got, expected, equal_nan=True)
+    return expected
+
+
+class TestSdoMatchesTwoMedianOracle:
+    """One sort per column gives the same floats as two np.median calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 40, 41])
+    def test_even_and_odd_n(self, n, d):
+        values = np.random.default_rng(n * 10 + d).standard_normal((n, 7, d))
+        assert_matches_two_medians(values, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_tied_and_rounded_values(self, decimals, d):
+        rng = np.random.default_rng(decimals * 10 + d)
+        values = np.round(rng.standard_normal((12, 9, d)) * 2.0, decimals)
+        values[:, 3] = values[0, 3]  # one grid point where every curve ties
+        assert_matches_two_medians(values, seed=d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_zero_mad_columns(self, n, d):
+        values = np.random.default_rng(n + d).standard_normal((n, 5, d))
+        values[: n // 2 + 1, ::2] = 0.5  # a majority on one point: zero MAD
+        expected = assert_matches_two_medians(values, seed=d)
+        assert np.isinf(expected[:, ::2]).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_of_several_grid_points(self, d):
+        values = np.round(np.random.default_rng(d).standard_normal((6, 1203, d)), 1)
+        assert_matches_two_medians(values, seed=d)
+
+    @pytest.mark.parametrize("sign", ["mixed", "positive"])
+    def test_projections_overflowing_to_nan(self, sign):
+        rng = np.random.default_rng(5)
+        values = 1.7e308 * rng.uniform(0.9, 1.0, (30, 8, 2))
+        if sign == "mixed":
+            values *= rng.choice([-1.0, 1.0], values.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = assert_matches_two_medians(values, seed=3)
+        assert np.isnan(expected).all()
+
+    def test_projections_overflowing_to_inf_on_one_curve(self):
+        values = np.random.default_rng(6).standard_normal((9, 8, 2))
+        values[4] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = assert_matches_two_medians(values, seed=4)
+        assert np.isinf(expected[4]).any() and np.isfinite(expected[:4]).all()
+
+    def test_medians_that_are_nan_or_infinite(self):
+        # magnitudes up to 1.79e308 overflow many projections to +-inf, so
+        # some columns have a median of +-inf or NaN (-inf and +inf in the
+        # middle) and NaN deviations from it
+        rng = np.random.default_rng(8)
+        for seed in range(200):
+            n, d = int(rng.integers(3, 12)), int(rng.integers(2, 4))
+            magnitudes = rng.choice([1.0, 1e307, 1.7e308, 1.79e308], size=(n, 3, d))
+            signs = rng.choice([-1.0, 0.0, 1.0], size=(n, 3, d))
+            values = signs * rng.uniform(0.5, 1.0, (n, 3, d)) * magnitudes
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_matches_two_medians(values, seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2), st.integers(0, 10**6))
+    def test_random_rounded_samples(self, n, d, decimals, seed):
+        values = np.round(np.random.default_rng(seed).standard_normal((n, 3, d)), decimals)
+        assert_matches_two_medians(values, seed=seed % 7)
 
 
 class TestCurveSampleEqualsD1Multi:
