@@ -268,25 +268,21 @@ def tvdmss(
     n = sample.n
     if n < 5:
         raise TooFewCurves(f"tvdmss needs n >= 5, got {n}")
+    if not emp_factor_mss >= 0.0:
+        raise ValidationError(f"emp_factor_mss must be non-negative, got {emp_factor_mss}")
     tvd_scores = total_variation_depth(sample)
     mss_scores = modified_shape_similarity(sample)
 
     q1, q3 = np.percentile(mss_scores, [25.0, 75.0])
     shape = np.flatnonzero(mss_scores < q1 - emp_factor_mss * (q3 - q1))
 
+    # the fence is at most q1, so the curve of largest MSS is always kept
     keep = np.setdiff1d(np.arange(n), shape)
-    if keep.size == 0:
-        magnitude = np.array([], dtype=np.intp)
-    else:
-        remainder = CurveSample(sample.values[keep], sample.grid)
-        depth = DepthVector(
-            total_variation_depth(remainder), DEEPER_IS_LARGER, "tvd"
-        )
-        central_count = min(math.ceil(n * central_region_tvd), keep.size)
-        box = functional_boxplot(
-            remainder, depth, factor=emp_factor_tvd, central_count=central_count
-        )
-        magnitude = keep[box.outliers]
+    remainder = CurveSample(sample.values[keep], sample.grid)
+    depth = DepthVector(total_variation_depth(remainder), DEEPER_IS_LARGER, "tvd")
+    central_count = min(math.ceil(n * central_region_tvd), keep.size)
+    box = functional_boxplot(remainder, depth, factor=emp_factor_tvd, central_count=central_count)
+    magnitude = keep[box.outliers]
 
     return TvdmssResult(
         shape_outliers=shape,

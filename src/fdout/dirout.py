@@ -48,12 +48,6 @@ class OutlyingnessDecomposition:
     weights: np.ndarray
 
 
-def _sdo_ratio(dev: np.ndarray, mad: np.ndarray) -> np.ndarray:
-    # zero MAD: points at the median score 0, everything else is infinitely out
-    safe = np.where(mad > 0.0, mad, 1.0)
-    return np.where(mad > 0.0, dev / safe, np.where(dev == 0.0, 0.0, np.inf))
-
-
 def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
     u = rng.standard_normal((DEFAULT_DIRECTIONS, d))
     norms = np.sqrt((u * u).sum(axis=1))
@@ -100,10 +94,12 @@ def _block_sdo(proj: np.ndarray) -> np.ndarray:
     mad = MAD_CONSISTENCY * mad
     del dev_sorted
     dev = np.abs(np.subtract(proj, med, out=proj), out=proj)
-    if np.all(mad > 0.0):
-        # _sdo_ratio divides by mad itself when every MAD is positive
-        return np.divide(dev, mad, out=dev).max(axis=2)
-    return _sdo_ratio(dev, mad).max(axis=2)
+    # zero (or NaN) MAD: points at the median score 0, all others are
+    # infinitely out
+    bad = ~(mad > 0.0)
+    np.divide(dev, np.where(bad, 1.0, mad), out=dev)
+    dev[:, bad] = np.where(dev[:, bad] == 0.0, 0.0, np.inf)
+    return dev.max(axis=2)
 
 
 def pointwise_sdo(
@@ -138,13 +134,6 @@ def pointwise_sdo(
     return sdo
 
 
-def _pointwise_center(values: np.ndarray) -> np.ndarray:
-    n, p, d = values.shape
-    if d == 1:
-        return np.median(values, axis=0)
-    return np.stack([geometric_median(values[:, t, :]) for t in range(p)])
-
-
 def directional_outlyingness(
     sample: AnySample,
     rng: RandomSource | None = None,
@@ -157,7 +146,8 @@ def directional_outlyingness(
     sample = as_multivariate(sample)
     values = sample.values
     sdo = pointwise_sdo(sample, rng=rng)
-    center = _pointwise_center(values)
+    center = (np.median(values, axis=0) if values.shape[2] == 1
+              else geometric_median(values.swapaxes(0, 1)))
     diff = values - center[None, :, :]
     norms = np.sqrt((diff * diff).sum(axis=2))
     safe = np.where(norms > 0.0, norms, 1.0)

@@ -26,20 +26,10 @@ def to_external_indices(indices) -> list:
 
 
 def _plain(value):
-    """Recursively convert numpy scalars/arrays for JSON."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    """``json.dumps`` hook: numpy arrays and scalars as Python lists and scalars."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -66,17 +56,18 @@ class DetectionReport:
         payload = {
             "schema_version": self.schema_version,
             "method": self.method,
-            "parameters": _plain(self.parameters),
+            "parameters": self.parameters,
             "n": int(self.n),
             "p": int(self.p),
             "d": int(self.d),
-            "outliers": _plain(self.outliers),
-            "diagnostics": _plain(self.diagnostics),
+            "outliers": self.outliers,
+            "diagnostics": self.diagnostics,
             "warnings": list(self.warnings),
-            "error": _plain(self.error),
+            "error": self.error,
         }
         try:
-            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                              default=_plain)
         except ValueError as exc:
             raise NonFiniteResult(f"the report cannot hold a non-finite value: {exc}") from None
         return text + "\n"

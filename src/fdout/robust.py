@@ -93,83 +93,94 @@ def median_mad(xs) -> RobustLocationScale:
     return RobustLocationScale(median=med, mad=mad)
 
 
+def _sum_kept(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of the entries of ``a`` that ``keep`` marks, each row
+    bit for bit as its kept entries alone would sum: a pairwise sum depends
+    on where each term sits, so the rows that drop entries are compacted."""
+    out = a.sum(axis=1)
+    counts = keep.sum(axis=1)
+    for count in np.unique(counts[counts < keep.shape[1]]):
+        rows = counts == count
+        out[rows] = a[keep & rows[:, None]].reshape((rows.sum(), count) + a.shape[2:]).sum(axis=1)
+    return out
+
+
 def geometric_median(points) -> np.ndarray:
-    """Point minimising the sum of Euclidean distances to the rows of ``points``.
+    """Point minimising the sum of Euclidean distances to the rows of an
+    ``m x d`` cloud, or one such point per cloud of a ``k x m x d`` stack.
 
     Weiszfeld iteration with the Vardi-Zhang correction for iterates that
-    coincide with data points, started from the coordinatewise mean.
+    coincide with data points, started from the coordinatewise mean. The
+    clouds of a stack are solved side by side, each with the floats it gives
+    alone, and leave the stack when they are done.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise TooFewPoints("points must be an m x d matrix")
-    m = pts.shape[0]
-    if m == 0:
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.ndim not in (2, 3):
+        raise TooFewPoints("points must be an m x d matrix or a k x m x d stack")
+    if pts.shape[-2] == 0:
         raise EmptyInput("geometric_median needs at least one point")
-    if m == 1:
-        return pts[0].copy()
-    y = pts.mean(axis=0)
-    scale = np.abs(pts).max() or 1.0
-    eps = 1e-14 * scale
-
-    def vertex_is_optimal(k: int) -> bool:
-        # Data point k minimises the distance sum iff the unit vectors
-        # towards the other points sum to a norm no larger than the
-        # multiplicity of that point.  This is exact, unlike the iterate.
-        d_k = pts - pts[k]
-        dist_k = np.sqrt((d_k * d_k).sum(axis=1))
-        off = dist_k > eps
-        multiplicity = m - int(off.sum())
-        r_k = (d_k[off] / dist_k[off, None]).sum(axis=0)
-        return float(np.sqrt((r_k * r_k).sum())) <= multiplicity * (1.0 + 1e-12)
-
-    rejected = np.zeros(m, dtype=bool)
+    stack = pts if pts.ndim == 3 else pts[None]
+    k, m, d = stack.shape
+    y = stack.mean(axis=1)
+    scale = np.abs(stack).max(axis=(1, 2))
+    eps = 1e-14 * np.where(scale == 0.0, 1.0, scale)
+    rejected = np.zeros((k, m), dtype=bool)
+    left = np.arange(k)  # the clouds still iterating
     for _ in range(GM_MAX_ITER):
-        diff = pts - y
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        nearest = int(dist.argmin())
-        if not rejected[nearest]:
-            # Fixed-point steps slow to a crawl when the optimum sits on a
-            # data point, so test the nearest vertex directly; a failed test
-            # depends only on the data and is never repeated.
-            if vertex_is_optimal(nearest):
-                return pts[nearest].copy()
-            rejected[nearest] = True
-        active = dist > eps
-        n_coincident = int(m - active.sum())
-        if not active.any():
-            return y
-        w = 1.0 / dist[active]
-        t = (pts[active] * w[:, None]).sum(axis=0) / w.sum()
-        if n_coincident == 0:
-            y_new = t
-            # When the optimum lies close to (but not on) a data point the
-            # fixed-point rate degenerates, so try a Newton step on the
-            # smooth objective and keep it only if it does better.
-            grad = (diff[active] * w[:, None]).sum(axis=0)
-            d = pts.shape[1]
-            hess = (w.sum()) * np.eye(d) - np.einsum(
-                "i,ij,ik->jk", w**3, diff[active], diff[active]
-            )
-            try:
-                y_newton = y + np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                y_newton = None
-            if y_newton is not None and np.isfinite(y_newton).all():
-                obj_w = np.sqrt(((pts - t) ** 2).sum(axis=1)).sum()
-                obj_n = np.sqrt(((pts - y_newton) ** 2).sum(axis=1)).sum()
-                if obj_n < obj_w:
-                    y_new = y_newton
-        else:
-            r_vec = (diff[active] * w[:, None]).sum(axis=0)
-            r = np.sqrt((r_vec * r_vec).sum())
-            if r <= eps:
-                return y
-            gamma = min(1.0, n_coincident / r)
-            y_new = (1.0 - gamma) * t + gamma * y
-        step = np.sqrt(((y_new - y) ** 2).sum())
-        y = y_new
-        if step <= GM_TOL * max(1.0, np.sqrt((y * y).sum())):
-            return y
+        if not left.size:
+            return y if pts.ndim == 3 else y[0]
+        x = stack if left.size == k else stack[left]
+        diff = x - y[left, None]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        nearest = dist.argmin(axis=1)
+        # Fixed-point steps crawl when the optimum sits on a data point, so
+        # test the nearest vertex exactly: it is optimal iff the unit vectors
+        # towards the other points sum to a norm no larger than its
+        # multiplicity. A failed test depends only on the data: never redone.
+        test = np.flatnonzero(~rejected[left, nearest])
+        rejected[left[test], nearest[test]] = True
+        vertex = x[test, nearest[test]]
+        units = x[test] - vertex[:, None]
+        dist_k = np.sqrt((units * units).sum(axis=2))
+        off = dist_k > eps[left[test], None]
+        np.divide(units, dist_k[..., None], out=units, where=off[..., None])
+        r_k = _sum_kept(units, off)
+        optimal = np.sqrt((r_k * r_k).sum(axis=1)) <= (m - off.sum(axis=1)) * (1.0 + 1e-12)
+
+        # points within eps of the iterate get no weight; a cloud is stuck at
+        # its iterate when all are, or when the others pull it by at most eps
+        far = dist > eps[left, None]
+        coincident = m - far.sum(axis=1)
+        w = np.divide(1.0, dist, out=np.zeros_like(dist), where=far)
+        wsum = _sum_kept(w, far)
+        t = _sum_kept(x * w[..., None], far) / np.where(coincident < m, wsum, 1.0)[:, None]
+        grad = _sum_kept(diff * w[..., None], far)
+        r = np.sqrt((grad * grad).sum(axis=1))
+        stuck = (coincident == m) | (coincident > 0) & (r <= eps[left])
+        # Without coincident points, a Newton step is kept where it beats the
+        # Weiszfeld step t, whose rate degenerates near a data point.
+        y_old, y_new = y[left], t.copy()
+        newton = np.flatnonzero(coincident == 0)
+        hess = wsum[:, None, None] * np.eye(d) - np.einsum("ci,cij,cik->cjk", w**3, diff, diff)
+        del diff, units
+        delta, solved = _per_matrix(np.linalg.solve, hess[newton], grad[newton, :, None])
+        y_newton = y_old[newton] + delta[:, :, 0]
+        tried = solved & np.isfinite(y_newton).all(axis=1)
+        newton, y_newton = newton[tried], y_newton[tried]
+        obj_w = np.sqrt(((x[newton] - t[newton, None]) ** 2).sum(axis=2)).sum(axis=1)
+        obj_n = np.sqrt(((x[newton] - y_newton[:, None]) ** 2).sum(axis=2)).sum(axis=1)
+        better = obj_n < obj_w
+        y_new[newton[better]] = y_newton[better]
+        # Vardi-Zhang: pull the Weiszfeld step back towards a coincident point
+        vz = (coincident > 0) & ~stuck
+        gamma = np.minimum(1.0, coincident[vz] / r[vz])[:, None]
+        y_new[vz] = (1.0 - gamma) * t[vz] + gamma * y_old[vz]
+        step = np.sqrt(((y_new - y_old) ** 2).sum(axis=1))
+        done = stuck | (step <= GM_TOL * np.maximum(1.0, np.sqrt((y_new * y_new).sum(axis=1))))
+        done[test[optimal]] = True
+        y[left[~stuck]] = y_new[~stuck]
+        y[left[test[optimal]]] = vertex[optimal]
+        left = left[~done]
     raise NonConvergence(f"geometric median did not converge in {GM_MAX_ITER} iterations")
 
 
@@ -194,22 +205,29 @@ def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, cov
 
 
+def _per_matrix(solver, *stacks):
+    """``solver``, a stacked numpy.linalg call, over stacks of matrices, and
+    the mask of those it succeeded on; results are zero where it failed.
+    LAPACK runs matrix by matrix, so each result is what that matrix alone
+    gives, and a stack that raises is redone one matrix at a time."""
+    try:
+        return solver(*stacks), np.ones(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, ok = np.zeros_like(stacks[-1]), np.zeros(len(stacks[0]), dtype=bool)
+        for i, single in enumerate(zip(*stacks)):
+            try:
+                out[i], ok[i] = solver(*single), True
+            except np.linalg.LinAlgError:
+                pass
+        return out, ok
+
+
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     """Squared Mahalanobis distances of the rows of x from each (center, cov)
     of a stack, with the mask of the PD covariances; the other rows are
-    garbage. Stacked numpy linalg runs LAPACK matrix by matrix, so each row
-    is bit for bit what one matrix alone gives."""
-    ok = np.ones(len(cov), dtype=bool)
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        # some matrix is not PD: factor one by one, identity for the failures
-        lower = np.empty_like(cov)
-        for i, single in enumerate(cov):
-            try:
-                lower[i] = np.linalg.cholesky(single)
-            except np.linalg.LinAlgError:
-                lower[i], ok[i] = np.eye(len(single)), False
+    garbage."""
+    lower, ok = _per_matrix(np.linalg.cholesky, cov)
+    lower[~ok] = np.eye(cov.shape[-1])
     solved = np.linalg.solve(lower, np.swapaxes(x - center[:, None, :], -1, -2))
     return np.einsum("kji,kji->ki", solved, solved), ok
 

@@ -378,3 +378,79 @@ def half_circle_directions(count):
     """Evenly spaced unit vectors over half the circle (SDO is symmetric)."""
     angles = np.pi * np.arange(count) / count
     return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def geometric_median_one_cloud(points, tol=1e-10, max_iter=1000):
+    """Geometric median of one m x d cloud, as the package solved each grid point.
+
+    Weiszfeld iteration with the Vardi-Zhang correction, an exact vertex test
+    at the nearest data point, and a Newton step kept where it beats the
+    Weiszfeld objective. Returns None where the package raises
+    ``NonConvergence``.
+    """
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    if m == 1:
+        return pts[0].copy()
+    y = pts.mean(axis=0)
+    scale = np.abs(pts).max() or 1.0
+    eps = 1e-14 * scale
+
+    def vertex_is_optimal(k):
+        d_k = pts - pts[k]
+        dist_k = np.sqrt((d_k * d_k).sum(axis=1))
+        off = dist_k > eps
+        multiplicity = m - int(off.sum())
+        r_k = (d_k[off] / dist_k[off, None]).sum(axis=0)
+        return float(np.sqrt((r_k * r_k).sum())) <= multiplicity * (1.0 + 1e-12)
+
+    rejected = np.zeros(m, dtype=bool)
+    for _ in range(max_iter):
+        diff = pts - y
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        nearest = int(dist.argmin())
+        if not rejected[nearest]:
+            if vertex_is_optimal(nearest):
+                return pts[nearest].copy()
+            rejected[nearest] = True
+        active = dist > eps
+        n_coincident = int(m - active.sum())
+        if not active.any():
+            return y
+        w = 1.0 / dist[active]
+        t = (pts[active] * w[:, None]).sum(axis=0) / w.sum()
+        if n_coincident == 0:
+            y_new = t
+            grad = (diff[active] * w[:, None]).sum(axis=0)
+            d = pts.shape[1]
+            hess = (w.sum()) * np.eye(d) - np.einsum(
+                "i,ij,ik->jk", w**3, diff[active], diff[active]
+            )
+            try:
+                y_newton = y + np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                y_newton = None
+            if y_newton is not None and np.isfinite(y_newton).all():
+                obj_w = np.sqrt(((pts - t) ** 2).sum(axis=1)).sum()
+                obj_n = np.sqrt(((pts - y_newton) ** 2).sum(axis=1)).sum()
+                if obj_n < obj_w:
+                    y_new = y_newton
+        else:
+            r_vec = (diff[active] * w[:, None]).sum(axis=0)
+            r = np.sqrt((r_vec * r_vec).sum())
+            if r <= eps:
+                return y
+            gamma = min(1.0, n_coincident / r)
+            y_new = (1.0 - gamma) * t + gamma * y
+        step = np.sqrt(((y_new - y) ** 2).sum())
+        y = y_new
+        if step <= tol * max(1.0, np.sqrt((y * y).sum())):
+            return y
+    return None
+
+
+def pointwise_geometric_median(values):
+    """One geometric median per grid point of an n x p x d array, a p x d
+    array, or None if some grid point does not converge."""
+    centers = [geometric_median_one_cloud(values[:, t, :]) for t in range(values.shape[1])]
+    return None if any(c is None for c in centers) else np.stack(centers)

@@ -285,6 +285,19 @@ class TestTvdmss:
         with pytest.raises(TooFewCurves):
             tvdmss(constant_curves([0.0, 1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("factor", [-0.5, -np.inf, np.nan])
+    def test_negative_or_nan_mss_factor_rejected(self, factor):
+        # a negative factor would put the MSS fence above every curve
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(ValidationError, match="emp_factor_mss"):
+            tvdmss(out.data, emp_factor_mss=factor)
+
+    def test_zero_mss_factor_keeps_the_largest_mss(self):
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        result = tvdmss(out.data, emp_factor_mss=0.0)
+        assert 0 < result.shape_outliers.size < 30
+        assert int(np.argmax(result.mss)) not in result.shape_outliers
+
 
 class TestOTransform:
     def test_median_curve_becomes_zero_row(self):

@@ -3,15 +3,23 @@
 Peaks are measured with ``tracemalloc``, which sees numpy's buffers, and
 bounded well below the array the direct formulation would hold: the
 n x p x 500 projection cube for pointwise SDO, an n x L CDF matrix for
-extremal depth, n x n pair arrays beside MUOD's covariance matrix, and
-FastMCD's 500 trials stacked at once.
+extremal depth, n x n pair arrays beside MUOD's covariance matrix,
+FastMCD's 500 trials stacked at once, and more than a few copies of the
+stack of clouds whose geometric medians are solved side by side.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from fdout import RandomSource, extremal_depth, fast_mcd, muod_indices, pointwise_sdo
+from fdout import (
+    RandomSource,
+    extremal_depth,
+    fast_mcd,
+    geometric_median,
+    muod_indices,
+    pointwise_sdo,
+)
 
 from .conftest import make_multi, make_sample
 
@@ -48,3 +56,8 @@ def test_fast_mcd_stacks_its_trials_a_block_at_a_time():
     points = np.random.default_rng(403).standard_normal((m, d))
     fast_mcd(points[:50], rng=RandomSource(0))  # the first fit loads scipy.special
     assert peak_bytes(fast_mcd, points, rng=RandomSource(1)) < 500 * d * m * 8
+
+
+def test_geometric_median_holds_a_few_copies_of_its_stack():
+    stack = np.random.default_rng(404).standard_normal((100, 300, 3))
+    assert peak_bytes(geometric_median, stack) < 8 * stack.nbytes

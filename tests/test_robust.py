@@ -13,6 +13,7 @@ from fdout import (
     hardin_rocke_cutoff,
     median_mad,
     robust_distances,
+    simulation_model,
 )
 from fdout.errors import (
     BadCoverage,
@@ -95,6 +96,117 @@ class TestGeometricMedian:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NonConvergence):
             geometric_median(pts)
+
+
+def _one_sided_vertex(m, d, seed):
+    """For d > 1, a cloud whose mean is exactly its first point, where the
+    optimum is not: the iterate starts on a data point and takes a
+    Vardi-Zhang step. The symmetric pairs give the other points unequal
+    weights, so a sum that only zeroed the coincident point's weight would
+    round differently."""
+    rng = np.random.default_rng(seed)
+    axis, copies = np.eye(d)[1 % d], 3 + (m % 2 == 0)
+    rows = [np.zeros(d)] + [axis] * copies + [-copies * axis]
+    pairs = rng.standard_normal(((m - len(rows)) // 2, d)) * 3.0
+    return np.array(rows + [v for a in pairs for v in (a, -a)])
+
+
+def _edge_clouds(kind, m, d, seed):
+    """A stack of seven m x d clouds of one kind, seeded."""
+    rng = np.random.default_rng(seed)
+    clouds = rng.standard_normal((7, m, d))
+    if kind == "identical":
+        clouds[:] = clouds[:, :1]
+    elif kind == "vertex":  # a majority on one point: the optimum is that point
+        clouds[:, : m // 2 + 1] = clouds[:, :1]
+    elif kind == "collinear":
+        clouds = rng.standard_normal((7, m, 1)) * rng.standard_normal((7, 1, d))
+    elif kind == "duplicated_dimension":
+        clouds[:, :, -1] = clouds[:, :, 0]
+    elif kind == "rounded":
+        clouds = np.round(clouds * 2.0)
+    elif kind == "mixed":  # clouds that finish at different iterations
+        clouds[1, : m // 2 + 1] = clouds[1, 0]
+        clouds[2] = np.round(clouds[2])
+        clouds[3, :, -1] = clouds[3, :, 0]
+        clouds[4] = _one_sided_vertex(m, d, seed)
+    elif kind == "one_sided_vertex":
+        clouds = np.stack([_one_sided_vertex(m, d, seed + i) for i in range(7)])
+    return clouds
+
+
+def _ms_study_values(model, n, d, seed):
+    """n x 100 x d: d draws of one model sharing their planted rows, the
+    way the MS-plot benchmark builds its multivariate samples."""
+    draws = [simulation_model(model, n=n, p=100, outlier_rate=0.1, deterministic=True,
+                              seed=1000 * seed + 10 * model + j) for j in range(d)]
+    return np.stack([draw.data.values for draw in draws], axis=2)
+
+
+def _assert_matches_per_cloud_oracle(stack):
+    expected = np.stack([oracles.geometric_median_one_cloud(c) for c in stack])
+    assert np.array_equal(geometric_median(stack), expected)
+    for cloud, center in zip(stack[:3], expected):
+        assert np.array_equal(geometric_median(cloud), center)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedGeometricMedianMatchesOracle:
+    """A k x m x d stack gives each cloud the floats the per-cloud solver gave."""
+
+    @pytest.mark.parametrize("kind, m, d", [
+        (kind, m, d)
+        for kind in ("gaussian", "identical", "vertex", "collinear", "duplicated_dimension",
+                     "rounded", "mixed", "one_sided_vertex")
+        for m, d in ((1, 1), (1, 3), (2, 2), (5, 1), (9, 1), (9, 2), (30, 2), (31, 3), (120, 3))
+        if not (kind == "duplicated_dimension" and d == 1)
+        and not (kind in ("mixed", "one_sided_vertex") and m < 6)
+    ])
+    def test_edge_clouds(self, kind, m, d):
+        _assert_matches_per_cloud_oracle(_edge_clouds(kind, m, d, seed=m * 10 + d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [8, 9, 16, 17, 40])
+    def test_many_one_sided_vertices(self, m, d):
+        _assert_matches_per_cloud_oracle(
+            np.stack([_one_sided_vertex(m, d, seed) for seed in range(20)]))
+
+    def test_one_sided_vertex_takes_a_vardi_zhang_step(self):
+        cloud = _one_sided_vertex(31, 2, 0)
+        assert np.array_equal(cloud.mean(axis=0), cloud[0])
+        assert not np.array_equal(geometric_median(cloud), cloud[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, d", [(200, 2), (300, 3)])
+    @pytest.mark.parametrize("model", [1, 3, 6, 8, 9])
+    def test_ms_study_samples(self, model, n, d, seed):
+        # the p x n x d stack of grid points that directional_outlyingness solves
+        values = _ms_study_values(model, n, d, seed)
+        expected = oracles.pointwise_geometric_median(values)
+        assert np.array_equal(geometric_median(values.swapaxes(0, 1)), expected)
+
+    def test_rank_two_cloud_fails_on_both_sides(self):
+        # models 1, 2 and 3 drawn with one seed: at grid point 82 every curve
+        # has x1 == x3, and the optimum lies about 1e-5 from a data point
+        values = np.stack([simulation_model(model, n=300, p=100, outlier_rate=0.1,
+                                            seed=1).data.values for model in (1, 2, 3)], axis=2)
+        cloud = values[:, 82]
+        assert np.array_equal(cloud[:, 0], cloud[:, 2])
+        assert oracles.geometric_median_one_cloud(cloud) is None
+        with pytest.raises(NonConvergence):
+            geometric_median(cloud)
+        with pytest.raises(NonConvergence):
+            geometric_median(values.swapaxes(0, 1))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 2)])
+    def test_neither_matrix_nor_stack(self, shape):
+        with pytest.raises(TooFewPoints):
+            geometric_median(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 0, 2)])
+    def test_no_points(self, shape):
+        with pytest.raises(EmptyInput):
+            geometric_median(np.zeros(shape))
 
 
 class TestFastMcd:
