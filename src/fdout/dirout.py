@@ -59,47 +59,76 @@ def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
 
 
 def _kth_smallest(valley: np.ndarray, k: int) -> np.ndarray:
-    """The 0-based k-th smallest entry of every column of ``valley``.
+    """The 0-based k-th smallest entry of every row (last axis) of ``valley``.
 
-    Each column falls and then rises along axis 0, so its k + 1 smallest
-    entries are k + 1 consecutive rows, and the largest of those sits at an
-    end of the run: the k-th smallest is the least over runs of their
-    larger end.
+    Each row falls and then rises, so its k + 1 smallest entries are k + 1
+    consecutive ones, and the largest of those sits at an end of the run:
+    the k-th smallest is the least over runs of their larger end.
     """
-    n = valley.shape[0]
-    return np.maximum(valley[:n - k], valley[k:]).min(axis=0)
+    n = valley.shape[-1]
+    ends = np.maximum(valley[..., :n - k], valley[..., k:])
+    # one reduction over the flat runs: a reduction per row is slower
+    flat = np.minimum.reduceat(ends.ravel(), np.arange(0, ends.size, n - k))
+    return flat.reshape(ends.shape[:-1])
 
 
-def _block_sdo(proj: np.ndarray) -> np.ndarray:
-    """Per-column SDO of a block of projections, n x step x k; overwrites
-    ``proj``.
+def _project(block: np.ndarray, u: np.ndarray, proj: np.ndarray, odd: np.ndarray) -> None:
+    """proj[s, k, i] = <block[i, s], u[k]>, summed in ``einsum``'s order.
 
-    Each column is sorted once. The median is read off it as ``np.median``
-    forms it, and along the sorted column |x - median| falls and then
-    rises, so the MAD comes from ``_kth_smallest`` instead of a second
-    selection: the same floats as two ``np.median`` calls. Finite curves
-    never project to NaN (|u_k| <= 1, and a sum that reaches +-inf stays
-    there), so a NaN deviation comes only from a median that is NaN or
-    +-inf; the window MAD is then NaN exactly where ``np.median``'s is.
+    The products of the even coordinates are summed left to right in
+    ``proj`` and those of the odd coordinates in ``odd``, then the two are
+    added: the floats of ``einsum("itd,kd->itk")`` for d < 8. ``odd`` is
+    overwritten. From the second odd coordinate on (d >= 4) each product is
+    formed in two halves of the curves, so the scratch stays below the
+    window of ``_kth_smallest``.
     """
-    n = proj.shape[0]
+    x = block.transpose(1, 2, 0)[:, :, None, :]  # s x d x 1 x n
+    u = u.T[:, :, None]  # d x k x 1
+    d, n = len(u), x.shape[-1]
+    np.multiply(x[:, 0], u[0], out=proj)
+    for j in range(2, d, 2):
+        np.add(proj, np.multiply(x[:, j], u[j], out=odd), out=proj)
+    if d == 1:
+        return
+    np.multiply(x[:, 1], u[1], out=odd)
+    for j in range(3, d, 2):
+        for half in (slice(0, n // 2), slice(n // 2, n)):
+            np.add(odd[..., half], x[:, j, :, half] * u[j], out=odd[..., half])
+    np.add(proj, odd, out=proj)
+
+
+def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """Per-row SDO of a block of projections, step x k x n, as step x n;
+    overwrites both buffers.
+
+    Each row of ``proj`` is copied to ``dev`` and sorted there in place.
+    The median is read off it as ``np.median`` forms it, and along the
+    sorted row |x - median| falls and then rises, so the MAD comes from
+    ``_kth_smallest`` instead of a second selection: the same floats as two
+    ``np.median`` calls. For d <= 3 finite curves never project to NaN
+    (|u_k| <= 1, and only the even sum has more than one term), so a NaN
+    deviation comes only from a median that is NaN or +-inf; the window
+    MAD is then NaN exactly where ``np.median``'s is.
+    """
+    n = proj.shape[-1]
     lo, hi = (n - 1) // 2, n // 2
-    dev_sorted = np.sort(proj, axis=0)
-    # a copy for odd n: dev_sorted is overwritten with the deviations next
-    med = dev_sorted[lo].copy() if lo == hi else (dev_sorted[lo] + dev_sorted[hi]) / 2
-    np.abs(np.subtract(dev_sorted, med, out=dev_sorted), out=dev_sorted)
-    mad = _kth_smallest(dev_sorted, lo)
+    np.copyto(dev, proj)
+    dev.sort(axis=-1)
+    # a copy for odd n: dev is overwritten with the deviations next
+    med = (dev[..., lo:lo + 1].copy() if lo == hi
+           else (dev[..., lo:lo + 1] + dev[..., hi:hi + 1]) / 2)
+    np.abs(np.subtract(dev, med, out=dev), out=dev)
+    mad = _kth_smallest(dev, lo)
     if hi != lo:
-        mad = (mad + _kth_smallest(dev_sorted, hi)) / 2
+        mad = (mad + _kth_smallest(dev, hi)) / 2
     mad = MAD_CONSISTENCY * mad
-    del dev_sorted
-    dev = np.abs(np.subtract(proj, med, out=proj), out=proj)
+    np.abs(np.subtract(proj, med, out=proj), out=proj)
     # zero (or NaN) MAD: points at the median score 0, all others are
     # infinitely out
     bad = ~(mad > 0.0)
-    np.divide(dev, np.where(bad, 1.0, mad), out=dev)
-    dev[:, bad] = np.where(dev[:, bad] == 0.0, 0.0, np.inf)
-    return dev.max(axis=2)
+    np.divide(proj, np.where(bad, 1.0, mad)[..., None], out=proj)
+    proj[bad] = np.where(proj[bad] == 0.0, 0.0, np.inf)
+    return proj.max(axis=1)
 
 
 def pointwise_sdo(
@@ -112,13 +141,20 @@ def pointwise_sdo(
     single direction +1 projects each value onto itself. Higher dimensions
     maximise that ratio over ``DEFAULT_DIRECTIONS`` random unit projections
     shared across all grid points, so results are deterministic given
-    ``rng`` (no ``rng`` means ``RandomSource(0)``). Grid points are taken
-    in blocks whose projections hold at most about n * max(p, 500) values.
+    ``rng`` (no ``rng`` means ``RandomSource(0)``).
 
-    Each (grid point, direction) column of projections is sorted once and
+    Grid points are taken in blocks of step = max(1, p // k), k the number
+    of directions. A block's projections are held as step x k x n, the
+    curves on the last, contiguous axis, in a projection buffer and a sort
+    buffer that are allocated once and reused for every block. A
+    projection is summed as ``np.einsum`` sums it for d < 8: the products
+    of the even coordinates left to right, those of the odd coordinates
+    likewise, then the two sums (see ``_project``); for d >= 8 ``einsum``
+    takes another order, so there the results may differ from it in the
+    last bit. Each (grid point, direction) row is sorted once in place and
     gives both the median and the MAD (see ``_block_sdo``); the result is
     that of two ``np.median`` calls bit for bit, NaN and infinite values
-    included.
+    included (for d <= 3: see ``_block_sdo``).
     """
     values = as_multivariate(sample).values
     n, p, d = values.shape
@@ -126,11 +162,26 @@ def pointwise_sdo(
         raise TooFewCurves(f"pointwise outlyingness needs at least 3 curves, got {n}")
     u = np.ones((1, 1)) if d == 1 else _unit_directions(rng or RandomSource(0), d)
     step = max(1, p // len(u))
+    # proj[s, k, i] = <Y_i(t + s), u_k>; medians and MADs are per (s, k)
+    proj = np.empty((step, len(u), n))
+    dev = np.empty_like(proj)
     sdo = np.empty((n, p))
-    for t in range(0, p, step):
-        # proj[i, t, k] = <Y_i(t), u_k>; medians and MADs are per (t, k)
-        proj = np.einsum("itd,kd->itk", values[:, t:t + step], u)
-        sdo[:, t:t + step] = _block_sdo(proj)
+    # numpy (>= 2.3) copies an operand broadcast along the rows (the
+    # directions, the medians, the MADs) into its ufunc buffer whenever the
+    # buffer holds more than two rows. With the default 8192 elements that
+    # makes these calls up to three times slower at 200 curves and
+    # allocates 64 KiB per operand. At 256 elements, rows of 128 curves or
+    # more run unbuffered and shorter rows are still gathered a few at a
+    # time. No sum runs here, so the floats do not depend on it.
+    bufsize = np.setbufsize(256)
+    try:
+        for t in range(0, p, step):
+            if t + step > p:  # the last block is shorter
+                proj, dev = proj[:p - t], dev[:p - t]
+            _project(values[:, t:t + step], u, proj, dev)
+            sdo[:, t:t + step] = _block_sdo(proj, dev).T
+    finally:
+        np.setbufsize(bufsize)
     return sdo
 
 
@@ -141,7 +192,11 @@ def directional_outlyingness(
     """Outlyingness vectors O_i(t) = SDO_i(t) * unit(Y_i(t) - Z(t)).
 
     Z(t) is the pointwise median (univariate) or geometric median. Curves
-    sitting exactly on the center get a zero vector there.
+    sitting exactly on the center get a zero vector there. Each difference
+    vector is scaled by the power of two of its largest |component| before
+    its norm is taken, so the squares neither overflow nor underflow; the
+    scaling is exact, so elsewhere the unit vector is the unscaled one bit
+    for bit.
     """
     sample = as_multivariate(sample)
     values = sample.values
@@ -149,6 +204,7 @@ def directional_outlyingness(
     center = (np.median(values, axis=0) if values.shape[2] == 1
               else geometric_median(values.swapaxes(0, 1)))
     diff = values - center[None, :, :]
+    diff = np.ldexp(diff, -np.frexp(np.abs(diff).max(axis=2, keepdims=True))[1])
     norms = np.sqrt((diff * diff).sum(axis=2))
     safe = np.where(norms > 0.0, norms, 1.0)
     field = np.where(

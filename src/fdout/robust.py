@@ -232,12 +232,28 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     return np.einsum("kji,kji->ki", solved, solved), ok
 
 
+def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
+    """Sorted indices of the h smallest entries of each row of ``dist``, ties
+    broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
+    from one partition. Every entry below the row's h-th smallest value is
+    taken, and of the entries equal to it the first ones in index order;
+    ``np.nonzero`` reads the indices out already sorted. A row whose h-th
+    value is NaN takes the stable argsort."""
+    kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
+    keep = dist < kth
+    tie = dist == kth
+    keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
+    nan = np.flatnonzero(np.isnan(kth[:, 0]))
+    keep[nan[:, None], np.argsort(dist[nan], axis=1, kind="stable")[:, :h]] = True
+    return np.nonzero(keep)[1].reshape(-1, h)
+
+
 def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
     """One C-step from each (center, cov) of a stack: the h points nearest in
     Mahalanobis distance, as mean, covariance, log-determinant and sorted
     indices, with a mask of the steps whose covariances in and out are PD."""
     dist, ok = _mahalanobis_sq(x, center, cov)
-    support = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
+    support = _nearest(dist, h)
     center, cov = _subset_cov(x[support])
     sign, logdet = np.linalg.slogdet(cov)
     ok &= (sign > 0) & np.isfinite(logdet)

@@ -209,6 +209,20 @@ class TestMsplot:
                 NonFiniteOutlyingness, match=r"NaN .* grid points \[0, 1, 2, 3, 4, 5, 6, 7\]"):
             msplot(make_multi(values), rng=RandomSource(0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0**900, 2.0**-900])
+    def test_extreme_magnitudes_flag_what_the_unscaled_sample_flags(self, scale):
+        # the unit vectors of the outlyingness field come from difference
+        # vectors scaled by a power of two, so their squared norms neither
+        # overflow nor underflow (d > 1 still fails in geometric_median)
+        values = np.random.default_rng(3).standard_normal((20, 6))
+        base = msplot(make_sample(values))
+        scaled = msplot(make_sample(values * scale))
+        np.testing.assert_array_equal(scaled.outliers, base.outliers)
+        if np.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            np.testing.assert_array_equal(scaled.distances, base.distances)
+        np.testing.assert_allclose(scaled.distances, base.distances, rtol=1e-13)
+
 
 class TestD1MultiCurveSampleIsUnivariate:
     """A d=1 MultiCurveSample gives exactly the results of its CurveSample."""

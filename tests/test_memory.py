@@ -2,8 +2,9 @@
 
 Peaks are measured with ``tracemalloc``, which sees numpy's buffers, and
 bounded well below the array the direct formulation would hold: the
-n x p x 500 projection cube for pointwise SDO, an n x L CDF matrix for
-extremal depth, n x n pair arrays beside MUOD's covariance matrix,
+n x p x 500 projection cube for pointwise SDO (whose reused buffers stay
+under three blocks of one grid point's projections), an n x L CDF matrix
+for extremal depth, n x n pair arrays beside MUOD's covariance matrix,
 FastMCD's 500 trials stacked at once, and more than a few copies of the
 stack of clouds whose geometric medians are solved side by side.
 """
@@ -37,6 +38,14 @@ def test_pointwise_sdo_never_holds_the_projection_cube():
     n, p, d = 100, 40, 3
     sample = make_multi(np.random.default_rng(400).standard_normal((n, p, d)))
     assert peak_bytes(pointwise_sdo, sample, rng=RandomSource(1)) < n * p * 500 * 8
+
+
+def test_pointwise_sdo_holds_under_three_blocks_of_projections():
+    # the projection and sort buffers, reused for every grid point, plus the
+    # MAD window: 300 x 500 floats each
+    n, p, d = 300, 100, 3
+    sample = make_multi(np.random.default_rng(405).standard_normal((n, p, d)))
+    assert peak_bytes(pointwise_sdo, sample, rng=RandomSource(1)) < 3 * n * 500 * 8
 
 
 def test_extremal_depth_holds_no_quadratic_array():

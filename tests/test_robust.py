@@ -409,6 +409,50 @@ class TestFastMcdMatchesScalarOracle:
         assert any(ok.any() and not ok.all() and later.any()
                    for ok, later in zip(refine, refine[1:]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m, d, seed", [(30, 2, 8), (80, 3, 9), (150, 4, 10)])
+    def test_repeated_rows_tie_at_the_hth_distance(self, monkeypatch, m, d, seed):
+        # repeated rows put equal distances on both sides of the h-th place,
+        # where the h-subset takes the tied points of lowest index
+        h = (m + d + 1) // 2
+        seen = []
+        mahalanobis_sq = fdout.robust._mahalanobis_sq
+
+        def recording(*args):
+            dist, ok = mahalanobis_sq(*args)
+            seen.append(dist[ok])
+            return dist, ok
+
+        monkeypatch.setattr(fdout.robust, "_mahalanobis_sq", recording)
+        fast_mcd(_repeated_rows(m, d, seed), rng=RandomSource(seed))
+        ordered = np.sort(np.concatenate(seen), axis=1)
+        assert (ordered[:, h - 1] == ordered[:, h]).any()
+
+
+class TestNearestMatchesStableArgsort:
+    """The h-subset by partition is the first h of a stable argsort, sorted."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_infinities_and_nan_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            k, m = int(rng.integers(1, 8)), int(rng.integers(2, 30))
+            h = int(rng.integers(1, m + 1))
+            dist = np.round(rng.standard_normal((k, m)) ** 2, int(rng.integers(0, 3)))
+            dist[rng.random((k, m)) < 0.2] = np.inf
+            dist[rng.random((k, m)) < 0.3 * (seed % 2)] = np.nan
+            expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
+            np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_whose_hth_value_is_nan(self):
+        nan = np.nan
+        dist = np.array([[nan, 2.0, nan, 1.0, nan, 2.0],
+                         [3.0, 1.0, 2.0, 1.0, nan, 0.5]])
+        np.testing.assert_array_equal(fdout.robust._nearest(dist, 4),
+                                      [[0, 1, 3, 5], [1, 2, 3, 5]])
+
 
 class TestRobustDistances:
     def _identity_fit(self, d):
