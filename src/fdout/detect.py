@@ -40,6 +40,7 @@ from .fdcore import (
     as_multivariate,
     as_univariate,
     ensure_valid,  # noqa: F401 -- unused here, but perfbench/tracer.py wraps it
+    power_of_two_scaled,
 )
 from .robust import FCutoff, fast_mcd, hardin_rocke_cutoff, robust_distances
 from .tvd import modified_shape_similarity, total_variation_depth
@@ -307,23 +308,15 @@ def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveS
     return CurveSample(magnitudes, sample.grid, ids=sample.ids)
 
 
-def _scaled_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row scaled by the power of two of its largest |value|, and the
-    (n, 1) exponents that undo it. The scaling is exact and keeps row sums
-    and squares from overflowing or underflowing, as in MUOD."""
-    exponents = np.frexp(np.abs(values).max(axis=1, keepdims=True))[1]
-    return np.ldexp(values, -exponents), exponents
-
-
 def _center_rows(sample: CurveSample) -> tuple[CurveSample, list]:
     values = sample.values
-    scaled, exponents = _scaled_rows(values)
+    scaled, exponents = power_of_two_scaled(values, axis=1)
     centered = values - np.ldexp(scaled.mean(axis=1, keepdims=True), exponents)
     return CurveSample(centered, sample.grid, ids=sample.ids), []
 
 
 def _normalise_rows(sample: CurveSample) -> tuple[CurveSample, list]:
-    values, _exponents = _scaled_rows(sample.values)
+    values, _exponents = power_of_two_scaled(sample.values, axis=1)
     rms = np.sqrt((values * values).mean(axis=1))
     degenerate = np.flatnonzero(rms == 0.0)
     safe = np.where(rms > 0.0, rms, 1.0)

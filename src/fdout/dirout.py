@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewCurves
-from .fdcore import AnySample, Grid, RandomSource, as_multivariate
+from .fdcore import AnySample, Grid, RandomSource, as_multivariate, power_of_two_scaled
 from .robust import MAD_CONSISTENCY, geometric_median
 
 __all__ = [
@@ -105,10 +105,11 @@ def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     The median is read off it as ``np.median`` forms it, and along the
     sorted row |x - median| falls and then rises, so the MAD comes from
     ``_kth_smallest`` instead of a second selection: the same floats as two
-    ``np.median`` calls. For d <= 3 finite curves never project to NaN
-    (|u_k| <= 1, and only the even sum has more than one term), so a NaN
-    deviation comes only from a median that is NaN or +-inf; the window
-    MAD is then NaN exactly where ``np.median``'s is.
+    ``np.median`` calls. A row holding a NaN projection (for d >= 5 the even
+    and odd sums can overflow with opposite signs) sorts it last and gets a
+    NaN median, as ``np.median`` gives; otherwise a NaN deviation comes
+    only from a median that is NaN or +-inf. Either way the window MAD is
+    NaN exactly where ``np.median``'s is.
     """
     n = proj.shape[-1]
     lo, hi = (n - 1) // 2, n // 2
@@ -117,6 +118,7 @@ def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     # a copy for odd n: dev is overwritten with the deviations next
     med = (dev[..., lo:lo + 1].copy() if lo == hi
            else (dev[..., lo:lo + 1] + dev[..., hi:hi + 1]) / 2)
+    med[np.isnan(dev[..., -1:])] = np.nan
     np.abs(np.subtract(dev, med, out=dev), out=dev)
     mad = _kth_smallest(dev, lo)
     if hi != lo:
@@ -154,7 +156,7 @@ def pointwise_sdo(
     last bit. Each (grid point, direction) row is sorted once in place and
     gives both the median and the MAD (see ``_block_sdo``); the result is
     that of two ``np.median`` calls bit for bit, NaN and infinite values
-    included (for d <= 3: see ``_block_sdo``).
+    included.
     """
     values = as_multivariate(sample).values
     n, p, d = values.shape
@@ -204,7 +206,7 @@ def directional_outlyingness(
     center = (np.median(values, axis=0) if values.shape[2] == 1
               else geometric_median(values.swapaxes(0, 1)))
     diff = values - center[None, :, :]
-    diff = np.ldexp(diff, -np.frexp(np.abs(diff).max(axis=2, keepdims=True))[1])
+    diff, _exponents = power_of_two_scaled(diff, axis=2)
     norms = np.sqrt((diff * diff).sum(axis=2))
     safe = np.where(norms > 0.0, norms, 1.0)
     field = np.where(

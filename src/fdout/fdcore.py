@@ -191,6 +191,16 @@ def as_multivariate(sample: AnySample) -> MultiCurveSample:
     return MultiCurveSample(sample.values[:, :, np.newaxis], sample.grid, ids=sample.ids)
 
 
+def power_of_two_scaled(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` divided by the power of two that brings their largest
+    |value| along ``axis`` into [0.5, 1), and the exponents (kept axes of
+    size one) that ``np.ldexp`` undoes it with; an all-zero slice keeps
+    exponent 0. The scaling is exact, so sums and squares of the scaled
+    values neither overflow nor underflow and scale back bit for bit."""
+    exponents = np.frexp(np.abs(values).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(values, -exponents), exponents
+
+
 def ensure_valid(sample: AnySample) -> AnySample:
     """Raise NonFiniteValue at the first NaN or infinite value; else return
     the sample. Every sample runs this check when it is constructed."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
-from .fdcore import AnySample, as_univariate
+from .fdcore import AnySample, as_univariate, power_of_two_scaled
 
 __all__ = [
     "MuodIndices",
@@ -65,8 +65,7 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     if p < 3:
         raise TooFewPoints(f"muod indices need p >= 3, got {p}")
 
-    exponent = np.frexp(np.abs(values).max())[1]
-    values = np.ldexp(values, -exponent)
+    values, exponent = power_of_two_scaled(values, axis=None)
     grid_means = values.mean(axis=1)
     centered = values - grid_means[:, None]
     cov = centered @ centered.T / (p - 1)
@@ -87,7 +86,7 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     mean_rho, mean_beta, mean_alpha = np.where(valid, [mean_rho, mean_beta, mean_alpha], 0.0)
 
     with np.errstate(over="ignore"):  # reported just below
-        magnitude = np.ldexp(np.abs(mean_alpha), exponent)
+        magnitude = np.ldexp(np.abs(mean_alpha), exponent[0])
     if np.any(np.isinf(magnitude)):
         raise NonFiniteIndex(f"the magnitude index overflows for {np.isinf(magnitude).sum()} "
                              "curve(s): their mean intercept exceeds the largest double")

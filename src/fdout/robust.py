@@ -23,7 +23,7 @@ from .errors import (
     SingularSubsets,
     TooFewPoints,
 )
-from .fdcore import RandomSource
+from .fdcore import RandomSource, power_of_two_scaled
 
 __all__ = [
     "RobustLocationScale",
@@ -50,8 +50,9 @@ MAX_REFINE_CSTEPS = 30
 # TRIAL_BLOCK x m x d arrays, about 1 MB of temporaries at m = 300, d = 4
 TRIAL_BLOCK = 50
 
-# Weiszfeld stop test: a step no longer than GM_TOL times max(1, |y|), at
-# most GM_MAX_ITER steps before NonConvergence
+# Weiszfeld stop test: a step no longer than GM_TOL times max(min(1, S), |y|),
+# S the cloud's largest |value|, at most GM_MAX_ITER steps before
+# NonConvergence
 GM_TOL = 1e-10
 GM_MAX_ITER = 1000
 
@@ -112,22 +113,32 @@ def geometric_median(points) -> np.ndarray:
     Weiszfeld iteration with the Vardi-Zhang correction for iterates that
     coincide with data points, started from the coordinatewise mean. The
     clouds of a stack are solved side by side, each with the floats it gives
-    alone, and leave the stack when they are done.
+    alone, and leave the stack when they are done. Each cloud is solved in
+    units of the power of two of its largest |value| S, which is exact; the
+    stop test's floor min(1, S) is relative only below S = 1. The
+    ``NonConvergence`` message names the stack entries still iterating.
     """
-    pts = np.ascontiguousarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim not in (2, 3):
         raise TooFewPoints("points must be an m x d matrix or a k x m x d stack")
     if pts.shape[-2] == 0:
         raise EmptyInput("geometric_median needs at least one point")
-    stack = pts if pts.ndim == 3 else pts[None]
+    # in these units no squared distance overflows or underflows; the
+    # scaled stack is the only copy of the points that is kept
+    stack, exponents = power_of_two_scaled(
+        np.ascontiguousarray(pts if pts.ndim == 3 else pts[None]), axis=(1, 2))
+    exponents = exponents[:, 0, 0]
     k, m, d = stack.shape
     y = stack.mean(axis=1)
     scale = np.abs(stack).max(axis=(1, 2))
     eps = 1e-14 * np.where(scale == 0.0, 1.0, scale)
+    # the stop test's floor min(1, S) in these units, S = 2^exponent * scale
+    floor = np.ldexp(np.minimum(1.0, np.ldexp(scale, exponents)), -exponents)
     rejected = np.zeros((k, m), dtype=bool)
     left = np.arange(k)  # the clouds still iterating
     for _ in range(GM_MAX_ITER):
         if not left.size:
+            y = np.ldexp(y, exponents[:, None])
             return y if pts.ndim == 3 else y[0]
         x = stack if left.size == k else stack[left]
         diff = x - y[left, None]
@@ -176,12 +187,14 @@ def geometric_median(points) -> np.ndarray:
         gamma = np.minimum(1.0, coincident[vz] / r[vz])[:, None]
         y_new[vz] = (1.0 - gamma) * t[vz] + gamma * y_old[vz]
         step = np.sqrt(((y_new - y_old) ** 2).sum(axis=1))
-        done = stuck | (step <= GM_TOL * np.maximum(1.0, np.sqrt((y_new * y_new).sum(axis=1))))
+        norm = np.sqrt((y_new * y_new).sum(axis=1))
+        done = stuck | (step <= GM_TOL * np.maximum(floor[left], norm))
         done[test[optimal]] = True
         y[left[~stuck]] = y_new[~stuck]
         y[left[test[optimal]]] = vertex[optimal]
         left = left[~done]
-    raise NonConvergence(f"geometric median did not converge in {GM_MAX_ITER} iterations")
+    raise NonConvergence(f"geometric median did not converge in {GM_MAX_ITER} iterations: "
+                         f"stack entries {left.tolist()} (0-based)")
 
 
 def _chi2_ppf(alpha: float, d: int) -> float:

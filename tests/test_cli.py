@@ -515,6 +515,22 @@ class TestCliCommands:
         flags, _ = muod(read_curves(str(path)), cut_method="tangent")
         assert json.loads(text)["outliers"]["shape"] == to_external_indices(flags.shape)
 
+    def test_detect_msplot_on_extreme_magnitudes_in_two_dimensions(self, tmp_path):
+        # each pointwise geometric median is solved in units of its cloud's
+        # largest |value|, so 1e300 curves flag what the unscaled ones flag
+        values = np.random.default_rng(3).standard_normal((20, 6, 2))
+        flagged = []
+        for scale in (1.0, 1e300):
+            paths = [str(tmp_path / f"dim{k}_{scale:g}.csv") for k in range(2)]
+            for k, path in enumerate(paths):
+                write_curves(path, make_sample(values[:, :, k] * scale))
+            report_path = tmp_path / f"report_{scale:g}.json"
+            rc = main(["detect", "--method", "msplot", "--in", ",".join(paths),
+                       "--report", str(report_path)])
+            assert rc == 0
+            flagged.append(json.loads(report_path.read_text())["outliers"]["all"])
+        assert flagged[1] == flagged[0] == [1]
+
     def test_depth_subcommand_matches_library(self, tmp_path, boxplot_csv):
         out_path = tmp_path / "depth.csv"
         rc = main([

@@ -214,7 +214,7 @@ class TestMsplot:
     def test_extreme_magnitudes_flag_what_the_unscaled_sample_flags(self, scale):
         # the unit vectors of the outlyingness field come from difference
         # vectors scaled by a power of two, so their squared norms neither
-        # overflow nor underflow (d > 1 still fails in geometric_median)
+        # overflow nor underflow (for d > 1 see the test below)
         values = np.random.default_rng(3).standard_normal((20, 6))
         base = msplot(make_sample(values))
         scaled = msplot(make_sample(values * scale))
@@ -222,6 +222,20 @@ class TestMsplot:
         if np.frexp(scale)[0] == 0.5:  # a power of two scales exactly
             np.testing.assert_array_equal(scaled.distances, base.distances)
         np.testing.assert_allclose(scaled.distances, base.distances, rtol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0**900, 2.0**-900])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_extreme_magnitudes_in_several_dimensions(self, d, scale):
+        # the geometric median of each grid point is solved in units of its
+        # cloud's largest |value|; its stop test's floor min(1, S) is
+        # relative only below S = 1, so the centers, and with them the
+        # distances, agree to the solver's tolerance rather than bit for bit
+        values = np.random.default_rng(3).standard_normal((20, 6, d))
+        base = msplot(make_multi(values))
+        scaled = msplot(make_multi(values * scale))
+        np.testing.assert_array_equal(scaled.outliers, base.outliers)
+        np.testing.assert_allclose(scaled.distances, base.distances, rtol=1e-9)
 
 
 class TestD1MultiCurveSampleIsUnivariate:

@@ -150,6 +150,24 @@ class TestSdoMatchesTwoMedianOracle:
             expected = assert_matches_two_medians(values, seed=4)
         assert np.isinf(expected[4]).any() and np.isfinite(expected[:4]).all()
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_finite_curves_projecting_to_nan(self, d):
+        # from d = 5 on, the even and the odd sums of a projection can both
+        # overflow near 1.79e308, to +inf and -inf, so the projection is
+        # NaN and np.median's median of its row is NaN
+        rng = np.random.default_rng(d)
+        nan_rows = 0
+        for seed in range(40):
+            n = int(rng.integers(4, 12))
+            values = rng.standard_normal((n, 3, d))
+            for row in rng.choice(n, int(rng.integers(1, 3)), replace=False):
+                values[row] = rng.choice([-1.0, 1.0], (3, d)) * 1.79e308
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_matches_two_medians(values, seed=seed)
+                directions = _unit_directions(RandomSource(seed), d)
+                nan_rows += np.isnan(np.einsum("itd,kd->itk", values, directions)).any()
+        assert nan_rows > 0
+
     def test_medians_that_are_nan_or_infinite(self):
         # magnitudes up to 1.79e308 overflow many projections to +-inf, so
         # some columns have a median of +-inf or NaN (-inf and +inf in the

@@ -60,6 +60,34 @@ def curve_values(draw):
     return method, values
 
 
+@st.composite
+def dependent_dimensions(draw):
+    """n x p x d values, d in {2, 3}, for the methods that take d > 1 curves,
+    whose dimensions depend on one another: each dimension after the first
+    copies an earlier one, possibly negated or scaled by 2^k, and keeps the
+    copy on all rows or only on some (the others drawn afresh). The
+    pointwise clouds are then collinear or rank-deficient, with points shared
+    between dimensions."""
+    method = draw(st.sampled_from(["msplot", "seq"]))
+    d = draw(st.sampled_from([2, 3]))
+    # msplot's MCD of (MO, VO) needs n > 2 (d + 1) + 2
+    min_n = 2 * (d + 1) + 3 if method == "msplot" else MINIMUM_SIZE[method][0]
+    n = draw(st.integers(min_n, min_n + 8))
+    p = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, p, d))
+    if draw(st.booleans()):
+        values = np.round(values * 2.0)
+    for k in range(1, d):
+        source = draw(st.integers(0, k - 1))
+        factor = draw(st.sampled_from([1.0, -1.0, 2.0**-3, 2.0**5]))
+        shared = draw(st.sampled_from(["all", "some"]))
+        rows = slice(None) if shared == "all" else rng.random(n) < 0.7
+        values[rows, :, k] = factor * values[rows, :, source]
+    values = np.ldexp(values, draw(st.sampled_from([0, 0, -1000, 1000])))
+    return method, values
+
+
 def _run(method, values, extra):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -82,10 +110,7 @@ def _refuse_constant(token):
     raise AssertionError(f"report holds {token}")
 
 
-@settings(max_examples=150)
-@given(curve_values(), st.data())
-def test_every_run_keeps_the_exit_contract(case, data):
-    method, values = case
+def _assert_keeps_the_contract(method, values, data):
     extra = []
     if method == "fbplot":
         extra = ["--depth", data.draw(st.sampled_from(DEPTH_METHODS))]
@@ -102,3 +127,17 @@ def test_every_run_keeps_the_exit_contract(case, data):
     if error is not None:
         kind = getattr(fdout.errors, error["type"], None)
         assert isinstance(kind, type) and issubclass(kind, fdout.errors.FdoutError), error
+
+
+@settings(max_examples=150)
+@given(curve_values(), st.data())
+def test_every_run_keeps_the_exit_contract(case, data):
+    _assert_keeps_the_contract(*case, data)
+
+
+@settings(max_examples=60)
+@given(dependent_dimensions(), st.data())
+def test_dependent_dimensions_keep_the_exit_contract(case, data):
+    # until the geometric median's stall is fixed, NonConvergence (exit 3)
+    # is an accepted outcome here
+    _assert_keeps_the_contract(*case, data)

@@ -195,8 +195,24 @@ class TestStackedGeometricMedianMatchesOracle:
         assert oracles.geometric_median_one_cloud(cloud) is None
         with pytest.raises(NonConvergence):
             geometric_median(cloud)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match=r"stack entries \[82\]"):
             geometric_median(values.swapaxes(0, 1))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "vertex", "collinear", "duplicated_dimension",
+                                      "rounded", "mixed", "one_sided_vertex"])
+    def test_exact_under_power_of_two_scaling_below_one(self, kind):
+        # each cloud is solved in units of its largest |value| S, and for
+        # S <= 1 the stop test's floor min(1, S) = S scales with the cloud, so
+        # scaling by 2^-j only moves the exponent of the result
+        rng = np.random.default_rng(len(kind))
+        for m, d in ((9, 2), (30, 2), (31, 3)):
+            clouds = _edge_clouds(kind, m, d, seed=m * 10 + d)
+            clouds /= np.abs(clouds).max(axis=(1, 2), keepdims=True)  # S = 1 exactly
+            clouds[1:] /= rng.uniform(1.0, 1e3, (len(clouds) - 1, 1, 1))
+            center = geometric_median(clouds)
+            for j in (1, 2, 37, 500, 999, 1000):
+                assert np.array_equal(geometric_median(np.ldexp(clouds, -j)),
+                                      np.ldexp(center, -j))
 
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 2)])
     def test_neither_matrix_nor_stack(self, shape):
