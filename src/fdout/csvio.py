@@ -119,7 +119,8 @@ def read_curves(
     id_column="auto",
 ) -> Union[CurveSample, MultiCurveSample]:
     """Load one wide CSV as a CurveSample, or several (one per dimension,
-    identical shapes and grids) as a MultiCurveSample.
+    identical shapes and grids) as a MultiCurveSample. Files that both
+    carry ids must carry the same ids in the same rows.
 
     ``header`` and ``id_column`` accept True/False or "auto". Auto header
     detection treats the first row as grid points when it is non-numeric
@@ -142,7 +143,7 @@ def read_curves(
         return CurveSample(values, grid, ids=ids)
 
     base_values, base_grid, base_ids = parsed[0]
-    for path, (values, grid, _ids) in zip(paths[1:], parsed[1:]):
+    for path, (values, grid, ids) in zip(paths[1:], parsed[1:]):
         if values.shape != base_values.shape:
             raise ShapeMismatch(
                 f"{path} is {values.shape[0]}x{values.shape[1]}, expected "
@@ -150,6 +151,12 @@ def read_curves(
             )
         if not np.array_equal(grid.points, base_grid.points):
             raise ShapeMismatch(f"{path} has a different grid")
+        if ids is not None and base_ids is not None and ids != base_ids:
+            row = next(i for i, (a, b) in enumerate(zip(ids, base_ids)) if a != b)
+            raise ShapeMismatch(
+                f"{path} has id {ids[row]!r} on curve row {row + 1}, "
+                f"where {paths[0]} has {base_ids[row]!r}"
+            )
     stack = np.stack([values for values, _grid, _ids in parsed], axis=2)
     return MultiCurveSample(stack, base_grid, ids=base_ids)
 

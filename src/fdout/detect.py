@@ -169,8 +169,8 @@ def functional_boxplot(
         raise ShapeMismatch(f"depth has {len(depth)} scores for {n} curves")
     if not 0.0 < central_region < 1.0:
         raise BadCentralRegion(f"central_region must lie in (0, 1), got {central_region}")
-    if not factor > 0.0:
-        raise ValidationError(f"factor must be positive, got {factor}")
+    if not 0.0 < factor < math.inf:
+        raise ValidationError(f"factor must be positive and finite, got {factor}")
     if central_count is None:
         central_count = math.ceil(n * central_region)
     if not 1 <= central_count <= n:
@@ -269,8 +269,12 @@ def tvdmss(
     n = sample.n
     if n < 5:
         raise TooFewCurves(f"tvdmss needs n >= 5, got {n}")
-    if not emp_factor_mss >= 0.0:
-        raise ValidationError(f"emp_factor_mss must be non-negative, got {emp_factor_mss}")
+    if not 0.0 <= emp_factor_mss < math.inf:
+        raise ValidationError(
+            f"emp_factor_mss must be non-negative and finite, got {emp_factor_mss}")
+    if not 0.0 < central_region_tvd < 1.0:
+        raise BadCentralRegion(
+            f"central_region_tvd must lie in (0, 1), got {central_region_tvd}")
     tvd_scores = total_variation_depth(sample)
     mss_scores = modified_shape_similarity(sample)
 

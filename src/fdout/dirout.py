@@ -72,29 +72,19 @@ def _kth_smallest(valley: np.ndarray, k: int) -> np.ndarray:
     return flat.reshape(ends.shape[:-1])
 
 
-def _project(block: np.ndarray, u: np.ndarray, proj: np.ndarray, odd: np.ndarray) -> None:
-    """proj[s, k, i] = <block[i, s], u[k]>, summed in ``einsum``'s order.
+def _project(block: np.ndarray, u: np.ndarray, proj: np.ndarray, term: np.ndarray) -> None:
+    """proj[s, k, i] = <block[i, s], u[k]>, summed in coordinate order.
 
-    The products of the even coordinates are summed left to right in
-    ``proj`` and those of the odd coordinates in ``odd``, then the two are
-    added: the floats of ``einsum("itd,kd->itk")`` for d < 8. ``odd`` is
-    overwritten. From the second odd coordinate on (d >= 4) each product is
-    formed in two halves of the curves, so the scratch stays below the
-    window of ``_kth_smallest``.
+    Each product x_j u_j is formed in ``term``, which is overwritten, and
+    added to ``proj``. As |u_j| <= 1 every product of a finite curve is
+    finite, so the running sum may overflow to +-inf but never meets
+    inf - inf: a finite curve does not project to NaN.
     """
     x = block.transpose(1, 2, 0)[:, :, None, :]  # s x d x 1 x n
     u = u.T[:, :, None]  # d x k x 1
-    d, n = len(u), x.shape[-1]
     np.multiply(x[:, 0], u[0], out=proj)
-    for j in range(2, d, 2):
-        np.add(proj, np.multiply(x[:, j], u[j], out=odd), out=proj)
-    if d == 1:
-        return
-    np.multiply(x[:, 1], u[1], out=odd)
-    for j in range(3, d, 2):
-        for half in (slice(0, n // 2), slice(n // 2, n)):
-            np.add(odd[..., half], x[:, j, :, half] * u[j], out=odd[..., half])
-    np.add(proj, odd, out=proj)
+    for j in range(1, len(u)):
+        np.add(proj, np.multiply(x[:, j], u[j], out=term), out=proj)
 
 
 def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
@@ -105,11 +95,9 @@ def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     The median is read off it as ``np.median`` forms it, and along the
     sorted row |x - median| falls and then rises, so the MAD comes from
     ``_kth_smallest`` instead of a second selection: the same floats as two
-    ``np.median`` calls. A row holding a NaN projection (for d >= 5 the even
-    and odd sums can overflow with opposite signs) sorts it last and gets a
-    NaN median, as ``np.median`` gives; otherwise a NaN deviation comes
-    only from a median that is NaN or +-inf. Either way the window MAD is
-    NaN exactly where ``np.median``'s is.
+    ``np.median`` calls. No projection is NaN (see ``_project``), so a NaN
+    deviation comes only from a median that is NaN or +-inf, and the window
+    MAD is NaN exactly where ``np.median``'s is.
     """
     n = proj.shape[-1]
     lo, hi = (n - 1) // 2, n // 2
@@ -118,7 +106,6 @@ def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     # a copy for odd n: dev is overwritten with the deviations next
     med = (dev[..., lo:lo + 1].copy() if lo == hi
            else (dev[..., lo:lo + 1] + dev[..., hi:hi + 1]) / 2)
-    med[np.isnan(dev[..., -1:])] = np.nan
     np.abs(np.subtract(dev, med, out=dev), out=dev)
     mad = _kth_smallest(dev, lo)
     if hi != lo:
@@ -149,14 +136,11 @@ def pointwise_sdo(
     of directions. A block's projections are held as step x k x n, the
     curves on the last, contiguous axis, in a projection buffer and a sort
     buffer that are allocated once and reused for every block. A
-    projection is summed as ``np.einsum`` sums it for d < 8: the products
-    of the even coordinates left to right, those of the odd coordinates
-    likewise, then the two sums (see ``_project``); for d >= 8 ``einsum``
-    takes another order, so there the results may differ from it in the
-    last bit. Each (grid point, direction) row is sorted once in place and
-    gives both the median and the MAD (see ``_block_sdo``); the result is
-    that of two ``np.median`` calls bit for bit, NaN and infinite values
-    included.
+    projection adds its coordinates' products in coordinate order, so a
+    finite curve never projects to NaN (see ``_project``). Each (grid
+    point, direction) row is sorted once in place and gives both the median
+    and the MAD (see ``_block_sdo``); the result is that of two
+    ``np.median`` calls bit for bit, NaN and infinite values included.
     """
     values = as_multivariate(sample).values
     n, p, d = values.shape

@@ -64,7 +64,7 @@ class InvalidLevel(ValidationError):
 
 
 class BadCentralRegion(ValidationError):
-    """Central-region fraction outside (0, 1) or non-positive fence factor."""
+    """Central-region fraction outside (0, 1), or a central count outside 1..n."""
 
 
 class BadRate(ValidationError):
@@ -113,7 +113,8 @@ class ParseError(ValidationError):
 
 
 class ShapeMismatch(ValidationError):
-    """Per-dimension CSV files do not all have the same shape."""
+    """Inputs that must match do not: per-dimension CSV files of different
+    shapes or grids, or two of them whose ids differ in some row."""
 
 
 class InconsistentReport(ValidationError):

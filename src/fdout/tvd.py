@@ -36,6 +36,15 @@ def total_variation_depth(sample: CurveSample) -> np.ndarray:
     return (p_hat * (1.0 - p_hat)).mean(axis=1)
 
 
+def _explained_variance(p_s, p_t, p_st):
+    """a = P(R_t | R_s), b = P(R_t | not R_s) and var[E(R_t | R_s)],
+    elementwise, from P(R_s), P(R_t) and P(R_s R_t); a or b is 0 on an
+    empty conditioning cell."""
+    a = np.where(p_s > 0.0, p_st / np.where(p_s > 0.0, p_s, 1.0), 0.0)
+    b = np.where(p_s < 1.0, (p_t - p_st) / np.where(p_s < 1.0, 1.0 - p_s, 1.0), 0.0)
+    return a, b, p_s * (1.0 - p_s) * (a - b) ** 2
+
+
 def indicator_variance_terms(r_s: np.ndarray, r_t: np.ndarray):
     """Variance decomposition of the indicator R_t conditioned on R_s.
 
@@ -45,15 +54,10 @@ def indicator_variance_terms(r_s: np.ndarray, r_t: np.ndarray):
     """
     r_s = np.asarray(r_s, dtype=float)
     r_t = np.asarray(r_t, dtype=float)
-    p_s = r_s.mean()
-    p_t = r_t.mean()
-    p_st = (r_s * r_t).mean()
-    a = p_st / p_s if p_s > 0.0 else 0.0
-    b = (p_t - p_st) / (1.0 - p_s) if p_s < 1.0 else 0.0
-    total = p_t * (1.0 - p_t)
-    explained = p_s * (1.0 - p_s) * (a - b) ** 2
+    p_s, p_t = r_s.mean(), r_t.mean()
+    a, b, explained = _explained_variance(p_s, p_t, (r_s * r_t).mean())
     unexplained = p_s * a * (1.0 - a) + (1.0 - p_s) * b * (1.0 - b)
-    return total, explained, unexplained
+    return p_t * (1.0 - p_t), explained, unexplained
 
 
 def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
@@ -77,24 +81,16 @@ def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
     similarity = np.empty((n, p - 1))
     for t in range(1, p):
         at_or_below_t = values[:, t] <= med[t]
-        n_t = int(at_or_below_t.sum())
-        p_t = n_t / n
+        p_t = int(at_or_below_t.sum()) / n
         total = p_t * (1.0 - p_t)
         if total == 0.0:
             similarity[:, t - 1] = 1.0
             continue
         thresholds = values[:, t - 1] - values[:, t] + med[t]
-        sorted_s = np.sort(values[:, t - 1])
-        sorted_s_joint = np.sort(values[at_or_below_t, t - 1])
-        n_s = np.searchsorted(sorted_s, thresholds, side="right")
-        n_st = np.searchsorted(sorted_s_joint, thresholds, side="right")
-        p_s = n_s / n
-        p_st = n_st / n
-        a = np.where(n_s > 0, p_st / np.where(n_s > 0, p_s, 1.0), 0.0)
-        b = np.where(
-            n_s < n, (p_t - p_st) / np.where(n_s < n, 1.0 - p_s, 1.0), 0.0
-        )
-        explained = p_s * (1.0 - p_s) * (a - b) ** 2
+        n_s = np.searchsorted(np.sort(values[:, t - 1]), thresholds, side="right")
+        joint = np.sort(values[at_or_below_t, t - 1])
+        n_st = np.searchsorted(joint, thresholds, side="right")
+        _a, _b, explained = _explained_variance(n_s / n, p_t, n_st / n)
         similarity[:, t - 1] = np.clip(explained / total, 0.0, 1.0)
 
     increments = np.abs(np.diff(values, axis=1))

@@ -326,9 +326,10 @@ def pointwise_sdo_two_medians(values, directions):
     """Pointwise SDO as the package computed it with two ``np.median`` calls.
 
     values: n x p x d array; directions: k x d unit vectors (``[[1.0]]`` for
-    d = 1). Grid points are projected in the package's blocks with the same
-    ``einsum``, so the projections, medians and MADs are the same floats and
-    the result can be compared with ``np.array_equal``.
+    d = 1). Grid points are taken in the package's blocks, and each
+    projection adds x_j * u_j over the coordinates j in order, as the package
+    does, so the projections, medians and MADs are the same floats and the
+    result can be compared with ``np.array_equal``.
     """
     values = np.asarray(values, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -336,7 +337,10 @@ def pointwise_sdo_two_medians(values, directions):
     step = max(1, p // len(directions))
     out = np.empty((n, p))
     for t in range(0, p, step):
-        proj = np.einsum("itd,kd->itk", values[:, t:t + step], directions)
+        block = values[:, t:t + step, None, :]
+        proj = block[..., 0] * directions[:, 0]
+        for j in range(1, directions.shape[1]):
+            proj = proj + block[..., j] * directions[:, j]
         med = np.median(proj, axis=0)
         dev = np.abs(proj - med)
         mad = MAD_CONSTANT * np.median(dev, axis=0)

@@ -127,6 +127,19 @@ class TestReadCurves:
         with pytest.raises(ShapeMismatch):
             read_curves([str(a), str(b)])
 
+    def test_per_dimension_id_mismatch(self, tmp_path):
+        # the same curves with their rows reversed: pairing rows by position
+        # would mix curves
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        values = np.random.default_rng(1).normal(size=(6, 4))
+        ids, grid = list("abcdef"), uniform_grid(4, 0.0, 1.0)
+        write_curves(str(a), CurveSample(values, grid, ids=ids))
+        write_curves(str(b), CurveSample(values[::-1], grid, ids=ids[::-1]))
+        with pytest.raises(ShapeMismatch, match=r"b\.csv has id 'f' on curve row 1"):
+            read_curves([str(a), str(b)])
+        write_curves(str(b), CurveSample(values[::-1], grid))  # no ids: paired by row
+        assert read_curves([str(a), str(b)]).ids == read_curves(str(a)).ids
+
     def test_bad_cell_reports_position(self, tmp_path):
         path = tmp_path / "a.csv"
         _write(path, "3,1,2\n4,oops,6\n")

@@ -94,6 +94,11 @@ class TestFunctionalBoxplot:
         with pytest.raises(BadCentralRegion):
             functional_boxplot(sample, modified_band_depth(sample), central_region=region)
 
+    def test_infinite_factor_rejected(self):
+        sample = constant_curves(FIVE_LEVELS)
+        with pytest.raises(ValidationError, match="factor"):
+            functional_boxplot(sample, modified_band_depth(sample), factor=np.inf)
+
     def test_overflowing_fences_raise_numeric_error(self):
         values = np.vstack([np.full(4, -1.7e308), np.full(4, 1.7e308), np.zeros(4)])
         sample = make_sample(values)
@@ -319,6 +324,20 @@ class TestTvdmss:
         out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
         with pytest.raises(ValidationError, match="emp_factor_mss"):
             tvdmss(out.data, emp_factor_mss=factor)
+
+    @pytest.mark.parametrize("name", ["emp_factor_mss", "emp_factor_tvd"])
+    def test_infinite_factors_rejected(self, name):
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(ValidationError, match="factor"):
+            tvdmss(out.data, **{name: np.inf})
+
+    @pytest.mark.parametrize("region", [0.0, 1.0, -0.5, 2.0, np.inf, np.nan])
+    def test_bad_central_region(self, region):
+        # outside (0, 1) the central count would be cut to the kept curves,
+        # or could not be formed at all
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(BadCentralRegion):
+            tvdmss(out.data, central_region_tvd=region)
 
     def test_zero_mss_factor_keeps_the_largest_mss(self):
         out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)

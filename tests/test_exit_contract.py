@@ -2,6 +2,8 @@
 
 Every ``fdout detect`` run ends with exit code 0, 2 or 3 and a report that is
 strict JSON (no NaN or Infinity); a failed run names a typed ``FdoutError``.
+A sweep of every float flag over non-finite and out-of-range values checks
+the same, and that a non-finite value exits 2.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +122,10 @@ def _assert_keeps_the_contract(method, values, data):
         extra = ["--sequence", data.draw(st.sampled_from(stages))]
     elif method == "muod":
         extra = ["--cut", data.draw(st.sampled_from(MUOD_CUTS))]
-    code, text = _run(method, values, extra)
+    _assert_typed_report(*_run(method, values, extra))
+
+
+def _assert_typed_report(code, text):
     assert code in (0, 2, 3)
     payload = json.loads(text, parse_constant=_refuse_constant)
     error = payload["error"]
@@ -141,3 +147,27 @@ def test_dependent_dimensions_keep_the_exit_contract(case, data):
     # until the geometric median's stall is fixed, NonConvergence (exit 3)
     # is an accepted outcome here
     _assert_keeps_the_contract(*case, data)
+
+
+# float flag of detect -> the methods that read it
+FLOAT_FLAGS = {
+    "--level": ["msplot"],
+    "--coverage": ["msplot"],
+    "--factor": ["fbplot", "seq"],
+    "--factor-mss": ["tvdmss"],
+    "--factor-tvd": ["tvdmss"],
+    "--central-region": ["fbplot", "seq", "tvdmss"],
+}
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "2"]
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES)
+@pytest.mark.parametrize("flag,method", [
+    (flag, method) for flag, methods in FLOAT_FLAGS.items() for method in methods
+])
+def test_float_flags_keep_the_exit_contract(flag, method, value):
+    values = np.random.default_rng(14).standard_normal((40, 20, 1))
+    code, text = _run(method, values, [f"{flag}={value}"])
+    _assert_typed_report(code, text)
+    if not np.isfinite(float(value)):
+        assert code == 2, text
