@@ -184,10 +184,14 @@ def functional_boxplot(
     envelope_lower = values[central].min(axis=0)
     envelope_upper = values[central].max(axis=0)
     spread = envelope_upper - envelope_lower
-    fence_lower = envelope_lower - factor * spread
-    fence_upper = envelope_upper + factor * spread
+    width = factor * spread
+    fence_lower = envelope_lower - width
+    fence_upper = envelope_upper + width
     if not (np.isfinite(fence_lower).all() and np.isfinite(fence_upper).all()):
-        raise NonFiniteResult("functional boxplot fences overflow: the curves are too large")
+        cause = (f"factor {factor!r} times the envelope width is not finite"
+                 if np.isfinite(spread).all() and not np.isfinite(width).all()
+                 else "the curves are too large")
+        raise NonFiniteResult(f"functional boxplot fences overflow: {cause}")
     exceed = (values > fence_upper[None, :]) | (values < fence_lower[None, :])
     return FunctionalBoxplotResult(
         depth=depth,
@@ -272,6 +276,9 @@ def tvdmss(
     if not 0.0 <= emp_factor_mss < math.inf:
         raise ValidationError(
             f"emp_factor_mss must be non-negative and finite, got {emp_factor_mss}")
+    if not 0.0 < emp_factor_tvd < math.inf:
+        raise ValidationError(
+            f"emp_factor_tvd must be positive and finite, got {emp_factor_tvd}")
     if not 0.0 < central_region_tvd < 1.0:
         raise BadCentralRegion(
             f"central_region_tvd must lie in (0, 1), got {central_region_tvd}")

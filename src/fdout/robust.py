@@ -221,8 +221,11 @@ def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _per_matrix(solver, *stacks):
     """``solver``, a stacked numpy.linalg call, over stacks of matrices, and
     the mask of those it succeeded on; results are zero where it failed.
-    LAPACK runs matrix by matrix, so each result is what that matrix alone
-    gives, and a stack that raises is redone one matrix at a time."""
+    It runs ``np.linalg.cholesky`` on the covariances of ``_mahalanobis_sq``
+    and ``np.linalg.solve`` on the Newton step of ``geometric_median``, the
+    only general solve left. LAPACK runs matrix by matrix, so each result is
+    what that matrix alone gives, and a stack that raises is redone one
+    matrix at a time."""
     try:
         return solver(*stacks), np.ones(len(stacks[0]), dtype=bool)
     except np.linalg.LinAlgError:
@@ -237,12 +240,25 @@ def _per_matrix(solver, *stacks):
 
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     """Squared Mahalanobis distances of the rows of x from each (center, cov)
-    of a stack, with the mask of the PD covariances; the other rows are
-    garbage."""
+    of a stack, with the mask of the PD covariances.
+
+    With L the Cholesky factor of cov, z = L^-1 (x - center) comes from
+    forward substitution over the whole stack, coordinate by coordinate,
+    and the distance is the sum of the squared z_j in coordinate order. A
+    non-PD covariance gets the identity for its factor, so its row holds the
+    squared Euclidean distances from its center: garbage that no caller
+    reads, but computed without a warning."""
     lower, ok = _per_matrix(np.linalg.cholesky, cov)
     lower[~ok] = np.eye(cov.shape[-1])
-    solved = np.linalg.solve(lower, np.swapaxes(x - center[:, None, :], -1, -2))
-    return np.einsum("kji,kji->ki", solved, solved), ok
+    # k x d x m: each coordinate's differences form a contiguous row
+    z = x.T - center[:, :, None]
+    dist = np.zeros(z[:, 0].shape)
+    for j in range(z.shape[1]):
+        for i in range(j):
+            z[:, j] -= lower[:, j, i, None] * z[:, i]
+        z[:, j] /= lower[:, j, j, None]
+        dist += z[:, j] * z[:, j]
+    return dist, ok
 
 
 def _nearest(dist: np.ndarray, h: int) -> np.ndarray:

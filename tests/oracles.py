@@ -247,8 +247,10 @@ def fast_mcd_raw(points, coverage, rng, n_trials=500, n_initial=2, n_best=10, ma
     The scalar form of the package's search: every trial draws a full
     permutation from ``rng``, grows its elemental start until nonsingular,
     takes ``n_initial`` C-steps, and the ``n_best`` lowest log-determinants
-    are refined. Returns the center, the covariance before the consistency
-    factor, and the sorted subset indices.
+    are refined. A C-step's distances come from forward substitution on the
+    Cholesky factor, the package's float operations for one matrix. Returns
+    the center, the covariance before the consistency factor, and the
+    sorted subset indices.
     """
     x = np.asarray(points, dtype=float)
     m, d = x.shape
@@ -265,8 +267,15 @@ def fast_mcd_raw(points, coverage, rng, n_trials=500, n_initial=2, n_best=10, ma
             lower = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             return None
-        solved = np.linalg.solve(lower, (x - center).T)
-        dist = np.einsum("ji,ji->i", solved, solved)
+        # z = L^-1 (x - center) by forward substitution, one coordinate row
+        # at a time, and the squares of z summed in coordinate order
+        z = (x - center).T.copy()
+        dist = np.zeros(m)
+        for j in range(d):
+            for i in range(j):
+                z[j] -= lower[j, i] * z[i]
+            z[j] /= lower[j, j]
+            dist += z[j] * z[j]
         support = np.sort(np.argsort(dist, kind="stable")[:h])
         center, cov = subset_cov(x[support])
         sign, logdet = np.linalg.slogdet(cov)

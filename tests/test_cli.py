@@ -882,6 +882,25 @@ class TestCliErrors:
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)["error"]["type"] == "NonFiniteResult"
 
+    @pytest.mark.parametrize("near_largest, factor, cause", [
+        (False, "1e308", "factor 1e+308 times the envelope width is not finite"),
+        (True, "1.5", "the curves are too large"),
+    ])
+    def test_fence_overflow_exits_3_naming_its_cause(
+            self, tmp_path, capsys, near_largest, factor, cause):
+        if near_largest:
+            path = _near_largest_double_csv(tmp_path)
+        else:
+            path = tmp_path / "normal.csv"
+            write_curves(str(path), make_sample(np.random.default_rng(15).standard_normal((30, 8))))
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "fbplot", f"--factor={factor}", "--in", str(path),
+                   "--report", str(report_path)])
+        assert rc == 3
+        message = f"NonFiniteResult: functional boxplot fences overflow: {cause}\n"
+        assert capsys.readouterr().err == message
+        assert json.loads(report_path.read_text())["error"]["message"].endswith(cause)
+
     def test_t1_on_curves_near_3e307_exits_0(self, tmp_path):
         # the row means are formed after a power-of-two scale, so they stay finite
         values = np.random.default_rng(7).uniform(2.9e307, 3.1e307, size=(30, 8))

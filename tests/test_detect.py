@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fdout.detect
 from fdout import (
     RandomSource,
     as_multivariate,
@@ -103,8 +104,15 @@ class TestFunctionalBoxplot:
         values = np.vstack([np.full(4, -1.7e308), np.full(4, 1.7e308), np.zeros(4)])
         sample = make_sample(values)
         depth = DepthVector(np.array([0.1, 0.2, 0.9]), DEEPER_IS_LARGER, "demo")
-        with pytest.raises(NonFiniteResult, match="fences"):
+        with pytest.raises(NonFiniteResult, match="fences overflow: the curves are too large"):
             functional_boxplot(sample, depth, central_region=0.9)
+
+    def test_overflowing_factor_is_named(self):
+        # the envelope width is finite; only the factor times it overflows
+        sample = make_sample(np.random.default_rng(205).standard_normal((20, 8)))
+        with pytest.raises(NonFiniteResult,
+                           match=r"factor 1e\+308 times the envelope width is not finite"):
+            functional_boxplot(sample, modified_band_depth(sample), factor=1e308)
 
     def test_depth_length_mismatch(self):
         sample = constant_curves(FIVE_LEVELS)
@@ -330,6 +338,17 @@ class TestTvdmss:
         out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
         with pytest.raises(ValidationError, match="factor"):
             tvdmss(out.data, **{name: np.inf})
+
+    @pytest.mark.parametrize("factor", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_tvd_factor_rejected_before_any_depth(self, monkeypatch, factor):
+        def refuse(sample):
+            raise AssertionError("a depth was computed")
+
+        monkeypatch.setattr(fdout.detect, "total_variation_depth", refuse)
+        monkeypatch.setattr(fdout.detect, "modified_shape_similarity", refuse)
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(ValidationError, match="emp_factor_tvd"):
+            tvdmss(out.data, emp_factor_tvd=factor)
 
     @pytest.mark.parametrize("region", [0.0, 1.0, -0.5, 2.0, np.inf, np.nan])
     def test_bad_central_region(self, region):

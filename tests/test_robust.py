@@ -375,6 +375,7 @@ class TestFastMcdMatchesScalarOracle:
         (_gaussian, 200, 2, 0.6, 5),
         (_gaussian, 300, 3, None, 6),
         (_gaussian, 300, 4, 0.6, 7),
+        (_gaussian, 1000, 2, None, 16),
         (_repeated_rows, 30, 2, None, 8),
         (_repeated_rows, 80, 3, 0.6, 9),
         (_repeated_rows, 150, 4, 0.9, 10),
@@ -498,6 +499,58 @@ class TestRobustDistances:
             rtol=0,
             atol=1e-10,
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    def test_matches_solve_oracle_on_ill_conditioned_covariances(self, d, cond):
+        # forward substitution on the Cholesky factor and the oracle's LU
+        # solve each lose up to about d * eps * cond(cov) relative
+        rng = np.random.default_rng(10 * d + int(np.log10(cond)))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        cov = (q * np.logspace(0.0, -np.log10(cond), d)) @ q.T
+        cov = (cov + cov.T) / 2.0
+        center = rng.standard_normal(d)
+        points = center + rng.standard_normal((40, d)) @ np.linalg.cholesky(cov).T
+        fit = McdFit(center, cov, np.arange(d + 1), 1.0)
+        np.testing.assert_allclose(
+            robust_distances(points, fit),
+            oracles.mahalanobis_sq(points, center, cov),
+            rtol=8 * d * np.finfo(float).eps * np.linalg.cond(cov),
+            atol=0,
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stack_mixing_pd_and_non_pd_covariances(self):
+        rng = np.random.default_rng(12)
+        d = 3
+        a = rng.standard_normal((4, d, d))
+        pd = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
+        repeated_coordinate = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        non_pd = [np.zeros((d, d)), np.diag([1.0, 0.0, 2.0]), -pd[0],
+                  np.diag([1.0, -1.0, 1.0]), repeated_coordinate]
+        cov = np.stack([pd[0], *non_pd[:2], pd[1], non_pd[2], pd[2], *non_pd[3:], pd[3]])
+        is_pd = np.array([True, False, False, True, False, True, False, False, True])
+        center = rng.standard_normal((len(cov), d))
+        points = rng.standard_normal((25, d))
+        dist, ok = fdout.robust._mahalanobis_sq(points, center, cov)
+        np.testing.assert_array_equal(ok, is_pd)
+        assert np.isfinite(dist).all()
+        for k in np.flatnonzero(is_pd):
+            np.testing.assert_allclose(
+                dist[k], oracles.mahalanobis_sq(points, center[k], cov[k]), rtol=1e-13)
+
+    def test_no_general_solve(self, monkeypatch):
+        # distances come from forward substitution on the Cholesky factor
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for points in (_gaussian(60, 3, 17), _repeated_rows(80, 3, 9)):
+            fit = fast_mcd(points, rng=RandomSource(4))
+            assert np.isfinite(robust_distances(points, fit)).all()
+        singular = McdFit(np.zeros(2), np.ones((2, 2)), np.arange(3), 1.0)
+        assert np.isfinite(robust_distances(np.eye(2), singular)).all()
 
     def test_classical_fit_equals_classical_mahalanobis(self):
         rng = np.random.default_rng(9)
