@@ -19,6 +19,13 @@ __all__ = ["SCHEMA_VERSION", "DetectionReport", "to_external_indices"]
 
 SCHEMA_VERSION = 1
 
+# the JSON types each report field may take, as ``json.loads`` returns them
+_FIELD_TYPES = {
+    "schema_version": (int,), "n": (int,), "p": (int,), "d": (int,),
+    "method": (str,), "parameters": (dict,), "outliers": (dict,),
+    "diagnostics": (dict,), "warnings": (list,), "error": (dict, type(None)),
+}
+
 
 def to_external_indices(indices) -> list:
     """0-based internal indices to sorted 1-based external ones."""
@@ -78,18 +85,29 @@ class DetectionReport:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InconsistentReport(f"report is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise InconsistentReport(f"report must be a JSON object, not {type(payload).__name__}")
         missing = {"schema_version", "method", "outliers"} - set(payload)
         if missing:
             raise InconsistentReport(f"report lacks required keys: {sorted(missing)}")
+        for key, types in _FIELD_TYPES.items():
+            # bool is not an int here: type() rather than isinstance()
+            if key in payload and type(payload[key]) not in types:
+                raise InconsistentReport(
+                    f"report field {key!r} is {type(payload[key]).__name__}, "
+                    f"not {' or '.join(t.__name__ for t in types)}"
+                )
+        if not all(type(rows) is list for rows in payload["outliers"].values()):
+            raise InconsistentReport("report outliers must map each class to a list")
         return cls(
             method=payload["method"],
             parameters=payload.get("parameters", {}),
-            n=int(payload.get("n", 0)),
-            p=int(payload.get("p", 0)),
-            d=int(payload.get("d", 0)),
+            n=payload.get("n", 0),
+            p=payload.get("p", 0),
+            d=payload.get("d", 0),
             outliers=payload["outliers"],
             diagnostics=payload.get("diagnostics", {}),
             warnings=tuple(payload.get("warnings", ())),
             error=payload.get("error"),
-            schema_version=int(payload["schema_version"]),
+            schema_version=payload["schema_version"],
         )

@@ -19,6 +19,7 @@ from .errors import (
     EmptyInput,
     InvalidLevel,
     NonConvergence,
+    NonFiniteResult,
     SingularCovariance,
     SingularSubsets,
     TooFewPoints,
@@ -247,8 +248,11 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     and the distance is the sum of the squared z_j in coordinate order. A
     non-PD covariance gets the identity for its factor, so its row holds the
     squared Euclidean distances from its center: garbage that no caller
-    reads, but computed without a warning."""
+    reads, but computed without a warning. LAPACK factors a covariance that
+    holds a NaN without raising, so a factor that is not finite counts as
+    not PD."""
     lower, ok = _per_matrix(np.linalg.cholesky, cov)
+    ok &= np.isfinite(lower).all(axis=(1, 2))
     lower[~ok] = np.eye(cov.shape[-1])
     # k x d x m: each coordinate's differences form a contiguous row
     z = x.T - center[:, :, None]
@@ -409,7 +413,9 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
     """Squared Mahalanobis distances to an MCD fit.
 
     A singular covariance gets one shot of diagonal regularisation
-    (1e-12 * trace/d) before failing.
+    (1e-12 * trace/d) before failing with ``SingularCovariance``, which is
+    also what a covariance holding a NaN or an infinity raises. A center
+    that is not finite raises ``NonFiniteResult``.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -417,6 +423,8 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
     cov = np.asarray(fit.covariance, dtype=float)
     d = cov.shape[0]
     center = np.asarray(fit.center, dtype=float)[None]
+    if not np.isfinite(center).all():
+        raise NonFiniteResult(f"MCD center is not finite: {center[0].tolist()}")
     dist, ok = _mahalanobis_sq(x, center, cov[None])
     if not ok[0]:
         jitter = 1e-12 * np.trace(cov) / d

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .csvio import atomic_write_text
-from .errors import InconsistentReport
+from .errors import InconsistentReport, NonFiniteResult
 from .fdcore import AnySample, CurveSample, as_univariate
 from .report import DetectionReport
 
@@ -21,6 +21,10 @@ __all__ = ["render_curves", "render_msplot", "emit_plot"]
 
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72.0, 24.0, 24.0, 56.0
+# pixel ends of the plot rectangle, from the low end of a data span to its
+# high end: left to right, and bottom to top
+X_PIXELS = (MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+Y_PIXELS = (HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
 INLIER_STROKE = "#8fa7bf"
 OUTLIER_STROKE = "#d62728"
 AXIS_STROKE = "#333333"
@@ -31,103 +35,89 @@ _HEADER = (
     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     f'width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
     f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">\n'
+    f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>\n'
 )
 
 
 def _span(values: np.ndarray) -> tuple[float, float]:
+    """The values' range padded by 5 % each side (by 1 when it is a point).
+    A span without a finite, nonzero width has no pixel scale."""
     lo = float(np.min(values))
     hi = float(np.max(values))
     if hi == lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
+    if not 0.0 < (hi + pad) - (lo - pad) < np.inf:
+        raise NonFiniteResult(
+            f"plotted values span [{lo!r}, {hi!r}], which has no finite pixel scale"
+        )
     return lo - pad, hi + pad
 
 
-class _Frame:
-    """Maps data coordinates onto the fixed plot rectangle."""
-
-    def __init__(self, x_span, y_span):
-        self.x0, self.x1 = x_span
-        self.y0, self.y1 = y_span
-        self.px0 = MARGIN_LEFT
-        self.px1 = WIDTH - MARGIN_RIGHT
-        self.py0 = HEIGHT - MARGIN_BOTTOM
-        self.py1 = MARGIN_TOP
-
-    def x(self, v: float) -> float:
-        return self.px0 + (v - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
-
-    def y(self, v: float) -> float:
-        return self.py0 + (v - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+def _to_pixels(values, span: tuple, pixels: tuple):
+    """Map a float or an array from the data span onto the pixel ends."""
+    (v0, v1), (p0, p1) = span, pixels
+    return p0 + (values - v0) / (v1 - v0) * (p1 - p0)
 
 
-def _axes(frame: _Frame, x_label: str, y_label: str) -> list:
-    parts = [
-        f'<line x1="{frame.px0:.2f}" y1="{frame.py0:.2f}" x2="{frame.px1:.2f}" '
-        f'y2="{frame.py0:.2f}" stroke="{AXIS_STROKE}" stroke-width="1"/>',
-        f'<line x1="{frame.px0:.2f}" y1="{frame.py0:.2f}" x2="{frame.px0:.2f}" '
-        f'y2="{frame.py1:.2f}" stroke="{AXIS_STROKE}" stroke-width="1"/>',
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{AXIS_STROKE}" stroke-width="1"/>\n')
+
+
+def _text(x: float, y: float, size: int, anchor: str, body: str, extra: str = "") -> str:
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" text-anchor="{anchor}" '
+            f'fill="{AXIS_STROKE}"{extra}>{body}</text>\n')
+
+
+def _axes(x_span: tuple, y_span: tuple, x_label: str, y_label: str) -> list:
+    (px0, px1), (py0, py1) = X_PIXELS, Y_PIXELS
+    parts = [_line(px0, py0, px1, py0), _line(px0, py0, px0, py1)]
+    for value in np.linspace(*x_span, N_TICKS).tolist():
+        px = _to_pixels(value, x_span, X_PIXELS)
+        parts += [_line(px, py0, px, py0 + 5), _text(px, py0 + 18, 11, "middle", f"{value:.4g}")]
+    for value in np.linspace(*y_span, N_TICKS).tolist():
+        py = _to_pixels(value, y_span, Y_PIXELS)
+        parts += [_line(px0 - 5, py, px0, py), _text(px0 - 8, py + 4, 11, "end", f"{value:.4g}")]
+    mid_y = (py0 + py1) / 2.0
+    return parts + [
+        _text((px0 + px1) / 2.0, HEIGHT - 14, 13, "middle", x_label),
+        _text(18, mid_y, 13, "middle", y_label, f' transform="rotate(-90 18 {mid_y:.2f})"'),
     ]
-    for value in np.linspace(frame.x0, frame.x1, N_TICKS):
-        px = frame.x(float(value))
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{frame.py0:.2f}" x2="{px:.2f}" '
-            f'y2="{frame.py0 + 5:.2f}" stroke="{AXIS_STROKE}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{frame.py0 + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" fill="{AXIS_STROKE}">{float(value):.4g}</text>'
-        )
-    for value in np.linspace(frame.y0, frame.y1, N_TICKS):
-        py = frame.y(float(value))
-        parts.append(
-            f'<line x1="{frame.px0 - 5:.2f}" y1="{py:.2f}" x2="{frame.px0:.2f}" '
-            f'y2="{py:.2f}" stroke="{AXIS_STROKE}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{frame.px0 - 8:.2f}" y="{py + 4:.2f}" font-size="11" '
-            f'text-anchor="end" fill="{AXIS_STROKE}">{float(value):.4g}</text>'
-        )
-    mid_x = (frame.px0 + frame.px1) / 2.0
-    mid_y = (frame.py0 + frame.py1) / 2.0
-    parts.append(
-        f'<text x="{mid_x:.2f}" y="{HEIGHT - 14:.2f}" font-size="13" '
-        f'text-anchor="middle" fill="{AXIS_STROKE}">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="{18:.2f}" y="{mid_y:.2f}" font-size="13" text-anchor="middle" '
-        f'fill="{AXIS_STROKE}" transform="rotate(-90 18 {mid_y:.2f})">{y_label}</text>'
-    )
-    return parts
+
+
+def _document(x_span: tuple, y_span: tuple, x_label: str, y_label: str, marks) -> str:
+    """Header and background, axes, the marks in order, then the end tag."""
+    return "".join([_HEADER, *_axes(x_span, y_span, x_label, y_label), *marks, "</svg>\n"])
+
+
+def _flags(n: int, outliers: Sequence[int]) -> list:
+    """Whether each row 0..n-1 is flagged; entries outside 0..n-1 flag nothing."""
+    flagged = set(int(i) for i in outliers)
+    return [i in flagged for i in range(n)]
 
 
 def render_curves(sample: CurveSample, outliers: Sequence[int] = ()) -> str:
     """All curves as polylines, flagged rows highlighted and drawn on top."""
     values = sample.values
     t = sample.grid.points
-    frame = _Frame(_span(t), _span(values))
-    flagged = set(int(i) for i in outliers)
-    parts = [_HEADER, f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>\n']
-    parts.extend(line + "\n" for line in _axes(frame, "t", "value"))
-
-    def polyline(row: int, stroke: str, width: float) -> str:
-        pts = " ".join(
-            f"{frame.x(float(t[j])):.2f},{frame.y(float(values[row, j])):.2f}"
-            for j in range(t.size)
-        )
-        return (
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="{width:g}" '
-            f'points="{pts}"/>\n'
-        )
-
-    for i in range(sample.n):
-        if i not in flagged:
-            parts.append(polyline(i, INLIER_STROKE, 1.0))
-    for i in range(sample.n):
-        if i in flagged:
-            parts.append(polyline(i, OUTLIER_STROKE, 1.8))
-    parts.append("</svg>\n")
-    return "".join(parts)
+    x_span, y_span = _span(t), _span(values)
+    # every row shares the grid's x pixels, so they are formatted once, into
+    # a template that takes the row's y pixels
+    points = " ".join("%.2f,%%.2f" % px for px in _to_pixels(t, x_span, X_PIXELS).tolist())
+    templates = [
+        f'<polyline fill="none" stroke="{stroke}" stroke-width="{width:g}" '
+        f'points="{points}"/>\n'
+        for stroke, width in ((INLIER_STROKE, 1.0), (OUTLIER_STROKE, 1.8))
+    ]
+    flags = _flags(sample.n, outliers)
+    # inliers first, then the flagged rows on top, each in row order; a
+    # row's flag (False or True) picks its template
+    marks = (
+        templates[flags[i]] % tuple(_to_pixels(values[i], y_span, Y_PIXELS).tolist())
+        for i in sorted(range(sample.n), key=flags.__getitem__)
+    )
+    return _document(x_span, y_span, "t", "value", marks)
 
 
 def render_msplot(
@@ -141,18 +131,15 @@ def render_msplot(
         scalar_mo = mo
     vo = np.asarray(vo, dtype=float)
     x_label = "MO" if d == 1 else "||MO||"
-    frame = _Frame(_span(scalar_mo), _span(vo))
-    flagged = set(int(i) for i in outliers)
-    parts = [_HEADER, f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>\n']
-    parts.extend(line + "\n" for line in _axes(frame, x_label, "VO"))
-    for i in range(scalar_mo.size):
-        color = OUTLIER_STROKE if i in flagged else INLIER_STROKE
-        parts.append(
-            f'<circle cx="{frame.x(float(scalar_mo[i])):.2f}" '
-            f'cy="{frame.y(float(vo[i])):.2f}" r="3.5" fill="{color}"/>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    x_span, y_span = _span(scalar_mo), _span(vo)
+    cx = _to_pixels(scalar_mo, x_span, X_PIXELS).tolist()
+    cy = _to_pixels(vo, y_span, Y_PIXELS).tolist()
+    marks = (
+        '<circle cx="%.2f" cy="%.2f" r="3.5" fill="%s"/>\n'
+        % (x, y, OUTLIER_STROKE if flag else INLIER_STROKE)
+        for x, y, flag in zip(cx, cy, _flags(scalar_mo.size, outliers))
+    )
+    return _document(x_span, y_span, x_label, "VO", marks)
 
 
 def _curves_check(method: str, sample: AnySample) -> None:
@@ -160,6 +147,9 @@ def _curves_check(method: str, sample: AnySample) -> None:
         raise InconsistentReport(
             "curve plots need univariate curves; plot each dimension separately"
         )
+    # a span that overflows has no pixel scale: NonFiniteResult
+    _span(sample.grid.points)
+    _span(sample.values)
 
 
 def _msplot_check(method: str, sample: AnySample) -> None:
@@ -169,31 +159,54 @@ def _msplot_check(method: str, sample: AnySample) -> None:
         )
 
 
-def _curves_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
+def _flagged_rows(report: DetectionReport, n: int) -> list:
+    """The report's "all" outliers as 0-based rows; each must be a curve
+    number in 1..n, so that no entry is dropped or rounded onto a curve."""
+    entries = report.outliers.get("all", [])
+    for entry in entries:
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)) \
+                or not 1 <= entry <= n:
+            raise InconsistentReport(
+                f"outlier {entry!r} in the report is not a curve number in 1..{n}"
+            )
+    return [int(i) - 1 for i in entries]
+
+
+def _finite_diagnostic(report: DetectionReport, name: str, ndims: tuple) -> np.ndarray:
+    try:
+        values = np.asarray(report.diagnostics[name])
+    except ValueError:  # ragged nesting
+        values = np.asarray(None)
+    if values.dtype.kind not in "iuf" or values.ndim not in ndims or not values.size \
+            or not np.isfinite(values).all():
+        raise InconsistentReport(f"the report's {name!r} diagnostic must hold finite numbers")
+    return values.astype(float)
+
+
+def _curves_svg(report: DetectionReport, sample: Optional[AnySample]) -> str:
     if sample is None:
         raise InconsistentReport("curve plots need the curve data")
     _curves_check(report.method, sample)
     sample = as_univariate(sample)
     if report.n and report.n != sample.n:
         raise InconsistentReport(f"report describes {report.n} curves, data has {sample.n}")
-    return render_curves(sample, flagged)
+    return render_curves(sample, _flagged_rows(report, sample.n))
 
 
-def _msplot_svg(report: DetectionReport, sample: Optional[AnySample], flagged: list) -> str:
-    mo = report.diagnostics.get("mo")
-    vo = report.diagnostics.get("vo")
-    if mo is None or vo is None:
+def _msplot_svg(report: DetectionReport, sample: Optional[AnySample]) -> str:
+    if "mo" not in report.diagnostics or "vo" not in report.diagnostics:
         raise InconsistentReport("msplot plots need 'mo' and 'vo' diagnostics in the report")
+    mo = _finite_diagnostic(report, "mo", (1, 2))
+    vo = _finite_diagnostic(report, "vo", (1,))
     if len(vo) != len(mo):
         raise InconsistentReport("mo and vo diagnostics disagree in length")
-    return render_msplot(np.asarray(mo, dtype=float), np.asarray(vo, dtype=float), flagged,
-                         d=max(int(report.d), 1))
+    return render_msplot(mo, vo, _flagged_rows(report, len(vo)), d=max(int(report.d), 1))
 
 
-# kind -> (check(method, sample), renderer(report, sample, flagged 0-based
-# rows) returning the SVG text). The check raises InconsistentReport when a
-# report of that method on that sample cannot be drawn; `fdout detect` runs
-# it before detecting, so a plot that fails never replaces a finished report
+# kind -> (check(method, sample), renderer(report, sample) returning the SVG
+# text). The check raises when a report of that method on that sample cannot
+# be drawn; `fdout detect` runs it before detecting, so a plot that fails
+# never replaces a finished report
 PLOT_KINDS = {
     "curves": (_curves_check, _curves_svg),
     "msplot": (_msplot_check, _msplot_svg),
@@ -209,8 +222,7 @@ def emit_plot(
     """Render the plot named by ``kind`` for a report and write it to path."""
     if kind not in PLOT_KINDS:
         raise InconsistentReport(f"unknown plot kind {kind!r}")
-    flagged = [int(i) - 1 for i in report.outliers.get("all", [])]
     _check, render = PLOT_KINDS[kind]
-    text = render(report, sample, flagged)
+    text = render(report, sample)
     atomic_write_text(path, text)
     return text

@@ -5,8 +5,9 @@ bounded well below the array the direct formulation would hold: the
 n x p x 500 projection cube for pointwise SDO (whose reused buffers stay
 under three blocks of one grid point's projections), an n x L CDF matrix
 for extremal depth, n x n pair arrays beside MUOD's covariance matrix,
-FastMCD's 500 trials stacked at once, and more than a few copies of the
-stack of clouds whose geometric medians are solved side by side.
+FastMCD's 500 trials stacked at once, more than a few copies of the
+stack of clouds whose geometric medians are solved side by side, and for
+the curve SVG, the whole matrix's pixels or Python floats next to the text.
 """
 
 import tracemalloc
@@ -21,6 +22,7 @@ from fdout import (
     muod_indices,
     pointwise_sdo,
 )
+from fdout.svgplot import render_curves
 
 from .conftest import make_multi, make_sample
 
@@ -70,3 +72,11 @@ def test_fast_mcd_stacks_its_trials_a_block_at_a_time():
 def test_geometric_median_holds_a_few_copies_of_its_stack():
     stack = np.random.default_rng(404).standard_normal((100, 300, 3))
     assert peak_bytes(geometric_median, stack) < 8 * stack.nbytes
+
+
+def test_render_curves_holds_its_text_and_one_row_of_pixels():
+    # the row strings and their join: about twice the text; an n x p pixel
+    # matrix (3.2 MB here) or a whole-matrix tolist() would pass 2.5 times it
+    sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
+    text_bytes = len(render_curves(sample, [3, 7]))
+    assert peak_bytes(render_curves, sample, [3, 7]) < 2.5 * text_bytes

@@ -20,6 +20,7 @@ from fdout.errors import (
     EmptyInput,
     InvalidLevel,
     NonConvergence,
+    NonFiniteResult,
     SingularCovariance,
     SingularSubsets,
     TooFewPoints,
@@ -577,6 +578,32 @@ class TestRobustDistances:
         )
         with pytest.raises(SingularCovariance):
             robust_distances(np.ones((2, 2)), fit)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("covariance", [
+        np.full((2, 2), np.nan),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ])
+    def test_nan_covariance_rejected(self, covariance):
+        # LAPACK factors these without raising; the NaN factor is not PD
+        fit = McdFit(np.zeros(2), covariance, np.arange(3), 1.0)
+        with pytest.raises(SingularCovariance):
+            robust_distances(np.ones((3, 2)), fit)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_covariance_in_a_stack_is_not_pd(self):
+        cov = np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2)])
+        points = np.random.default_rng(13).standard_normal((10, 2))
+        dist, ok = fdout.robust._mahalanobis_sq(points, np.zeros((3, 2)), cov)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        assert np.isfinite(dist).all()
+
+    @pytest.mark.parametrize("center", [[0.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_center_rejected(self, center):
+        fit = McdFit(np.array(center), np.eye(2), np.arange(3), 1.0)
+        with pytest.raises(NonFiniteResult, match="center"):
+            robust_distances(np.ones((3, 2)), fit)
 
 
 class TestHardinRockeCutoff:
