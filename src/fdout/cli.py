@@ -224,6 +224,7 @@ def _detect_fbplot(args, sample):
             f"fbplot needs univariate curves, got d={sample.d}; "
             "use msplot, or seq with a leading O stage"
         )
+    _detect.check_fences(args.factor, args.central_region)
     depth = _detect.depth_by_name(
         sample, args.depth, erld_type=args.erld_type, rng=RandomSource(args.seed)
     )

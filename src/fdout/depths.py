@@ -16,8 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import NonFiniteResult, TooFewCurves, UnknownErldType
-from .fdcore import CurveSample
+from .errors import NonFiniteResult, UnknownErldType
+from .fdcore import AnySample, curve_values
 
 __all__ = [
     "DEEPER_IS_LARGER",
@@ -80,12 +80,6 @@ class PointwiseRanks:
     above: np.ndarray
 
 
-def _require(sample: CurveSample, min_n: int, op: str) -> np.ndarray:
-    if sample.n < min_n:
-        raise TooFewCurves(f"{op} needs at least {min_n} curves, got {sample.n}")
-    return sample.values
-
-
 def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Below and above counts (see :class:`PointwiseRanks`) of an ``n x p`` matrix.
 
@@ -118,14 +112,14 @@ def pointwise_ranks(values: np.ndarray) -> PointwiseRanks:
     return PointwiseRanks(*rankdata(values))
 
 
-def band_depth(sample: CurveSample) -> DepthVector:
+def band_depth(sample: AnySample) -> DepthVector:
     """Fraction of two-curve bands that contain each curve over the whole domain.
 
     A pair {j, k} contains curve i exactly when no grid point has both j
     and k strictly below i, and none has both strictly above; the (n - 1)
     pairs involving i itself always contain it.
     """
-    values = _require(sample, 3, "band_depth")
+    values = curve_values(sample, "band_depth", 3)
     n = values.shape[0]
     n_pairs = comb(n, 2)
     scores = np.empty(n)
@@ -142,9 +136,9 @@ def band_depth(sample: CurveSample) -> DepthVector:
     return DepthVector(scores, DEEPER_IS_LARGER, "bd")
 
 
-def modified_band_depth(sample: CurveSample) -> DepthVector:
+def modified_band_depth(sample: AnySample) -> DepthVector:
     """Average fraction of the domain each curve spends inside two-curve bands."""
-    values = _require(sample, 3, "modified_band_depth")
+    values = curve_values(sample, "modified_band_depth", 3)
     n = values.shape[0]
     n_pairs = comb(n, 2)
     # strict below/above counts exclude ties, so containing-pair counts are
@@ -186,7 +180,7 @@ _ERLD_TAILS = {
 ERLD_TYPES = tuple(_ERLD_TAILS)
 
 
-def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVector:
+def extreme_rank_length(sample: AnySample, type: str = "two_sided") -> DepthVector:
     """Extreme rank length depth with one- or two-sided extremeness.
 
     Each curve gets a vector of pointwise extremeness ranks (small = more
@@ -195,14 +189,14 @@ def extreme_rank_length(sample: CurveSample, type: str = "two_sided") -> DepthVe
     them. ``one_sided_right`` treats large values as extreme,
     ``one_sided_left`` small values, ``two_sided`` both.
     """
-    values = _require(sample, 2, "extreme_rank_length")
+    values = curve_values(sample, "extreme_rank_length", 2)
     if type not in ERLD_TYPES:
         raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {type!r}")
     r = _ERLD_TAILS[type](pointwise_ranks(values)) / values.shape[0]
     return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
 
 
-def directional_quantile(sample: CurveSample) -> DepthVector:
+def directional_quantile(sample: AnySample) -> DepthVector:
     """Worst-case exceedance of a curve over the pointwise tail-quantile envelope.
 
     The envelope is the ``DQ_TAIL`` and ``1 - DQ_TAIL`` quantile curves.
@@ -211,7 +205,7 @@ def directional_quantile(sample: CurveSample) -> DepthVector:
     tie-heavy columns cannot blow up the ratio. Larger scores mean more
     outlying.
     """
-    values = _require(sample, 5, "directional_quantile")
+    values = curve_values(sample, "directional_quantile", 5)
     q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
     den_up = np.maximum(q_hi - med, 1e-12)
     den_dn = np.maximum(med - q_lo, 1e-12)
@@ -221,13 +215,13 @@ def directional_quantile(sample: CurveSample) -> DepthVector:
     return DepthVector(scores, OUTLYING_IS_LARGER, "dq")
 
 
-def linfinity_depth(sample: CurveSample) -> DepthVector:
+def linfinity_depth(sample: AnySample) -> DepthVector:
     """Depth from the mean sup-norm distance to the rest of the sample.
 
     L-infinity depth of curve i is 1 / (1 + mean_j sup_t |Y_i - Y_j|),
     the self term included, so scores lie in (0, 1].
     """
-    values = _require(sample, 2, "linfinity_depth")
+    values = curve_values(sample, "linfinity_depth", 2)
     n = values.shape[0]
     # |a - b| == |b - a| bit for bit, so each pair's sup distance is computed
     # once and written to both triangles; row means sum each full row in order
@@ -238,7 +232,7 @@ def linfinity_depth(sample: CurveSample) -> DepthVector:
     return DepthVector(1.0 / (1.0 + dist.mean(axis=1)), DEEPER_IS_LARGER, "linfinity")
 
 
-def extremal_depth(sample: CurveSample) -> DepthVector:
+def extremal_depth(sample: AnySample) -> DepthVector:
     """Depth ordering by the cumulative distribution of pointwise depths.
 
     Pointwise depth is 1 - |#below - #above| / n (strict counts). A curve
@@ -250,7 +244,7 @@ def extremal_depth(sample: CurveSample) -> DepthVector:
     order: two CDFs first differ at the first position where the sorted
     rows differ, and the smaller row carries more mass there.
     """
-    values = _require(sample, 2, "extremal_depth")
+    values = curve_values(sample, "extremal_depth", 2)
     n = values.shape[0]
     ranks = pointwise_ranks(values)
     n_below_strict, n_above_strict = n - ranks.above, n - ranks.below

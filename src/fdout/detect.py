@@ -37,12 +37,13 @@ from .fdcore import (
     CurveSample,
     Grid,
     RandomSource,
-    as_multivariate,
     as_univariate,
+    curve_values,
     ensure_valid,  # noqa: F401 -- unused here, but perfbench/tracer.py wraps it
     power_of_two_scaled,
 )
-from .robust import FCutoff, fast_mcd, hardin_rocke_cutoff, robust_distances
+from .robust import (FCutoff, check_coverage, check_level, fast_mcd, hardin_rocke_cutoff,
+                     robust_distances)
 from .tvd import modified_shape_similarity, total_variation_depth
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "DEPTH_METHODS",
     "SEQ_STAGES",
     "depth_by_name",
+    "check_fences",
     "functional_boxplot",
     "msplot",
     "tvdmss",
@@ -138,14 +140,23 @@ def depth_by_name(
     if method not in DEPTH_METHODS:
         raise UnknownDepthMethod(f"unknown depth method {method!r}")
     multivariate_ok, order = _DEPTHS[method]
-    if sample.d == 1:
-        sample = as_univariate(sample)
-    elif not multivariate_ok:
+    if sample.d > 1 and not multivariate_ok:
         raise ValidationError(
             f"depth method {method!r} needs univariate curves; "
             "apply an O stage first or order by rmd"
         )
     return order(sample, erld_type, rng)
+
+
+def check_fences(factor: float, central_region: float,
+                 factor_name: str = "factor", region_name: str = "central_region") -> None:
+    """The rule for a functional boxplot's fence parameters, each named in
+    its message: the central region lies in (0, 1) and the factor is
+    positive and finite."""
+    if not 0.0 < central_region < 1.0:
+        raise BadCentralRegion(f"{region_name} must lie in (0, 1), got {central_region}")
+    if not 0.0 < factor < math.inf:
+        raise ValidationError(f"{factor_name} must be positive and finite, got {factor}")
 
 
 def functional_boxplot(
@@ -162,15 +173,11 @@ def functional_boxplot(
     ``factor`` times the envelope width beyond it, and any curve strictly
     outside a fence anywhere is an outlier.
     """
-    sample = as_univariate(sample)
-    values = sample.values
-    n = sample.n
+    values = curve_values(sample, "functional_boxplot")
+    n = values.shape[0]
     if len(depth) != n:
         raise ShapeMismatch(f"depth has {len(depth)} scores for {n} curves")
-    if not 0.0 < central_region < 1.0:
-        raise BadCentralRegion(f"central_region must lie in (0, 1), got {central_region}")
-    if not 0.0 < factor < math.inf:
-        raise ValidationError(f"factor must be positive and finite, got {factor}")
+    check_fences(factor, central_region)
     if central_count is None:
         central_count = math.ceil(n * central_region)
     if not 1 <= central_count <= n:
@@ -234,10 +241,11 @@ def msplot(
     determinant estimate, and flags curves whose squared robust distance
     exceeds the F-approximation threshold at ``level``.
     """
-    sample = as_multivariate(sample)
     n, d = sample.n, sample.d
     if n <= 2 * (d + 1) + 2:
         raise TooFewCurves(f"msplot needs n > {2 * (d + 1) + 2}, got {n}")
+    check_level(level)
+    check_coverage(coverage)
     if rng is None:
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
@@ -269,19 +277,12 @@ def tvdmss(
     depth of the remaining curves (central size relative to the original
     n) flags magnitude outliers.
     """
-    sample = as_univariate(sample)
-    n = sample.n
-    if n < 5:
-        raise TooFewCurves(f"tvdmss needs n >= 5, got {n}")
+    values = curve_values(sample, "tvdmss", 5)
+    n = values.shape[0]
     if not 0.0 <= emp_factor_mss < math.inf:
         raise ValidationError(
             f"emp_factor_mss must be non-negative and finite, got {emp_factor_mss}")
-    if not 0.0 < emp_factor_tvd < math.inf:
-        raise ValidationError(
-            f"emp_factor_tvd must be positive and finite, got {emp_factor_tvd}")
-    if not 0.0 < central_region_tvd < 1.0:
-        raise BadCentralRegion(
-            f"central_region_tvd must lie in (0, 1), got {central_region_tvd}")
+    check_fences(emp_factor_tvd, central_region_tvd, "emp_factor_tvd", "central_region_tvd")
     tvd_scores = total_variation_depth(sample)
     mss_scores = modified_shape_similarity(sample)
 
@@ -290,7 +291,7 @@ def tvdmss(
 
     # the fence is at most q1, so the curve of largest MSS is always kept
     keep = np.setdiff1d(np.arange(n), shape)
-    remainder = CurveSample(sample.values[keep], sample.grid)
+    remainder = CurveSample(values[keep], sample.grid)
     depth = DepthVector(total_variation_depth(remainder), DEEPER_IS_LARGER, "tvd")
     central_count = min(math.ceil(n * central_region_tvd), keep.size)
     box = functional_boxplot(remainder, depth, factor=emp_factor_tvd, central_count=central_count)
@@ -311,9 +312,6 @@ def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveS
     Raises NonFiniteOutlyingness where the pointwise MAD is zero and some
     curve is off the median, or where deviations overflow to NaN.
     """
-    sample = as_multivariate(sample)
-    if sample.n < 3:
-        raise TooFewCurves(f"the O transform needs n >= 3, got {sample.n}")
     magnitudes = pointwise_sdo(sample, rng=rng)
     _check_finite_outlyingness(magnitudes)
     return CurveSample(magnitudes, sample.grid, ids=sample.ids)
@@ -413,6 +411,7 @@ def seq_transform(
             )
     if depth_method not in DEPTH_METHODS:
         raise UnknownDepthMethod(f"unknown depth method {depth_method!r}")
+    check_fences(factor, central_region)
     if rng is None:
         rng = RandomSource(0)
 

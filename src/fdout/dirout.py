@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewCurves
-from .fdcore import AnySample, Grid, RandomSource, as_multivariate, power_of_two_scaled
+from .fdcore import (AnySample, Grid, RandomSource, as_multivariate, curve_values,
+                     power_of_two_scaled)
 from .robust import MAD_CONSISTENCY, geometric_median
 
 __all__ = [
@@ -142,10 +142,8 @@ def pointwise_sdo(
     and the MAD (see ``_block_sdo``); the result is that of two
     ``np.median`` calls bit for bit, NaN and infinite values included.
     """
-    values = as_multivariate(sample).values
+    values = curve_values(sample, "pointwise_sdo", 3, univariate=False)
     n, p, d = values.shape
-    if n < 3:
-        raise TooFewCurves(f"pointwise outlyingness needs at least 3 curves, got {n}")
     u = np.ones((1, 1)) if d == 1 else _unit_directions(rng or RandomSource(0), d)
     step = max(1, p // len(u))
     # proj[s, k, i] = <Y_i(t + s), u_k>; medians and MADs are per (s, k)

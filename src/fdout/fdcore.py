@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteValue,
     NonIncreasingGrid,
     RaggedRows,
+    TooFewCurves,
     ValidationError,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "ensure_valid",
     "as_univariate",
     "as_multivariate",
+    "curve_values",
 ]
 
 
@@ -189,6 +191,25 @@ def as_multivariate(sample: AnySample) -> MultiCurveSample:
     if isinstance(sample, MultiCurveSample):
         return sample
     return MultiCurveSample(sample.values[:, :, np.newaxis], sample.grid, ids=sample.ids)
+
+
+def curve_values(sample: AnySample, op: str, min_n: int = 1,
+                 univariate: bool = True) -> np.ndarray:
+    """The sample's values as a view, the one entry check of every function
+    that reads curves: ``n x p`` when ``univariate`` (a d = 1
+    MultiCurveSample collapses to that), else ``n x p x d``. Raises
+    ValidationError naming ``op`` for d > 1 curves where univariate ones are
+    needed, and TooFewCurves below ``min_n`` curves."""
+    values = sample.values
+    if not univariate:
+        values = values.reshape(values.shape[:2] + (-1,))
+    elif values.ndim == 3:
+        if values.shape[2] != 1:
+            raise ValidationError(f"{op} needs univariate curves, got d={values.shape[2]}")
+        values = values[:, :, 0]
+    if values.shape[0] < min_n:
+        raise TooFewCurves(f"{op} needs at least {min_n} curves, got {values.shape[0]}")
+    return values
 
 
 def power_of_two_scaled(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
-from .fdcore import AnySample, as_univariate, power_of_two_scaled
+from .fdcore import AnySample, curve_values, power_of_two_scaled
 
 __all__ = [
     "MuodIndices",
@@ -58,10 +58,8 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     under scaling by powers of two. For curves near the largest double
     the magnitude index can still overflow; that raises NonFiniteIndex.
     """
-    values = as_univariate(sample).values
+    values = curve_values(sample, "muod_indices", 3)
     n, p = values.shape
-    if n < 3:
-        raise TooFewCurves(f"muod indices need n >= 3, got {n}")
     if p < 3:
         raise TooFewPoints(f"muod indices need p >= 3, got {p}")
 

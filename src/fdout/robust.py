@@ -31,6 +31,8 @@ __all__ = [
     "McdFit",
     "FCutoff",
     "MAD_CONSISTENCY",
+    "check_level",
+    "check_coverage",
     "median_mad",
     "geometric_median",
     "fast_mcd",
@@ -83,6 +85,18 @@ class FCutoff:
     dof2: float
     scale: float
     threshold: float
+
+
+def check_level(level: float) -> None:
+    """The rule for a tail probability: it lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+
+
+def check_coverage(coverage: float | None) -> None:
+    """The rule for an MCD coverage fraction: None, or in [0.5, 1]."""
+    if coverage is not None and not 0.5 <= coverage <= 1.0:
+        raise BadCoverage(f"coverage must lie in [0.5, 1], got {coverage}")
 
 
 def median_mad(xs) -> RobustLocationScale:
@@ -351,13 +365,9 @@ def fast_mcd(
     m, d = x.shape
     if m <= 2 * d:
         raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
+    check_coverage(coverage)
     h_min = (m + d + 1) // 2
-    if coverage is None:
-        h = h_min
-    else:
-        if not 0.5 <= coverage <= 1.0:
-            raise BadCoverage(f"coverage must lie in [0.5, 1], got {coverage}")
-        h = min(max(int(np.floor(coverage * m)), h_min), m)
+    h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
     alpha = h / m
     factor = _chi2_consistency(alpha, d)
 
@@ -460,8 +470,7 @@ def hardin_rocke_cutoff(m: int, d: int, coverage: float | None = None,
     Hardin-Rocke finite-sample adjustment, fitted at the maximum-breakdown
     coverage and faded linearly to no adjustment as coverage approaches 1.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+    check_level(level)
     if m <= d + 1:
         raise TooFewPoints(f"need m > d + 1, got m={m}, d={d}")
     h_min = (m + d + 1) // 2

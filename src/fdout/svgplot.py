@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import atomic_write_text
 from .errors import InconsistentReport, NonFiniteResult
-from .fdcore import AnySample, CurveSample, as_univariate
+from .fdcore import AnySample, curve_values
 from .report import DetectionReport
 
 __all__ = ["render_curves", "render_msplot", "emit_plot"]
@@ -97,9 +97,9 @@ def _flags(n: int, outliers: Sequence[int]) -> list:
     return [i in flagged for i in range(n)]
 
 
-def render_curves(sample: CurveSample, outliers: Sequence[int] = ()) -> str:
+def render_curves(sample: AnySample, outliers: Sequence[int] = ()) -> str:
     """All curves as polylines, flagged rows highlighted and drawn on top."""
-    values = sample.values
+    values = curve_values(sample, "render_curves")
     t = sample.grid.points
     x_span, y_span = _span(t), _span(values)
     # every row shares the grid's x pixels, so they are formatted once, into
@@ -187,7 +187,6 @@ def _curves_svg(report: DetectionReport, sample: Optional[AnySample]) -> str:
     if sample is None:
         raise InconsistentReport("curve plots need the curve data")
     _curves_check(report.method, sample)
-    sample = as_univariate(sample)
     if report.n and report.n != sample.n:
         raise InconsistentReport(f"report describes {report.n} curves, data has {sample.n}")
     return render_curves(sample, _flagged_rows(report, sample.n))

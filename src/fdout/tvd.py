@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .depths import rankdata
-from .errors import TooFewCurves, TooFewPoints
-from .fdcore import CurveSample
+from .errors import TooFewPoints
+from .fdcore import AnySample, curve_values
 
 __all__ = [
     "total_variation_depth",
@@ -24,13 +24,11 @@ __all__ = [
 ]
 
 
-def total_variation_depth(sample: CurveSample) -> np.ndarray:
+def total_variation_depth(sample: AnySample) -> np.ndarray:
     """Mean over the grid of p_hat(1 - p_hat), p_hat the fraction of curves
     at or below the evaluated curve (ties and the curve itself count)."""
-    values = sample.values
+    values = curve_values(sample, "total_variation_depth", 2)
     n = values.shape[0]
-    if n < 2:
-        raise TooFewCurves(f"total variation depth needs n >= 2, got {n}")
     # the below count includes every j with Y_j(t) <= Y_i(t), self included
     p_hat = rankdata(values)[0] / n
     return (p_hat * (1.0 - p_hat)).mean(axis=1)
@@ -60,7 +58,7 @@ def indicator_variance_terms(r_s: np.ndarray, r_t: np.ndarray):
     return p_t * (1.0 - p_t), explained, unexplained
 
 
-def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
+def modified_shape_similarity(sample: AnySample) -> np.ndarray:
     """Weighted share of pointwise indicator variance explained one step back.
 
     For curve i and grid points s = t_{k-1}, t = t_k the comparison levels
@@ -70,10 +68,8 @@ def modified_shape_similarity(sample: CurveSample) -> np.ndarray:
     zero conditioning cell contributes 0. Weights are the curve's absolute
     increments normalised to sum 1 (uniform for a flat curve).
     """
-    values = sample.values
+    values = curve_values(sample, "modified_shape_similarity", 2)
     n, p = values.shape
-    if n < 2:
-        raise TooFewCurves(f"shape similarity needs n >= 2, got {n}")
     if p < 2:
         raise TooFewPoints(f"shape similarity needs p >= 2, got {p}")
 

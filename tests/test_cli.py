@@ -996,6 +996,24 @@ class TestCliErrors:
         assert "msplot" in error["message"] and "leading O stage" in error["message"]
         assert "rmd" not in error["message"]
 
+    @pytest.mark.parametrize("flag, error_type", [
+        ("--factor=nan", "ValidationError"),
+        ("--factor=-1", "ValidationError"),
+        ("--central-region=1.5", "BadCentralRegion"),
+    ])
+    def test_fbplot_rejects_fence_parameters_before_ordering(
+        self, tmp_path, sim_csv, monkeypatch, flag, error_type
+    ):
+        def ordering(*args, **kwargs):
+            raise AssertionError("a depth was computed")
+
+        monkeypatch.setattr(fdout.detect, "depth_by_name", ordering)
+        report_path = tmp_path / "r.json"
+        rc = main(["detect", "--method", "fbplot", flag,
+                   "--in", sim_csv, "--report", str(report_path)])
+        assert rc == 2
+        assert json.loads(report_path.read_text())["error"]["type"] == error_type
+
     @pytest.mark.parametrize("method, kind, inputs", [
         ("msplot", "curves", 2),
         ("fbplot", "msplot", 1),

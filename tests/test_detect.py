@@ -8,7 +8,6 @@ from fdout import (
     functional_boxplot,
     modified_band_depth,
     msplot,
-    muod,
     o_transform,
     seq_transform,
     simulation_model,
@@ -19,7 +18,9 @@ from fdout.depths import DEEPER_IS_LARGER, OUTLYING_IS_LARGER, DepthVector
 from fdout.detect import DEPTH_METHODS, depth_by_name
 from fdout.errors import (
     BadCentralRegion,
+    BadCoverage,
     EmptySequence,
+    InvalidLevel,
     NonFiniteOutlyingness,
     NonFiniteResult,
     OOnUnivariate,
@@ -204,6 +205,23 @@ class TestMsplot:
         with pytest.raises(TooFewCurves):
             msplot(constant_curves([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"level": 2.0}, InvalidLevel),
+        ({"level": np.nan}, InvalidLevel),
+        ({"coverage": 0.2}, BadCoverage),
+        ({"coverage": np.nan}, BadCoverage),
+    ])
+    def test_bad_level_or_coverage_rejected_before_any_outlyingness(
+        self, monkeypatch, kwargs, error
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("outlyingness was computed")
+
+        monkeypatch.setattr(fdout.detect, "directional_outlyingness", refuse)
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(error):
+            msplot(out.data, **kwargs)
+
     def test_zero_mad_raises_numeric_error_naming_grid_points(self):
         # 25 of 40 curves sit at 0 in column 0: the MAD there is 0 and the
         # other 15 curves are infinitely outlying
@@ -249,47 +267,6 @@ class TestMsplot:
         scaled = msplot(make_multi(values * scale))
         np.testing.assert_array_equal(scaled.outliers, base.outliers)
         np.testing.assert_allclose(scaled.distances, base.distances, rtol=1e-9)
-
-
-class TestD1MultiCurveSampleIsUnivariate:
-    """A d=1 MultiCurveSample gives exactly the results of its CurveSample."""
-
-    @staticmethod
-    def _pair():
-        out = simulation_model(6, n=30, p=16, outlier_rate=0.1,
-                               deterministic=True, seed=12)
-        return out.data, as_multivariate(out.data)
-
-    def test_tvdmss(self):
-        uni, multi = self._pair()
-        a, b = tvdmss(uni), tvdmss(multi)
-        for field in ("shape_outliers", "magnitude_outliers", "outliers", "tvd", "mss"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-
-    def test_muod(self):
-        uni, multi = self._pair()
-        (flags_a, idx_a), (flags_b, idx_b) = muod(uni), muod(multi)
-        for field in ("shape", "magnitude", "amplitude"):
-            np.testing.assert_array_equal(getattr(flags_a, field), getattr(flags_b, field))
-            np.testing.assert_array_equal(getattr(idx_a, field), getattr(idx_b, field))
-
-    def test_functional_boxplot(self):
-        uni, multi = self._pair()
-        depth = modified_band_depth(uni)
-        a, b = functional_boxplot(uni, depth), functional_boxplot(multi, depth)
-        for field in ("central_indices", "envelope_lower", "envelope_upper",
-                      "fence_lower", "fence_upper", "outliers"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-
-    def test_o_transform(self):
-        uni, multi = self._pair()
-        np.testing.assert_array_equal(o_transform(uni).values, o_transform(multi).values)
-
-    @pytest.mark.parametrize("detector", [tvdmss, muod])
-    def test_d2_rejected_with_validation_error(self, detector):
-        values = np.random.default_rng(211).standard_normal((12, 6, 2))
-        with pytest.raises(ValidationError):
-            detector(make_multi(values))
 
 
 class TestTvdmss:
@@ -525,6 +502,32 @@ class TestSeqTransform:
         values = np.random.default_rng(209).standard_normal((10, 6, 2))
         with pytest.raises(ValidationError):
             seq_transform(make_multi(values), ["T1"])
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"factor": np.nan}, ValidationError),
+        ({"factor": -1.0}, ValidationError),
+        ({"central_region": 2.0}, BadCentralRegion),
+    ])
+    def test_bad_fence_parameters_rejected_before_any_stage(self, monkeypatch, kwargs, error):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage was computed")
+
+        monkeypatch.setattr(fdout.detect, "_center_rows", refuse)
+        monkeypatch.setattr(fdout.detect, "depth_by_name", refuse)
+        with pytest.raises(error, match=next(iter(kwargs))):
+            seq_transform(line_family(), ["T0", "T1"], **kwargs)
+
+    def test_save_data_keeps_every_stage_sample(self):
+        out = simulation_model(1, n=20, p=12, outlier_rate=0.1, seed=17)
+        t0, t1, d1 = (stage.sample for stage in seq_transform(
+            out.data, ["T0", "T1", "D1"], save_data=True).stages)
+        assert t0 is out.data
+        tolerance = 8 * np.finfo(float).eps * np.abs(out.data.values).max()
+        np.testing.assert_allclose(t1.values.mean(axis=1), 0.0, atol=tolerance)
+        assert d1.values.shape == (20, 11)
+        np.testing.assert_array_equal(d1.grid.points, out.data.grid.points[1:])
+        unsaved = seq_transform(out.data, ["T0", "T1", "D1"])
+        assert [stage.sample for stage in unsaved.stages] == [None] * 3
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):

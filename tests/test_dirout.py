@@ -14,7 +14,7 @@ from fdout.dirout import DirectionalOutlyingnessField, _project, _unit_direction
 from fdout.errors import TooFewCurves
 
 from . import oracles
-from .conftest import constant_curves, make_multi, make_sample
+from .conftest import constant_curves, make_multi
 
 
 def random_field(seed, n=8, p=6, d=1):
@@ -187,21 +187,6 @@ class TestSdoMatchesTwoMedianOracle:
     def test_random_rounded_samples(self, n, d, decimals, seed):
         values = np.round(np.random.default_rng(seed).standard_normal((n, 3, d)), decimals)
         assert_matches_two_medians(values, seed=seed % 7)
-
-
-class TestCurveSampleEqualsD1Multi:
-    def test_pointwise_sdo(self):
-        sample = make_sample(np.random.default_rng(34).standard_normal((9, 5)))
-        np.testing.assert_array_equal(
-            pointwise_sdo(sample), pointwise_sdo(as_multivariate(sample))
-        )
-
-    def test_directional_outlyingness(self):
-        sample = make_sample(np.random.default_rng(35).standard_normal((9, 5)))
-        a = directional_outlyingness(sample)
-        b = directional_outlyingness(as_multivariate(sample))
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.sdo, b.sdo)
 
 
 class TestDirectionalOutlyingness:

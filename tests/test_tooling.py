@@ -15,11 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fdout
 import fdout.cli  # noqa: F401 -- the tracer finds its owners in sys.modules
 import fdout.report  # noqa: F401
+from fdout.csvio import write_curves
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,6 +41,37 @@ def test_every_traced_boundary_is_an_attribute_of_its_owner():
         if attr not in tracer._owner(path).__dict__
     ]
     assert missing == []
+
+
+def test_traced_calls_run_under_every_wrapper(tmp_path):
+    """The detectors and a CLI run with the boundary wrappers installed,
+    each span's amount computed from what the wrapper sees."""
+    tracer = _load_tracer()
+    rec = tracer.Recorder()
+    saved = tracer.install(rec)
+    try:
+        out = fdout.simulation_model(1, n=40, p=20, outlier_rate=0.1, seed=4)
+        values = np.random.default_rng(400).standard_normal((40, 20, 2))
+        multi = fdout.MultiCurveSample(values, out.data.grid)
+        fdout.detect.msplot(out.data)
+        fdout.detect.msplot(multi)
+        fdout.detect.tvdmss(out.data)
+        fdout.detect.seq_transform(multi, ["O", "T1"])
+        fdout.muod(out.data)
+        data, svg = str(tmp_path / "data.csv"), str(tmp_path / "plot.svg")
+        write_curves(data, out.data)
+        assert fdout.cli.main(["detect", "--method", "fbplot", "--in", data,
+                               "--report", str(tmp_path / "r.json"), "--plot", svg]) == 0
+    finally:
+        tracer.uninstall(saved)
+    amounts = {}
+    for name, _start, _end, _parent, _op, amount in rec.spans:
+        amounts.setdefault(name, []).append(amount)
+    assert {"dirout.pointwise_sdo", "robust.fast_mcd", "depths.rankdata",
+            "svgplot.emit_plot"} <= set(amounts)
+    # pointwise SDO projects only d > 1 curves; the SVG is never empty
+    assert max(amounts["dirout.pointwise_sdo"]) > 0.0
+    assert amounts["svgplot.emit_plot"] == [float(Path(svg).stat().st_size)]
 
 
 MODULES = ["fdout"] + [f"fdout.{info.name}" for info in pkgutil.iter_modules(fdout.__path__)]
