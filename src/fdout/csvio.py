@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyInput, ParseError, ShapeMismatch
 from .fdcore import CurveSample, Grid, MultiCurveSample, uniform_grid
+from .report import to_external_indices
 
 __all__ = [
     "read_curves",
@@ -190,9 +191,7 @@ def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample]) -> Non
 
 def write_truth(path: str, outlier_indices) -> None:
     """One 1-based row index per line (empty file for no outliers)."""
-    indices = sorted(int(i) + 1 for i in np.asarray(outlier_indices, dtype=int).ravel())
-    text = "".join(f"{i}\n" for i in indices)
-    atomic_write_text(path, text)
+    atomic_write_text(path, "".join(f"{i}\n" for i in to_external_indices(outlier_indices)))
 
 
 def read_truth(path: str) -> np.ndarray:

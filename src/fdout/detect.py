@@ -239,7 +239,8 @@ def msplot(
     Stacks the mean directional outlyingness MO (d columns) and its
     variation VO into an n x (d+1) cloud, fits a minimum covariance
     determinant estimate, and flags curves whose squared robust distance
-    exceeds the F-approximation threshold at ``level``.
+    exceeds the F-approximation threshold at ``level``. A summary that
+    overflows raises NonFiniteResult naming its curves.
     """
     n, d = sample.n, sample.d
     if n <= 2 * (d + 1) + 2:
@@ -250,8 +251,13 @@ def msplot(
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
     _check_finite_outlyingness(field.sdo)
-    summary = decompose(field)
+    with np.errstate(over="ignore"):  # reported just below
+        summary = decompose(field)
     points = np.hstack([summary.mo, summary.vo[:, None]])
+    overflowed = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if overflowed.size:
+        raise NonFiniteResult(
+            f"the MO/VO summary overflows for curves {overflowed.tolist()} (0-based)")
     fit = fast_mcd(points, coverage=coverage, rng=rng.child(1))
     distances = robust_distances(points, fit)
     cutoff = hardin_rocke_cutoff(n, d + 1, coverage=fit.coverage_fraction, level=level)

@@ -22,17 +22,17 @@ class NumericError(FdoutError):
 # --- validation errors -------------------------------------------------
 
 class NonFiniteValue(ValidationError):
-    """A curve matrix contains NaN or infinity.
+    """An array contains NaN or infinity.
 
-    ``row`` and ``col`` locate the first offending entry (0-based).
+    ``index`` locates the first offending entry (0-based); ``row``, ``col``
+    and ``dim`` are its first three parts, None where the array has fewer
+    axes.
     """
 
-    def __init__(self, row, col, dim=None):
-        self.row = row
-        self.col = col
-        self.dim = dim
-        where = f"({row}, {col})" if dim is None else f"({row}, {col}, {dim})"
-        super().__init__(f"non-finite value at {where}")
+    def __init__(self, *index):
+        self.index = index
+        self.row, self.col, self.dim = (index + (None,) * 3)[:3]
+        super().__init__(f"non-finite value at ({', '.join(map(str, index))})")
 
 
 class RaggedRows(ValidationError):

@@ -43,14 +43,21 @@ __all__ = [
 ]
 
 
-def _as_float_matrix(values, ndim):
-    """A float copy of nested sequences, mapping ragged input to RaggedRows."""
+def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
+    """``values`` as a float ndarray: the one conversion of every array that
+    comes from outside. Ragged nesting, or ``ndim`` axes wanted and others
+    given, raises RaggedRows; with ``finite``, the first NaN or infinity
+    raises NonFiniteValue at its index. A float64 ndarray is not copied
+    unless ``copy``; the containers copy and check finiteness themselves,
+    after their own shape checks."""
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.array(values, dtype=float, copy=True if copy else None)
     except (ValueError, TypeError) as exc:
         raise RaggedRows(f"could not form a rectangular array: {exc}") from None
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise RaggedRows(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise NonFiniteValue(*(int(i) for i in np.argwhere(~np.isfinite(arr))[0]))
     return arr
 
 
@@ -67,7 +74,7 @@ class Grid:
     points: np.ndarray
 
     def __init__(self, points):
-        pts = _as_float_matrix(points, 1)
+        pts = float_array(points, 1, copy=True, finite=False)
         if pts.size < 2:
             raise NonIncreasingGrid("grid needs at least 2 points")
         if not np.all(np.isfinite(pts)):
@@ -116,7 +123,7 @@ class _Sample:
     _ndim = 2  # axes of values: curve, grid point (and dimension for d-variate)
 
     def __init__(self, values, grid: Grid, ids: Optional[Sequence] = None):
-        vals = _as_float_matrix(values, self._ndim)
+        vals = float_array(values, self._ndim, copy=True, finite=False)
         if vals.shape[0] < 1:
             raise ValidationError("sample needs at least one curve")
         if vals.shape[1] != grid.size:
@@ -225,9 +232,7 @@ def power_of_two_scaled(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarra
 def ensure_valid(sample: AnySample) -> AnySample:
     """Raise NonFiniteValue at the first NaN or infinite value; else return
     the sample. Every sample runs this check when it is constructed."""
-    bad = ~np.isfinite(sample.values)
-    if bad.any():
-        raise NonFiniteValue(*(int(i) for i in np.argwhere(bad)[0]))
+    float_array(sample.values)
     return sample
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
-from .fdcore import AnySample, curve_values, power_of_two_scaled
+from .fdcore import AnySample, curve_values, float_array, power_of_two_scaled
 
 __all__ = [
     "MuodIndices",
@@ -56,7 +56,9 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     largest magnitude into [0.5, 1), so covariances neither overflow nor
     underflow; being exact, this makes the indices exactly equivariant
     under scaling by powers of two. For curves near the largest double
-    the magnitude index can still overflow; that raises NonFiniteIndex.
+    the magnitude index can still overflow, and so can every index when a
+    curve's variance over the grid is too small next to the sample's
+    largest value; both raise NonFiniteIndex.
     """
     values = curve_values(sample, "muod_indices", 3)
     n, p = values.shape
@@ -76,8 +78,13 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     # row means over valid j as products with C; a zero-variance curve j
     # gets weight 0, which drops it from every sum
     safe_var = np.where(valid, variances, 1.0)
+    with np.errstate(over="ignore"):  # reported just below, before any product
+        inv_var = np.where(valid, 1.0 / safe_var, 0.0)
+    tiny = np.flatnonzero(np.isinf(inv_var))
+    if tiny.size:
+        raise NonFiniteIndex(f"the indices overflow for curves {tiny.tolist()} (0-based): their "
+                             "variance over the grid is too small next to the sample's largest value")
     sd = np.sqrt(safe_var)
-    inv_var = np.where(valid, 1.0 / safe_var, 0.0)
     mean_rho = cov @ np.where(valid, 1.0 / sd, 0.0) / (sd * count)
     mean_beta = cov @ inv_var / count
     mean_alpha = grid_means - cov @ (grid_means * inv_var) / count
@@ -109,7 +116,7 @@ def muod_cutoff_boxplot(indices, scale: float | None = None) -> np.ndarray:
     """Indices above Q3 + 1.5 IQR (upper side only; large = outlying) by more
     than TIE_TOLERANCE * ``scale``, the size of the values the indices come
     from (default: the largest index); closer ones are ties with the fence."""
-    x = np.asarray(indices, dtype=float).ravel()
+    x = float_array(indices).ravel()
     if x.size < 5:
         raise TooFewCurves(f"boxplot cutoff needs n >= 5, got {x.size}")
     q1, q3 = np.percentile(x, [25.0, 75.0])
@@ -125,7 +132,7 @@ def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:
     ceil(k*) clamped into range. Non-increasing tails flag nothing, and
     ties with the cutoff are treated as in ``muod_cutoff_boxplot``.
     """
-    x = np.asarray(indices, dtype=float).ravel()
+    x = float_array(indices).ravel()
     n = x.size
     if n < 10:
         raise TooFewCurves(f"tangent cutoff needs n >= 10, got {n}")

@@ -20,11 +20,12 @@ from .errors import (
     InvalidLevel,
     NonConvergence,
     NonFiniteResult,
+    ShapeMismatch,
     SingularCovariance,
     SingularSubsets,
     TooFewPoints,
 )
-from .fdcore import RandomSource, power_of_two_scaled
+from .fdcore import RandomSource, float_array, power_of_two_scaled
 
 __all__ = [
     "RobustLocationScale",
@@ -101,7 +102,7 @@ def check_coverage(coverage: float | None) -> None:
 
 def median_mad(xs) -> RobustLocationScale:
     """Median and consistency-scaled median absolute deviation."""
-    xs = np.asarray(xs, dtype=float).ravel()
+    xs = float_array(xs).ravel()
     if xs.size == 0:
         raise EmptyInput("median_mad needs at least one value")
     med = float(np.median(xs))
@@ -133,7 +134,7 @@ def geometric_median(points) -> np.ndarray:
     stop test's floor min(1, S) is relative only below S = 1. The
     ``NonConvergence`` message names the stack entries still iterating.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = float_array(points)
     if pts.ndim not in (2, 3):
         raise TooFewPoints("points must be an m x d matrix or a k x m x d stack")
     if pts.shape[-2] == 0:
@@ -359,9 +360,11 @@ def fast_mcd(
     the maximum-breakdown choice floor((m + d + 1)/2) / m. Deterministic
     for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``.
     """
-    x = np.asarray(points, dtype=float)
+    x = float_array(points)
     if x.ndim == 1:
         x = x[:, None]
+    if x.ndim != 2:
+        raise TooFewPoints("points must be a vector or an m x d matrix")
     m, d = x.shape
     if m <= 2 * d:
         raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
@@ -427,11 +430,13 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
     also what a covariance holding a NaN or an infinity raises. A center
     that is not finite raises ``NonFiniteResult``.
     """
-    x = np.asarray(points, dtype=float)
+    x = float_array(points)
     if x.ndim == 1:
         x = x[:, None]
     cov = np.asarray(fit.covariance, dtype=float)
     d = cov.shape[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeMismatch(f"points of shape {x.shape} for a fit of dimension {d}")
     center = np.asarray(fit.center, dtype=float)[None]
     if not np.isfinite(center).all():
         raise NonFiniteResult(f"MCD center is not finite: {center[0].tolist()}")
@@ -469,8 +474,10 @@ def hardin_rocke_cutoff(m: int, d: int, coverage: float | None = None,
     Degrees of freedom follow the Croux-Haesbroeck asymptotics with the
     Hardin-Rocke finite-sample adjustment, fitted at the maximum-breakdown
     coverage and faded linearly to no adjustment as coverage approaches 1.
+    ``coverage`` follows the rule of ``check_coverage``, as in ``fast_mcd``.
     """
     check_level(level)
+    check_coverage(coverage)
     if m <= d + 1:
         raise TooFewPoints(f"need m > d + 1, got m={m}, d={d}")
     h_min = (m + d + 1) // 2

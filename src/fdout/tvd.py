@@ -15,7 +15,7 @@ import numpy as np
 
 from .depths import rankdata
 from .errors import TooFewPoints
-from .fdcore import AnySample, curve_values
+from .fdcore import AnySample, curve_values, float_array
 
 __all__ = [
     "total_variation_depth",
@@ -50,8 +50,7 @@ def indicator_variance_terms(r_s: np.ndarray, r_t: np.ndarray):
     explained = var[E(R_t | R_s)], unexplained = E[var(R_t | R_s)].
     Conditional terms with empty conditioning cells are taken as zero.
     """
-    r_s = np.asarray(r_s, dtype=float)
-    r_t = np.asarray(r_t, dtype=float)
+    r_s, r_t = float_array(r_s), float_array(r_t)
     p_s, p_t = r_s.mean(), r_t.mean()
     a, b, explained = _explained_variance(p_s, p_t, (r_s * r_t).mean())
     unexplained = p_s * a * (1.0 - a) + (1.0 - p_s) * b * (1.0 - b)

@@ -241,6 +241,19 @@ class TestMsplot:
             msplot(make_multi(values), rng=RandomSource(0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_summary_raises_numeric_error_naming_curves(self, monkeypatch):
+        # the outlyingness of curve 5 is finite, but its variation VO
+        # overflows; FastMCD must not see the summary
+        def refuse(*args, **kwargs):
+            raise AssertionError("FastMCD ran")
+
+        monkeypatch.setattr(fdout.detect, "fast_mcd", refuse)
+        values = np.random.default_rng(1).standard_normal((40, 20))
+        values[5] *= 1e200
+        with pytest.raises(NonFiniteResult, match=r"MO/VO summary overflows for curves \[5\]"):
+            msplot(make_sample(values))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0**900, 2.0**-900])
     def test_extreme_magnitudes_flag_what_the_unscaled_sample_flags(self, scale):
         # the unit vectors of the outlyingness field come from difference

@@ -1,12 +1,20 @@
-"""The entry rule for samples, one table for every public function taking one.
+"""The entry rules, one table for every public function taking a sample and
+one for every building block taking a raw array.
 
 A d = 1 MultiCurveSample is a univariate sample: it gives the results of
 its CurveSample bit for bit. A function that needs univariate curves
 raises ValidationError on d > 1 curves, and every function raises
 TooFewCurves below its least number of curves.
+
+A raw array goes through ``fdcore.float_array``, as sample values do: a
+nested list gives the results of its float64 array, ragged nesting raises
+RaggedRows, and the first NaN or infinity raises NonFiniteValue at its
+index.
 """
 
+import functools
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -26,22 +34,36 @@ from fdout import (
     ensure_valid,
     extremal_depth,
     extreme_rank_length,
+    fast_mcd,
     functional_boxplot,
+    geometric_median,
     linfinity_depth,
+    median_mad,
     modified_band_depth,
     modified_shape_similarity,
     msplot,
     muod,
+    muod_cutoff_boxplot,
+    muod_cutoff_tangent,
     muod_indices,
     o_transform,
     pointwise_sdo,
+    robust_distances,
     seq_transform,
     simulation_model,
     total_variation_depth,
     tvdmss,
 )
-from fdout.errors import TooFewCurves, ValidationError
+from fdout.errors import (
+    NonFiniteValue,
+    RaggedRows,
+    ShapeMismatch,
+    TooFewCurves,
+    TooFewPoints,
+    ValidationError,
+)
 from fdout.svgplot import render_curves
+from fdout.tvd import indicator_variance_terms
 
 from .conftest import make_multi, make_sample
 
@@ -149,3 +171,87 @@ def test_every_public_function_taking_a_sample_is_in_the_table():
     ]
     assert {"ensure_valid", "as_univariate", "as_multivariate"} <= set(takes_sample)
     assert [name for name in takes_sample if name not in tabled] == []
+
+
+# a 40 x 3 Gaussian cloud, and a below-curve indicator of 40 curves
+CLOUD = np.random.default_rng(400).standard_normal((40, 3))
+INDICATOR = (CLOUD[:, 0] <= np.median(CLOUD[:, 0])).astype(float)
+
+
+@functools.cache
+def _cloud_fit():
+    return fast_mcd(CLOUD)
+
+
+def _mcd(points):
+    return _fields(fast_mcd(points), "center", "covariance", "subset_indices", "coverage_fraction")
+
+
+# (name, call(array) -> tuple of results, a finite array it takes)
+RAW = [
+    ("median_mad", lambda x: _fields(median_mad(x), "median", "mad"), CLOUD),
+    ("geometric_median", lambda x: (geometric_median(x),), CLOUD),
+    ("fast_mcd", _mcd, CLOUD),
+    ("robust_distances", lambda x: (robust_distances(x, _cloud_fit()),), CLOUD),
+    ("muod_cutoff_boxplot", lambda x: (muod_cutoff_boxplot(x),), CLOUD),
+    ("muod_cutoff_tangent", lambda x: (muod_cutoff_tangent(x),), CLOUD),
+    ("indicator_variance_terms:r_s",
+     lambda x: indicator_variance_terms(x, INDICATOR[::-1]), INDICATOR),
+    ("indicator_variance_terms:r_t",
+     lambda x: indicator_variance_terms(INDICATOR[::-1], x), INDICATOR),
+]
+RAGGED = [[0.0, 1.0, 0.0]] * 20 + [[1.0, 0.0]]
+
+
+def _raw(entries):
+    return pytest.mark.parametrize("name, call, values", entries,
+                                   ids=[entry[0] for entry in entries])
+
+
+@_raw(RAW)
+def test_nested_list_gives_the_array_results(name, call, values):
+    for a, b in zip(call(values.tolist()), call(values), strict=True):
+        assert np.array_equal(a, b)
+
+
+@_raw(RAW)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_non_finite_value_at_its_index(name, call, values, bad):
+    where = (7, 1)[:values.ndim]
+    values = values.copy()
+    values[where] = bad
+    with pytest.raises(NonFiniteValue) as info:
+        call(values)
+    assert info.value.index == where
+
+
+@_raw(RAW)
+def test_ragged_nesting_raises_ragged_rows(name, call, values):
+    with pytest.raises(RaggedRows):
+        call(RAGGED)
+
+
+def test_fast_mcd_takes_a_vector_or_a_matrix():
+    with pytest.raises(TooFewPoints):
+        fast_mcd(np.ones((4, 5, 2)))
+
+
+@pytest.mark.parametrize("points", [CLOUD[:, :2], CLOUD[:, :1], CLOUD[:, 0], CLOUD[None]])
+def test_robust_distances_of_another_dimension_raise_shape_mismatch(points):
+    with pytest.raises(ShapeMismatch):
+        robust_distances(points, _cloud_fit())
+
+
+def test_every_public_function_taking_a_raw_array_is_in_the_table():
+    tabled = {name.split(":")[0] for name, _call, _values in RAW}
+    # fdout.muod is the function; its module is reached through sys.modules
+    modules = [fdout.robust, sys.modules["fdout.muod"], fdout.tvd]
+    takes_array = [
+        name for module in modules
+        for name, function in inspect.getmembers(module, inspect.isfunction)
+        if function.__module__ == module.__name__ and not name.startswith("_")
+        and next(iter(inspect.signature(function).parameters), None)
+        in ("xs", "points", "indices", "r_s")
+    ]
+    assert {"median_mad", "muod_cutoff_boxplot", "indicator_variance_terms"} <= set(takes_array)
+    assert [name for name in takes_array if name not in tabled] == []

@@ -171,3 +171,31 @@ def test_float_flags_keep_the_exit_contract(flag, method, value):
     _assert_typed_report(code, text)
     if not np.isfinite(float(value)):
         assert code == 2, text
+
+
+def _overflowing_summary():
+    values = np.random.default_rng(1).standard_normal((40, 20))
+    values[5] *= 1e200
+    return values
+
+
+def _near_constant_curve():
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((30, 20))
+    values[4] = 1e-160 * rng.standard_normal(20)
+    return values
+
+
+# an overflow inside a detector is its own numeric error (exit 3), never the
+# NonFiniteValue (exit 2) that the building blocks raise on outside arrays
+@pytest.mark.parametrize("method, values, error, message", [
+    ("msplot", _overflowing_summary(), "NonFiniteResult",
+     "the MO/VO summary overflows for curves [5] (0-based)"),
+    ("muod", _near_constant_curve(), "NonFiniteIndex",
+     "the indices overflow for curves [4] (0-based): their variance over the grid "
+     "is too small next to the sample's largest value"),
+], ids=["msplot", "muod"])
+def test_overflow_inside_a_detector_exits_3_naming_its_curves(method, values, error, message):
+    code, text = _run(method, values[:, :, None], [])
+    assert code == 3, text
+    assert json.loads(text)["error"] == {"type": error, "message": message}

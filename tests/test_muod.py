@@ -10,7 +10,7 @@ from fdout import (
     muod_indices,
     simulation_model,
 )
-from fdout.errors import AllDegenerate, TooFewCurves, TooFewPoints, UnknownCutMethod
+from fdout.errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
 
 from . import oracles
 from .conftest import make_sample
@@ -56,6 +56,22 @@ class TestMuodIndices:
     def test_all_degenerate(self):
         with pytest.raises(AllDegenerate):
             muod_indices(make_sample(np.ones((4, 5))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_constant_curve_is_named(self):
+        # next to unit-size curves, the variance of curve 4 is subnormal and
+        # its reciprocal overflows; the error names it, not every curve
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((30, 20))
+        values[4] = 1e-160 * rng.standard_normal(20)
+        with pytest.raises(NonFiniteIndex, match=r"curves \[4\] .* variance"):
+            muod_indices(make_sample(values))
+
+    def test_magnitude_overflow_names_the_intercept(self):
+        rng = np.random.default_rng(1)
+        values = rng.choice([-1.0, 1.0], size=(20, 6)) * rng.uniform(0.99, 1.0, (20, 6)) * 1.79e308
+        with pytest.raises(NonFiniteIndex, match="mean intercept exceeds the largest double"):
+            muod_indices(make_sample(values))
 
     def test_shape_scale_invariance_exact(self):
         # dyadic integer data keeps every covariance operation exact, so the

@@ -633,6 +633,11 @@ class TestHardinRockeCutoff:
         with pytest.raises(InvalidLevel):
             hardin_rocke_cutoff(100, 2, level=level)
 
+    @pytest.mark.parametrize("coverage", [np.nan, 0.2, -1.0, 1.5])
+    def test_bad_coverage(self, coverage):
+        with pytest.raises(BadCoverage):
+            hardin_rocke_cutoff(100, 3, coverage=coverage)
+
     def test_fields_valid_across_settings(self):
         for m in (30, 100, 1000):
             for d in (1, 2, 4):
