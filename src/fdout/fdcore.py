@@ -51,13 +51,15 @@ def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
     unless ``copy``; the containers copy and check finiteness themselves,
     after their own shape checks."""
     try:
-        arr = np.array(values, dtype=float, copy=True if copy else None)
+        arr = (np.array if copy else np.asarray)(values, dtype=float)
     except (ValueError, TypeError) as exc:
         raise RaggedRows(f"could not form a rectangular array: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise RaggedRows(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
-        raise NonFiniteValue(*(int(i) for i in np.argwhere(~np.isfinite(arr))[0]))
+        # a 0-d value is reported at index (0,), as its ravelled callers see it
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0]
+        raise NonFiniteValue(*(int(i) for i in bad))
     return arr
 
 

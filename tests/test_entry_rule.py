@@ -226,6 +226,14 @@ def test_non_finite_entry_raises_non_finite_value_at_its_index(name, call, value
 
 
 @_raw(RAW)
+def test_non_finite_scalar_raises_non_finite_value_at_index_0(name, call, values):
+    with pytest.raises(NonFiniteValue) as info:
+        call(np.float64(np.nan))
+    assert info.value.index == (0,)
+    assert str(info.value) == "non-finite value at (0)"
+
+
+@_raw(RAW)
 def test_ragged_nesting_raises_ragged_rows(name, call, values):
     with pytest.raises(RaggedRows):
         call(RAGGED)
