@@ -83,24 +83,31 @@ class PointwiseRanks:
 def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Below and above counts (see :class:`PointwiseRanks`) of an ``n x p`` matrix.
 
-    One sort per grid point; in sorted order a tie group spans the
-    positions first..last, so below = last + 1 and above = n - first.
-    Both results are ``.T`` views of ``p x n`` arrays, column-major as
-    SciPy's ``rankdata(axis=0)`` returns them, so reductions along axis 1
-    sum in the same order as they did on SciPy's ranks, bit for bit.
+    One sort per grid point. When no sorted column holds two equal
+    neighbours (``0.0`` and ``-0.0`` are equal), a curve's below count is
+    its sorted position + 1 and its above count n + 1 minus that. Otherwise
+    a tie group spans the positions first..last, so below = last + 1 and
+    above = n - first. Both paths return ``.T`` views of ``p x n`` arrays,
+    column-major as SciPy's ``rankdata(axis=0)`` returns them, so reductions
+    along axis 1 sum in the same order as they did on SciPy's ranks, bit for
+    bit.
     """
     columns = values.T
     n = columns.shape[1]
     order = np.argsort(columns, axis=1)
     ordered = np.take_along_axis(columns, order, axis=1)
+    equal_neighbours = ordered[:, 1:] == ordered[:, :-1]
+    below = np.empty(order.shape, dtype=np.int64)
+    if not equal_neighbours.any():
+        np.put_along_axis(below, order, np.arange(1, n + 1), axis=1)
+        return below.T, (n + 1 - below).T
     starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts[:, 1:] = ~equal_neighbours
     ends = np.ones(ordered.shape, dtype=bool)
     ends[:, :-1] = starts[:, 1:]
     positions = np.arange(n)
     first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
     last = np.minimum.accumulate(np.where(ends, positions, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    below = np.empty(order.shape, dtype=np.int64)
     above = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(below, order, last + 1, axis=1)
     np.put_along_axis(above, order, n - first, axis=1)
@@ -139,19 +146,17 @@ def band_depth(sample: AnySample) -> DepthVector:
 def modified_band_depth(sample: AnySample) -> DepthVector:
     """Average fraction of the domain each curve spends inside two-curve bands."""
     values = curve_values(sample, "modified_band_depth", 3)
-    n = values.shape[0]
+    n, p = values.shape
     n_pairs = comb(n, 2)
-    # strict below/above counts exclude ties, so containing-pair counts are
-    # n_pairs minus pairs lying entirely on one strict side
+    # strict below/above counts (lo, hi) exclude ties, so containing-pair
+    # counts are n_pairs minus pairs lying entirely on one strict side
     ranks = pointwise_ranks(values)
-    n_below_strict, n_above_strict = n - ranks.above, n - ranks.below
-    failing = _choose2(n_below_strict) + _choose2(n_above_strict)
-    scores = (n_pairs - failing).mean(axis=1) / n_pairs
+    lo, hi = n - ranks.above, n - ranks.below
+    # every term is an integer below 2**53, so the sum is exact in any order
+    # and the divisions by p and n_pairs are the only roundings
+    failing = (lo * (lo - 1) + hi * (hi - 1)).sum(axis=1) // 2
+    scores = (n_pairs * p - failing) / p / n_pairs
     return DepthVector(scores, DEEPER_IS_LARGER, "mbd")
-
-
-def _choose2(counts: np.ndarray) -> np.ndarray:
-    return counts * (counts - 1) / 2.0
 
 
 def _lex_extremeness_scores(vectors: np.ndarray) -> np.ndarray:
@@ -226,8 +231,9 @@ def linfinity_depth(sample: AnySample) -> DepthVector:
     # |a - b| == |b - a| bit for bit, so each pair's sup distance is computed
     # once and written to both triangles; row means sum each full row in order
     dist = np.zeros((n, n))
+    buffer = np.empty(values.shape)
     for i in range(n - 1):
-        diff = values[i + 1:] - values[i]
+        diff = np.subtract(values[i + 1:], values[i], out=buffer[:n - i - 1])
         dist[i, i + 1:] = dist[i + 1:, i] = np.abs(diff, out=diff).max(axis=1)
     return DepthVector(1.0 / (1.0 + dist.mean(axis=1)), DEEPER_IS_LARGER, "linfinity")
 

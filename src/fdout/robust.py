@@ -139,6 +139,8 @@ def geometric_median(points) -> np.ndarray:
         raise TooFewPoints("points must be an m x d matrix or a k x m x d stack")
     if pts.shape[-2] == 0:
         raise EmptyInput("geometric_median needs at least one point")
+    if pts.shape[-1] == 0:
+        raise EmptyInput("geometric_median needs at least one coordinate")
     # in these units no squared distance overflows or underflows; the
     # scaled stack is the only copy of the points that is kept
     stack, exponents = power_of_two_scaled(
@@ -366,6 +368,8 @@ def fast_mcd(
     if x.ndim != 2:
         raise TooFewPoints("points must be a vector or an m x d matrix")
     m, d = x.shape
+    if d == 0:
+        raise EmptyInput("fast_mcd needs at least one coordinate")
     if m <= 2 * d:
         raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
     check_coverage(coverage)
@@ -478,6 +482,8 @@ def hardin_rocke_cutoff(m: int, d: int, coverage: float | None = None,
     """
     check_level(level)
     check_coverage(coverage)
+    if d < 1:
+        raise EmptyInput(f"hardin_rocke_cutoff needs at least one coordinate, got d={d}")
     if m <= d + 1:
         raise TooFewPoints(f"need m > d + 1, got m={m}, d={d}")
     h_min = (m + d + 1) // 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .depths import rankdata
-from .errors import TooFewPoints
+from .errors import EmptyInput, ShapeMismatch, TooFewPoints
 from .fdcore import AnySample, curve_values, float_array
 
 __all__ = [
@@ -49,8 +49,13 @@ def indicator_variance_terms(r_s: np.ndarray, r_t: np.ndarray):
     Returns (total, explained, unexplained) where total = var(R_t),
     explained = var[E(R_t | R_s)], unexplained = E[var(R_t | R_s)].
     Conditional terms with empty conditioning cells are taken as zero.
+    Vectors of different shapes raise ShapeMismatch, empty ones EmptyInput.
     """
     r_s, r_t = float_array(r_s), float_array(r_t)
+    if r_s.shape != r_t.shape:
+        raise ShapeMismatch(f"r_s of shape {r_s.shape} and r_t of shape {r_t.shape}")
+    if r_s.size == 0:
+        raise EmptyInput("indicator_variance_terms needs at least one indicator pair")
     p_s, p_t = r_s.mean(), r_t.mean()
     a, b, explained = _explained_variance(p_s, p_t, (r_s * r_t).mean())
     unexplained = p_s * a * (1.0 - a) + (1.0 - p_s) * b * (1.0 - b)

@@ -6,7 +6,8 @@ shared code paths with the package under test. Production kernels must
 agree with these to the tolerances asserted in the test modules. The
 FastMCD and pointwise SDO references keep the package's earlier, plainer
 form with the same float operations, so those kernels are pinned bit for
-bit; the SVG renderers keep their per-point form, so the files are pinned
+bit, as are the ranks by the tie-aware rank kernel and MBD by its float
+form; the SVG renderers keep their per-point form, so the files are pinned
 byte for byte.
 """
 
@@ -50,6 +51,40 @@ def modified_band_depth(values):
             total += np.mean((values[i] >= lo) & (values[i] <= hi))
         out[i] = total / len(pairs)
     return out
+
+
+def rankdata_tie_aware(values):
+    """Below and above counts with tie groups located in every column, as
+    ``.T`` views of ``p x n`` arrays (the package's rank kernel before its
+    tie-free path)."""
+    columns = np.asarray(values, dtype=float).T
+    n = columns.shape[1]
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones(ordered.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    positions = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, positions, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, positions, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    below = np.empty(order.shape, dtype=np.int64)
+    above = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(below, order, last + 1, axis=1)
+    np.put_along_axis(above, order, n - first, axis=1)
+    return below.T, above.T
+
+
+def modified_band_depth_float(values):
+    """MBD from the strict below/above counts in floats: each grid point's
+    containing-pair count, averaged over the grid, over the number of pairs
+    (the package's MBD before it summed integers)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    n_pairs = n * (n - 1) // 2
+    below, above = rankdata_tie_aware(values)
+    failing = (n - above) * (n - above - 1) / 2.0 + (n - below) * (n - below - 1) / 2.0
+    return (n_pairs - failing).mean(axis=1) / n_pairs
 
 
 def _lex_scores(rows):

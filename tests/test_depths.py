@@ -21,6 +21,7 @@ from fdout.depths import (
     rankdata,
 )
 from fdout.errors import NonFiniteResult, TooFewCurves, UnknownErldType
+from fdout.simmodels import simulation_model
 
 from . import oracles
 from .conftest import constant_curves, make_sample
@@ -274,6 +275,26 @@ def test_rankdata_matches_scipy(values):
     )
 
 
+@pytest.mark.parametrize("plant", [None, "tie", "signed_zeros"])
+def test_rankdata_matches_tie_aware_reference(plant):
+    # the simulated sample takes the tie-free path, a planted pair the other
+    values = simulation_model(1, n=2000, p=200, seed=19).data.values.copy()
+    if plant == "tie":
+        values[7, -1] = values[1500, -1]
+    elif plant == "signed_zeros":
+        values[7, 100], values[1500, 100] = 0.0, -0.0
+    assert (np.diff(np.sort(values, axis=0), axis=0) > 0).all() == (plant is None)
+    below, above = rankdata(values)
+    ref_below, ref_above = oracles.rankdata_tie_aware(values)
+    np.testing.assert_array_equal(below, ref_below)
+    np.testing.assert_array_equal(above, ref_above)
+    assert below.flags.f_contiguous and above.flags.f_contiguous
+    np.testing.assert_array_equal(
+        modified_band_depth(make_sample(values)).scores,
+        oracles.modified_band_depth_float(values),
+    )
+
+
 class TestShiftInvariance:
     """Rank-based orderings ignore a common shift; scores match exactly."""
 
@@ -321,12 +342,14 @@ def test_band_depths_stay_in_unit_interval(seed, n, p):
 @given(st.integers(0, 10**6), st.integers(3, 8), st.integers(2, 6))
 def test_mbd_always_matches_oracle(seed, n, p):
     sample = random_sample(seed, n, p, ties=bool(seed % 2))
+    scores = modified_band_depth(sample).scores
     np.testing.assert_allclose(
-        modified_band_depth(sample).scores,
+        scores,
         oracles.modified_band_depth(sample.values),
         rtol=0,
         atol=1e-12,
     )
+    np.testing.assert_array_equal(scores, oracles.modified_band_depth_float(sample.values))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 8), st.integers(2, 6))

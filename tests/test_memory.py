@@ -6,8 +6,9 @@ n x p x 500 projection cube for pointwise SDO (whose reused buffers stay
 under three blocks of one grid point's projections), an n x L CDF matrix
 for extremal depth, n x n pair arrays beside MUOD's covariance matrix,
 FastMCD's 500 trials stacked at once, more than a few copies of the
-stack of clouds whose geometric medians are solved side by side, and for
-the curve SVG, the whole matrix's pixels or Python floats next to the text.
+stack of clouds whose geometric medians are solved side by side, for the
+curve SVG, the whole matrix's pixels or Python floats next to the text,
+and for L-infinity depth, a second n x p difference beside its distances.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from fdout import (
     extremal_depth,
     fast_mcd,
     geometric_median,
+    linfinity_depth,
     muod_indices,
     pointwise_sdo,
 )
@@ -80,3 +82,11 @@ def test_render_curves_holds_its_text_and_one_row_of_pixels():
     sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
     text_bytes = len(render_curves(sample, [3, 7]))
     assert peak_bytes(render_curves, sample, [3, 7]) < 2.5 * text_bytes
+
+
+def test_linfinity_depth_holds_its_distances_and_one_difference_buffer():
+    # the n x n distance matrix, one n x p buffer that every row's
+    # differences reuse, and 128 kB for the per-row maxima and numpy's own
+    n, p = 500, 100
+    sample = make_sample(np.random.default_rng(407).standard_normal((n, p)))
+    assert peak_bytes(linfinity_depth, sample) < (n * n + n * p) * 8 + 2**17

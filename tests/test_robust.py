@@ -220,7 +220,7 @@ class TestStackedGeometricMedianMatchesOracle:
         with pytest.raises(TooFewPoints):
             geometric_median(np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(0, 2), (4, 0, 2)])
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 0, 2), (5, 0), (4, 5, 0)])
     def test_no_points(self, shape):
         with pytest.raises(EmptyInput):
             geometric_median(np.zeros(shape))
@@ -324,6 +324,10 @@ class TestFastMcd:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fast_mcd(np.zeros((4, 2)), rng=RandomSource(0))
+
+    def test_no_coordinates(self):
+        with pytest.raises(EmptyInput):
+            fast_mcd(np.ones((5, 0)))
 
     @pytest.mark.parametrize("coverage", [0.3, 1.2, 0.0])
     def test_bad_coverage(self, coverage):
@@ -637,6 +641,10 @@ class TestHardinRockeCutoff:
     def test_bad_coverage(self, coverage):
         with pytest.raises(BadCoverage):
             hardin_rocke_cutoff(100, 3, coverage=coverage)
+
+    def test_no_coordinates(self):
+        with pytest.raises(EmptyInput):
+            hardin_rocke_cutoff(100, 0)
 
     def test_fields_valid_across_settings(self):
         for m in (30, 100, 1000):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from scipy import stats
 
 from fdout import modified_shape_similarity, total_variation_depth
 from fdout.depths import pointwise_ranks
-from fdout.errors import TooFewCurves
+from fdout.errors import EmptyInput, ShapeMismatch, TooFewCurves
 from fdout.tvd import indicator_variance_terms
 
 from . import oracles
@@ -101,6 +103,18 @@ class TestIndicatorVarianceTerms:
         )
         assert explained == 0.0
         assert total == pytest.approx(unexplained, abs=1e-15)
+
+    @pytest.mark.parametrize("r_s, r_t, error", [
+        (np.ones(5), np.ones(4), ShapeMismatch),
+        (np.ones(5), np.ones(1), ShapeMismatch),
+        (np.ones(1), np.ones(5), ShapeMismatch),
+        (np.ones(0), np.ones(0), EmptyInput),
+    ])
+    def test_vectors_of_other_shapes_or_empty_raise(self, r_s, r_t, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                indicator_variance_terms(r_s, r_t)
 
     def test_perfect_prediction(self):
         r = np.array([True, False, True, False, True])
