@@ -9,9 +9,11 @@ and grids.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import os
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -28,13 +30,21 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> int:
+    """Write a string, or the strings of an iterable in order as it yields
+    them, via a sibling temp file and rename, so readers never see a partial
+    file; a failed write removes the temp file. Returns the number of
+    characters written."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            written = handle.write(text) if isinstance(text, str) else sum(map(handle.write, text))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
+    return written
 
 
 def _is_float(cell: str) -> bool:
@@ -45,19 +55,106 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _read_wide(path: str, header, id_column):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        # line number -> stripped cells of every row with a non-blank cell;
-        # float() ignores padding, such as '\x1c', that numpy rejects, and a
-        # tuple per row would pin freed memory in the tuple free list. The
-        # first cells are also kept as read: an id keeps its padding.
-        numbered, firsts = {}, []
-        for row in reader:
-            cells = [c.strip() for c in row]
-            if any(cells):
-                numbered[reader.line_num] = cells
-                firsts.append(row[0])
+def _header(first: list, header, more_rows: bool):
+    """(has_header, grid points or None) for the first row's stripped cells
+    past any id cell. Auto takes the row as a header when a cell is not a
+    number, or when another row follows and the points strictly increase."""
+    numeric = all(_is_float(c) for c in first)
+    points = np.array(first, dtype=float) if numeric else None
+    if header == "auto":
+        with np.errstate(invalid="ignore"):  # inf - inf does not increase
+            has_header = points is None or (more_rows and points.size >= 2
+                                            and bool(np.all(np.diff(points) > 0)))
+    else:
+        has_header = bool(header)
+    return has_header, points if has_header else None
+
+
+def _first_row(handle):
+    """The stripped cells of the first CSV row with a non-blank cell, or
+    None; the handle is left just past that row."""
+    for row in csv.reader(iter(handle.readline, "")):
+        cells = [c.strip() for c in row]
+        if any(cells):
+            return cells
+    return None
+
+
+def _data_lines(handle):
+    """The handle's non-empty lines. A line with a cell longer than the csv
+    field limit raises ValueError, since csv.reader refuses such a cell."""
+    limit = csv.field_size_limit()
+    for line in handle:
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise ValueError("a cell exceeds the csv field limit")
+        if line not in ("\n", "\r\n", "\r"):
+            yield line
+
+
+def _loadtxt_block(handle, header, id_column):
+    """(values, grid points, ids) parsed with np.loadtxt, or None where the
+    csv reader has to decide.
+
+    The first row is sniffed as ``_csv_block`` sniffs it. Under auto ids, a
+    file whose first cell is not ``id`` is read without ids: np.loadtxt then
+    parses every first cell as a number, the last row's included, which is
+    what auto detection would have found. np.loadtxt strips the same
+    whitespace as str.strip, parses with the same function as float(), and
+    checks that every row has as many cells as the first; it fails on
+    quotes, blank cells, underscores and non-ASCII digits, which are left to
+    the csv reader. An id cell reaches the converter as written, and one
+    holding a quote goes to the csv reader too.
+    """
+    try:
+        first = _first_row(handle)
+    except (ValueError, csv.Error):
+        return None
+    if first is None:
+        return None
+    has_ids = first[0] == "id" if id_column == "auto" else bool(id_column)
+    shift = 1 if has_ids else 0
+    if len(first) <= shift:
+        return None
+    has_header, grid_points = _header(first[shift:], header, more_rows=True)
+    if not has_header:
+        handle.seek(0)
+    lines = _data_lines(handle)
+    ids = []
+
+    def keep_id(cell: str) -> float:
+        if '"' in cell:
+            raise ValueError("quoted id")
+        ids.append(cell)
+        return 0.0
+
+    try:
+        line = next(lines, None)
+        if line is None:  # no curve below the first row: the csv reader decides
+            return None
+        block = np.loadtxt(itertools.chain([line], lines), delimiter=",", comments=None,
+                           quotechar=None, ndmin=2, dtype=float,
+                           converters={0: keep_id} if has_ids else None)
+    except ValueError:
+        return None
+    if block.shape[1] != len(first):
+        return None
+    return (block[:, 1:] if has_ids else block), grid_points, (ids if has_ids else None)
+
+
+def _csv_block(handle, path: str, header, id_column):
+    """(values, grid points, ids) parsed cell by cell with csv.reader: the
+    reference for ``_loadtxt_block`` and the reader of every file it leaves."""
+    reader = csv.reader(handle)
+    # line number -> stripped cells of every row with a non-blank cell;
+    # float() ignores padding, such as '\x1c', that numpy rejects, and a
+    # tuple per row would pin freed memory in the tuple free list. The
+    # first cells are also kept as read: an id keeps its padding.
+    numbered, firsts = {}, []
+    for row in reader:
+        cells = [c.strip() for c in row]
+        if any(cells):
+            numbered[reader.line_num] = cells
+            firsts.append(row[0])
     if not numbered:
         raise EmptyInput(f"{path} holds no data")
     lines, rows = list(numbered), list(numbered.values())
@@ -73,16 +170,7 @@ def _read_wide(path: str, header, id_column):
     else:
         has_ids = bool(id_column)
     shift = 1 if has_ids else 0
-    first = rows[0][shift:]
-    numeric = all(_is_float(c) for c in first)
-    if header == "auto":
-        # a header has a cell that is not a number, or strictly increasing
-        # grid points above at least one more row
-        has_header = not numeric or (len(rows) >= 2 and len(first) >= 2
-                                     and bool(np.all(np.diff(np.array(first, dtype=float)) > 0)))
-    else:
-        has_header = bool(header)
-    grid_points = np.array(first, dtype=float) if has_header and numeric else None
+    has_header, grid_points = _header(rows[0][shift:], header, more_rows=len(rows) >= 2)
     offset = 1 if has_header else 0
     data_rows = rows[offset:]
     if not data_rows:
@@ -103,7 +191,16 @@ def _read_wide(path: str, header, id_column):
                     raise ParseError(line, c + 1 + shift,
                                      f"could not parse {cell!r} as a number") from None
         raise
+    return values, grid_points, ids
 
+
+def _read_wide(path: str, header, id_column):
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        parsed = _loadtxt_block(handle, header, id_column)
+        if parsed is None:
+            handle.seek(0)
+            parsed = _csv_block(handle, path, header, id_column)
+    values, grid_points, ids = parsed
     p = values.shape[1]
     if grid_points is not None:
         if grid_points.size != p:

@@ -190,10 +190,11 @@ def functional_boxplot(
     central = np.sort(order[:central_count])
     envelope_lower = values[central].min(axis=0)
     envelope_upper = values[central].max(axis=0)
-    spread = envelope_upper - envelope_lower
-    width = factor * spread
-    fence_lower = envelope_lower - width
-    fence_upper = envelope_upper + width
+    with np.errstate(over="ignore"):  # reported just below
+        spread = envelope_upper - envelope_lower
+        width = factor * spread
+        fence_lower = envelope_lower - width
+        fence_upper = envelope_upper + width
     if not (np.isfinite(fence_lower).all() and np.isfinite(fence_upper).all()):
         cause = (f"factor {factor!r} times the envelope width is not finite"
                  if np.isfinite(spread).all() and not np.isfinite(width).all()
@@ -326,7 +327,8 @@ def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveS
 def _center_rows(sample: CurveSample) -> tuple[CurveSample, list]:
     values = sample.values
     scaled, exponents = power_of_two_scaled(values, axis=1)
-    centered = values - np.ldexp(scaled.mean(axis=1, keepdims=True), exponents)
+    with np.errstate(over="ignore"):  # seq_transform names the stage that overflows
+        centered = values - np.ldexp(scaled.mean(axis=1, keepdims=True), exponents)
     return CurveSample(centered, sample.grid, ids=sample.ids), []
 
 

@@ -43,17 +43,38 @@ __all__ = [
 ]
 
 
+def _conversion_error(values, exc: Exception) -> ValidationError:
+    """Why ``values`` did not convert to floats: RaggedRows for ragged
+    nesting, else a ValidationError naming the first entry that is not a
+    number."""
+    try:
+        cells = np.atleast_1d(np.asarray(values, dtype=object))
+    except ValueError:
+        return RaggedRows(f"could not form a rectangular array: {exc}")
+    for index in np.ndindex(cells.shape):
+        cell = cells[index]
+        if isinstance(cell, (list, tuple, np.ndarray)):
+            break
+        try:
+            float(cell)
+        except (TypeError, ValueError):
+            where = ", ".join(map(str, index))
+            return ValidationError(f"{cell!r} at ({where}) is not a number")
+    return RaggedRows(f"could not form a rectangular array: {exc}")
+
+
 def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
     """``values`` as a float ndarray: the one conversion of every array that
     comes from outside. Ragged nesting, or ``ndim`` axes wanted and others
-    given, raises RaggedRows; with ``finite``, the first NaN or infinity
+    given, raises RaggedRows, and an entry that is not a number a
+    ValidationError naming it; with ``finite``, the first NaN or infinity
     raises NonFiniteValue at its index. A float64 ndarray is not copied
     unless ``copy``; the containers copy and check finiteness themselves,
     after their own shape checks."""
     try:
         arr = (np.array if copy else np.asarray)(values, dtype=float)
     except (ValueError, TypeError) as exc:
-        raise RaggedRows(f"could not form a rectangular array: {exc}") from None
+        raise _conversion_error(values, exc) from None
     if ndim is not None and arr.ndim != ndim:
         raise RaggedRows(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():

@@ -8,7 +8,9 @@ highlighted and drawn last.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .errors import InconsistentReport, NonFiniteResult
 from .fdcore import AnySample, curve_values
 from .report import DetectionReport
 
-__all__ = ["render_curves", "render_msplot", "emit_plot"]
+__all__ = ["render_curves", "render_msplot", "emit_plot", "PlotFile"]
 
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72.0, 24.0, 24.0, 56.0
@@ -86,9 +88,11 @@ def _axes(x_span: tuple, y_span: tuple, x_label: str, y_label: str) -> list:
     ]
 
 
-def _document(x_span: tuple, y_span: tuple, x_label: str, y_label: str, marks) -> str:
+def _document(x_span: tuple, y_span: tuple, x_label: str, y_label: str,
+              marks) -> Iterator[str]:
     """Header and background, axes, the marks in order, then the end tag."""
-    return "".join([_HEADER, *_axes(x_span, y_span, x_label, y_label), *marks, "</svg>\n"])
+    return itertools.chain([_HEADER], _axes(x_span, y_span, x_label, y_label), marks,
+                           ["</svg>\n"])
 
 
 def _flags(n: int, outliers: Sequence[int]) -> list:
@@ -97,8 +101,8 @@ def _flags(n: int, outliers: Sequence[int]) -> list:
     return [i in flagged for i in range(n)]
 
 
-def render_curves(sample: AnySample, outliers: Sequence[int] = ()) -> str:
-    """All curves as polylines, flagged rows highlighted and drawn on top."""
+def _curve_parts(sample: AnySample, outliers: Sequence[int]) -> Iterator[str]:
+    """The pieces of the curve SVG; each polyline is formatted as it is reached."""
     values = curve_values(sample, "render_curves")
     t = sample.grid.points
     x_span, y_span = _span(t), _span(values)
@@ -120,10 +124,13 @@ def render_curves(sample: AnySample, outliers: Sequence[int] = ()) -> str:
     return _document(x_span, y_span, "t", "value", marks)
 
 
-def render_msplot(
-    mo: np.ndarray, vo: np.ndarray, outliers: Sequence[int] = (), d: int = 1
-) -> str:
-    """Scatter of VO against MO (d = 1) or against ||MO|| otherwise."""
+def render_curves(sample: AnySample, outliers: Sequence[int] = ()) -> str:
+    """All curves as polylines, flagged rows highlighted and drawn on top."""
+    return "".join(_curve_parts(sample, outliers))
+
+
+def _msplot_parts(mo, vo, outliers: Sequence[int], d: int) -> Iterator[str]:
+    """The pieces of the MO/VO scatter SVG; each circle is formatted as it is reached."""
     mo = np.asarray(mo, dtype=float)
     if mo.ndim == 2:
         scalar_mo = mo[:, 0] if mo.shape[1] == 1 else np.sqrt((mo * mo).sum(axis=1))
@@ -140,6 +147,13 @@ def render_msplot(
         for x, y, flag in zip(cx, cy, _flags(scalar_mo.size, outliers))
     )
     return _document(x_span, y_span, x_label, "VO", marks)
+
+
+def render_msplot(
+    mo: np.ndarray, vo: np.ndarray, outliers: Sequence[int] = (), d: int = 1
+) -> str:
+    """Scatter of VO against MO (d = 1) or against ||MO|| otherwise."""
+    return "".join(_msplot_parts(mo, vo, outliers, d))
 
 
 def _curves_check(method: str, sample: AnySample) -> None:
@@ -183,33 +197,45 @@ def _finite_diagnostic(report: DetectionReport, name: str, ndims: tuple) -> np.n
     return values.astype(float)
 
 
-def _curves_svg(report: DetectionReport, sample: Optional[AnySample]) -> str:
+def _curves_svg(report: DetectionReport, sample: Optional[AnySample]) -> Iterator[str]:
     if sample is None:
         raise InconsistentReport("curve plots need the curve data")
     _curves_check(report.method, sample)
     if report.n and report.n != sample.n:
         raise InconsistentReport(f"report describes {report.n} curves, data has {sample.n}")
-    return render_curves(sample, _flagged_rows(report, sample.n))
+    return _curve_parts(sample, _flagged_rows(report, sample.n))
 
 
-def _msplot_svg(report: DetectionReport, sample: Optional[AnySample]) -> str:
+def _msplot_svg(report: DetectionReport, sample: Optional[AnySample]) -> Iterator[str]:
     if "mo" not in report.diagnostics or "vo" not in report.diagnostics:
         raise InconsistentReport("msplot plots need 'mo' and 'vo' diagnostics in the report")
     mo = _finite_diagnostic(report, "mo", (1, 2))
     vo = _finite_diagnostic(report, "vo", (1,))
     if len(vo) != len(mo):
         raise InconsistentReport("mo and vo diagnostics disagree in length")
-    return render_msplot(mo, vo, _flagged_rows(report, len(vo)), d=max(int(report.d), 1))
+    return _msplot_parts(mo, vo, _flagged_rows(report, len(vo)), max(int(report.d), 1))
 
 
-# kind -> (check(method, sample), renderer(report, sample) returning the SVG
-# text). The check raises when a report of that method on that sample cannot
-# be drawn; `fdout detect` runs it before detecting, so a plot that fails
-# never replaces a finished report
+# kind -> (check(method, sample), renderer(report, sample) returning the SVG's
+# pieces in order). The check raises when a report of that method on that
+# sample cannot be drawn; `fdout detect` runs it before detecting, so a plot
+# that fails never replaces a finished report
 PLOT_KINDS = {
     "curves": (_curves_check, _curves_svg),
     "msplot": (_msplot_check, _msplot_svg),
 }
+
+
+@dataclass(frozen=True)
+class PlotFile:
+    """A plot that ``emit_plot`` wrote: its path and its length in characters,
+    which ``len()`` also gives. The SVG is ASCII, so that is its size in bytes."""
+
+    path: str
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
 
 
 def emit_plot(
@@ -217,11 +243,10 @@ def emit_plot(
     sample: Optional[AnySample],
     kind: str,
     path: str,
-) -> str:
-    """Render the plot named by ``kind`` for a report and write it to path."""
+) -> PlotFile:
+    """Render the plot named by ``kind`` for a report and write it to path,
+    each mark as it is formatted, so the whole text is never held."""
     if kind not in PLOT_KINDS:
         raise InconsistentReport(f"unknown plot kind {kind!r}")
     _check, render = PLOT_KINDS[kind]
-    text = render(report, sample)
-    atomic_write_text(path, text)
-    return text
+    return PlotFile(path, atomic_write_text(path, render(report, sample)))

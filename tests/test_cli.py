@@ -255,6 +255,20 @@ class TestRoundTrip:
         atomic_write_text(str(path), "abc\n")
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_atomic_write_takes_pieces_and_removes_a_failed_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        assert atomic_write_text(str(path), iter(["ab", "c\n"])) == 4
+        assert path.read_text() == "abc\n"
+
+        def failing():
+            yield "partial"
+            raise InconsistentReport("render failed")
+
+        with pytest.raises(InconsistentReport):
+            atomic_write_text(str(path), failing())
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "abc\n"
+
 
 class TestTruthFiles:
     def test_written_one_based(self, tmp_path):

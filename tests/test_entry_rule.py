@@ -8,7 +8,8 @@ TooFewCurves below its least number of curves.
 
 A raw array goes through ``fdcore.float_array``, as sample values do: a
 nested list gives the results of its float64 array, ragged nesting raises
-RaggedRows, and the first NaN or infinity raises NonFiniteValue at its
+RaggedRows, an entry that is not a number raises ValidationError naming it
+and its index, and the first NaN or infinity raises NonFiniteValue at its
 index.
 """
 
@@ -237,6 +238,28 @@ def test_non_finite_scalar_raises_non_finite_value_at_index_0(name, call, values
 def test_ragged_nesting_raises_ragged_rows(name, call, values):
     with pytest.raises(RaggedRows):
         call(RAGGED)
+
+
+@_raw(RAW)
+def test_entry_that_is_not_a_number_raises_validation_error_naming_it(name, call, values):
+    where = (7, 1)[:values.ndim]
+    cells = values.astype(object)
+    cells[where] = "a"
+    with pytest.raises(ValidationError) as info:
+        call(cells.tolist())
+    # a bad value, not a bad shape; as a ValidationError it still exits 2
+    assert not isinstance(info.value, RaggedRows)
+    assert str(info.value) == f"'a' at ({', '.join(map(str, where))}) is not a number"
+
+
+def test_sample_cell_that_is_not_a_number_raises_validation_error_naming_it():
+    grid = fdout.uniform_grid(2, 0.0, 1.0)
+    with pytest.raises(ValidationError) as info:
+        fdout.CurveSample([[1.0, 2.0], [3.0, "x"]], grid)
+    assert not isinstance(info.value, RaggedRows)
+    assert str(info.value) == "'x' at (1, 1) is not a number"
+    with pytest.raises(RaggedRows):
+        fdout.CurveSample([[1.0, 2.0], ["x"]], grid)
 
 
 def test_fast_mcd_takes_a_vector_or_a_matrix():

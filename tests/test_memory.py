@@ -7,8 +7,10 @@ under three blocks of one grid point's projections), an n x L CDF matrix
 for extremal depth, n x n pair arrays beside MUOD's covariance matrix,
 FastMCD's 500 trials stacked at once, more than a few copies of the
 stack of clouds whose geometric medians are solved side by side, for the
-curve SVG, the whole matrix's pixels or Python floats next to the text,
-and for L-infinity depth, a second n x p difference beside its distances.
+curve SVG, the whole matrix's pixels or Python floats next to the text (and
+for the SVG file, the text itself), for L-infinity depth, a second n x p
+difference beside its distances, and for the CSV reader, a Python string
+or float per cell.
 """
 
 import tracemalloc
@@ -24,7 +26,9 @@ from fdout import (
     muod_indices,
     pointwise_sdo,
 )
-from fdout.svgplot import render_curves
+from fdout.csvio import read_curves, write_curves
+from fdout.report import DetectionReport
+from fdout.svgplot import emit_plot, render_curves
 
 from .conftest import make_multi, make_sample
 
@@ -82,6 +86,30 @@ def test_render_curves_holds_its_text_and_one_row_of_pixels():
     sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
     text_bytes = len(render_curves(sample, [3, 7]))
     assert peak_bytes(render_curves, sample, [3, 7]) < 2.5 * text_bytes
+
+
+def test_emit_plot_writes_the_svg_without_holding_its_text(tmp_path):
+    # the row order and flags (n entries each) and one row's pixels and
+    # string; the text that render_curves returns is 5.7 MB here
+    sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
+    report = DetectionReport(method="fbplot", parameters={}, n=2000, p=200, d=1,
+                             outliers={"all": [4, 8]})
+    path = str(tmp_path / "plot.svg")
+    peak = peak_bytes(emit_plot, report, sample, "curves", path)
+    text = render_curves(sample, [3, 7])
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert handle.read() == text
+    assert peak < len(text) / 20
+
+
+def test_read_curves_holds_no_python_object_per_cell(tmp_path):
+    # the parsed block and the sample's own copy of it, plus 1 MB for a
+    # line of text at a time and numpy's growth of the block; a str or float
+    # per cell (400 000 of them) would pass ten times the values
+    sample = make_sample(np.random.default_rng(408).standard_normal((2000, 200)))
+    path = str(tmp_path / "curves.csv")
+    write_curves(path, sample)
+    assert peak_bytes(read_curves, path) < 3 * sample.values.nbytes + 2**20
 
 
 def test_linfinity_depth_holds_its_distances_and_one_difference_buffer():
