@@ -55,12 +55,21 @@ def _conversion_error(values, exc: Exception) -> ValidationError:
         cell = cells[index]
         if isinstance(cell, (list, tuple, np.ndarray)):
             break
-        try:
-            float(cell)
-        except (TypeError, ValueError):
-            where = ", ".join(map(str, index))
-            return ValidationError(f"{cell!r} at ({where}) is not a number")
+        if not _is_number(cell):
+            return _not_a_number(cell, index)
     return RaggedRows(f"could not form a rectangular array: {exc}")
+
+
+def _is_number(cell) -> bool:
+    try:
+        float(cell)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _not_a_number(cell, index) -> ValidationError:
+    return ValidationError(f"{cell!r} at ({', '.join(map(str, index))}) is not a number")
 
 
 def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
@@ -79,8 +88,10 @@ def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
         raise RaggedRows(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
         # a 0-d value is reported at index (0,), as its ravelled callers see it
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0]
-        raise NonFiniteValue(*(int(i) for i in bad))
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0])
+        # None converts to NaN, but is not a number
+        cell = np.atleast_1d(np.asarray(values, dtype=object))[bad]
+        raise NonFiniteValue(*bad) if _is_number(cell) else _not_a_number(cell, bad)
     return arr
 
 
@@ -145,8 +156,10 @@ class _Sample:
 
     _ndim = 2  # axes of values: curve, grid point (and dimension for d-variate)
 
-    def __init__(self, values, grid: Grid, ids: Optional[Sequence] = None):
+    def __init__(self, values, grid: Union[Grid, Sequence[float]], ids: Optional[Sequence] = None):
         vals = float_array(values, self._ndim, copy=True, finite=False)
+        if not isinstance(grid, Grid):
+            grid = Grid(grid)
         if vals.shape[0] < 1:
             raise ValidationError("sample needs at least one curve")
         if vals.shape[1] != grid.size:
@@ -163,7 +176,11 @@ class _Sample:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
-        ensure_valid(self)
+        try:
+            ensure_valid(self)
+        except NonFiniteValue:
+            float_array(values)  # raises again, naming a None as not a number
+            raise
 
     @property
     def n(self) -> int:
@@ -180,6 +197,7 @@ class CurveSample(_Sample):
 
     Construction copies the values and checks the shape, the ids and that
     every value is finite (:class:`~fdout.errors.NonFiniteValue` otherwise).
+    A grid given as points is checked as :class:`Grid` checks it.
     """
 
     @property

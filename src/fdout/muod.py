@@ -68,15 +68,12 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     values, exponent = power_of_two_scaled(values, axis=None)
     grid_means = values.mean(axis=1)
     centered = values - grid_means[:, None]
-    cov = centered @ centered.T / (p - 1)
-    variances = np.diag(cov).copy()
+    variances = np.einsum("it,it->i", centered, centered) / (p - 1)
     valid = variances > 0.0
     count = int(valid.sum())
     if count == 0:
         raise AllDegenerate("every curve has zero variance over the grid")
 
-    # row means over valid j as products with C; a zero-variance curve j
-    # gets weight 0, which drops it from every sum
     safe_var = np.where(valid, variances, 1.0)
     with np.errstate(over="ignore"):  # reported just below, before any product
         inv_var = np.where(valid, 1.0 / safe_var, 0.0)
@@ -85,10 +82,13 @@ def muod_indices(sample: AnySample) -> MuodIndices:
         raise NonFiniteIndex(f"the indices overflow for curves {tiny.tolist()} (0-based): their "
                              "variance over the grid is too small next to the sample's largest value")
     sd = np.sqrt(safe_var)
-    mean_rho = cov @ np.where(valid, 1.0 / sd, 0.0) / (sd * count)
-    mean_beta = cov @ inv_var / count
-    mean_alpha = grid_means - cov @ (grid_means * inv_var) / count
-    mean_rho, mean_beta, mean_alpha = np.where(valid, [mean_rho, mean_beta, mean_alpha], 0.0)
+    # sums over j of C_ij w_j as centered @ (centered.T @ w), with no n x n C; a
+    # zero-variance curve j gets weight 0, which drops it from every sum. Plain
+    # einsum runs numpy's own loops, whose bits do not depend on the BLAS threads
+    weights = np.stack([np.where(valid, 1.0 / sd, 0.0), inv_var, grid_means * inv_var])
+    sums = np.einsum("it,kt->ki", centered, np.einsum("kj,jt->kt", weights, centered)) / (p - 1)
+    mean_rho, mean_beta, mean_alpha = np.where(
+        valid, [sums[0] / (sd * count), sums[1] / count, grid_means - sums[2] / count], 0.0)
 
     with np.errstate(over="ignore"):  # reported just below
         magnitude = np.ldexp(np.abs(mean_alpha), exponent[0])

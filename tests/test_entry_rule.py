@@ -252,6 +252,18 @@ def test_entry_that_is_not_a_number_raises_validation_error_naming_it(name, call
     assert str(info.value) == f"'a' at ({', '.join(map(str, where))}) is not a number"
 
 
+@_raw(RAW)
+def test_none_entry_raises_validation_error_naming_it(name, call, values):
+    # None converts to NaN, but it is not a number, as 'a' is not
+    where = (7, 1)[:values.ndim]
+    cells = values.astype(object)
+    cells[where] = None
+    with pytest.raises(ValidationError) as info:
+        call(cells.tolist())
+    assert not isinstance(info.value, (RaggedRows, NonFiniteValue))
+    assert str(info.value) == f"None at ({', '.join(map(str, where))}) is not a number"
+
+
 def test_sample_cell_that_is_not_a_number_raises_validation_error_naming_it():
     grid = fdout.uniform_grid(2, 0.0, 1.0)
     with pytest.raises(ValidationError) as info:
@@ -260,6 +272,11 @@ def test_sample_cell_that_is_not_a_number_raises_validation_error_naming_it():
     assert str(info.value) == "'x' at (1, 1) is not a number"
     with pytest.raises(RaggedRows):
         fdout.CurveSample([[1.0, 2.0], ["x"]], grid)
+    with pytest.raises(ValidationError) as info:
+        fdout.MultiCurveSample([[[1.0], [2.0]], [[3.0], [None]]], grid)
+    assert str(info.value) == "None at (1, 1, 0) is not a number"
+    with pytest.raises(NonFiniteValue):
+        fdout.CurveSample([[1.0, 2.0], [3.0, float("nan")]], grid)
 
 
 def test_fast_mcd_takes_a_vector_or_a_matrix():

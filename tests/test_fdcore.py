@@ -83,6 +83,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             CurveSample(np.ones((2, 3)), uniform_grid(4, 0, 1))
 
+    @pytest.mark.parametrize("kind, shape", [(CurveSample, (2, 3)), (MultiCurveSample, (2, 3, 1))])
+    @pytest.mark.parametrize("points", [[0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 3)],
+                             ids=["list", "ndarray"])
+    def test_grid_given_as_points_becomes_a_grid(self, kind, shape, points):
+        sample = kind(np.ones(shape), points)
+        assert isinstance(sample.grid, Grid)
+        np.testing.assert_array_equal(sample.grid.points, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("kind, shape", [(CurveSample, (2, 3)), (MultiCurveSample, (2, 3, 1))])
+    def test_decreasing_points_raise_non_increasing_grid(self, kind, shape):
+        with pytest.raises(NonIncreasingGrid):
+            kind(np.ones(shape), np.linspace(1.0, 0.0, 3))
+
 
 class TestConstructionCopies:
     def test_caller_keeps_a_writable_array(self):

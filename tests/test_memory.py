@@ -4,7 +4,7 @@ Peaks are measured with ``tracemalloc``, which sees numpy's buffers, and
 bounded well below the array the direct formulation would hold: the
 n x p x 500 projection cube for pointwise SDO (whose reused buffers stay
 under three blocks of one grid point's projections), an n x L CDF matrix
-for extremal depth, n x n pair arrays beside MUOD's covariance matrix,
+for extremal depth, n x n pair arrays (or for MUOD, any n x n matrix),
 FastMCD's 500 trials stacked at once, more than a few copies of the
 stack of clouds whose geometric medians are solved side by side, for the
 curve SVG, the whole matrix's pixels or Python floats next to the text (and
@@ -66,6 +66,14 @@ def test_muod_holds_one_pairwise_matrix():
     n, p = 1000, 20
     sample = make_sample(np.random.default_rng(402).standard_normal((n, p)))
     assert peak_bytes(muod_indices, sample) < 2 * n * n * 8
+
+
+def test_muod_holds_a_few_copies_of_the_values():
+    # the scaled and centred values and a 3 x p block per weight vector;
+    # the n x n covariance matrix alone would be 32 MB here
+    n, p = 2000, 20
+    sample = make_sample(np.random.default_rng(409).standard_normal((n, p)))
+    assert peak_bytes(muod_indices, sample) < 8 * n * p * 8
 
 
 def test_fast_mcd_stacks_its_trials_a_block_at_a_time():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +14,7 @@ from fdout import (
     muod_indices,
     simulation_model,
 )
+from fdout.csvio import write_curves
 from fdout.errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
 
 from . import oracles
@@ -188,9 +193,13 @@ class TestMuod:
     @pytest.mark.parametrize("cut", ["boxplot", "tangent"])
     @pytest.mark.parametrize("wave", [np.sin, lambda t: np.sin(2 * np.pi * t)])
     def test_rounding_ties_flag_nothing(self, wave, cut, offset):
-        # identical curves get indices that differ only in the last bits
-        # (0, 1.1e-16, 2.2e-16, ...); only the shifted curve is an outlier
-        values = np.tile(wave(np.linspace(0.0, 1.0, 20)), (30, 1)) + offset
+        # rows equal in exact arithmetic but not in their last bits: each adds
+        # and subtracts its own amount, to its offset and then to its values.
+        # Their indices differ only by rounding; only the shifted curve is an
+        # outlier. (Bitwise-equal rows get bitwise-equal indices.)
+        shift = np.arange(30)[:, None] / 3
+        row_offset = (offset + (1 + abs(offset)) * shift) - (1 + abs(offset)) * shift
+        values = ((wave(np.linspace(0.0, 1.0, 20)) + row_offset) + shift) - shift
         values[29] += 1.0
         idx = muod_indices(make_sample(values))
         assert np.ptp(idx.shape) > 0 or np.ptp(idx.amplitude) > 0 or np.ptp(idx.magnitude[:29]) > 0
@@ -224,3 +233,27 @@ def test_indices_always_match_oracle(seed, n, p):
     np.testing.assert_allclose(idx.amplitude, amplitude, rtol=0, atol=1e-12)
     for vec in (idx.shape, idx.magnitude, idx.amplitude):
         assert np.all(vec >= 0.0) and np.all(np.isfinite(vec))
+
+
+def test_cli_report_is_the_same_at_every_blas_thread_count(tmp_path):
+    # the inputs are written once: simulating them again per thread count
+    # would test the simulator, not muod
+    paths = []
+    for n, p in [(500, 100), (2000, 200)]:
+        path = str(tmp_path / f"model8_{n}x{p}.csv")
+        write_curves(path, simulation_model(8, n=n, p=p, seed=3).data)
+        paths.append(path)
+    reports = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        for path in paths:
+            report = f"{path}.{threads}.json"
+            proc = subprocess.run([sys.executable, "-m", "fdout.cli", "detect", "--method", "muod",
+                                   "--in", path, "--report", report],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            with open(report, "rb") as handle:
+                reports[threads, path] = handle.read()
+    for path in paths:
+        assert reports["1", path] == reports["2", path], path
