@@ -13,6 +13,7 @@ never drift from the library defaults.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import os
 import sys
@@ -35,6 +36,15 @@ __all__ = ["main", "build_parser", "run_simulate", "run_detect", "run_depth", "r
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+
+# failure class -> exit code, most specific first: a file that cannot be opened,
+# decoded or split into cells is invalid input, any other exception a fault in fdout
+_EXIT_CODES = (
+    (NumericError, EXIT_NUMERIC),
+    (FdoutError, EXIT_VALIDATION),
+    ((OSError, UnicodeDecodeError, csv.Error), EXIT_VALIDATION),
+    (Exception, EXIT_NUMERIC),
+)
 
 
 def _default(func, name):
@@ -334,16 +344,9 @@ def main(argv: Optional[list] = None) -> int:
         # error, so numpy's floating-point warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.run(args)
-    except FdoutError as exc:
-        code = EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_VALIDATION
-        return _report_failure(args, exc, code)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
-        # last-resort net for a fault inside fdout: still an exit code from
-        # the contract and an error report, never a traceback
-        return _report_failure(args, exc, EXIT_NUMERIC)
+        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return _report_failure(args, exc, code)
 
 
 if __name__ == "__main__":

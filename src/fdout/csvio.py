@@ -33,17 +33,19 @@ __all__ = [
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> int:
     """Write a string, or the strings of an iterable in order as it yields
     them, via a sibling temp file and rename, so readers never see a partial
-    file; a failed write removes the temp file. Returns the number of
-    characters written."""
+    file; a failed write removes the temp file and raises an OSError naming
+    ``path``, not the temp file. Returns the number of characters written."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             written = handle.write(text) if isinstance(text, str) else sum(map(handle.write, text))
-    except BaseException:
+        os.replace(tmp, path)
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
-    os.replace(tmp, path)
     return written
 
 

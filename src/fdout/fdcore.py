@@ -78,8 +78,7 @@ def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
     given, raises RaggedRows, and an entry that is not a number a
     ValidationError naming it; with ``finite``, the first NaN or infinity
     raises NonFiniteValue at its index. A float64 ndarray is not copied
-    unless ``copy``; the containers copy and check finiteness themselves,
-    after their own shape checks."""
+    unless ``copy``."""
     try:
         arr = (np.array if copy else np.asarray)(values, dtype=float)
     except (ValueError, TypeError) as exc:
@@ -157,7 +156,7 @@ class _Sample:
     _ndim = 2  # axes of values: curve, grid point (and dimension for d-variate)
 
     def __init__(self, values, grid: Union[Grid, Sequence[float]], ids: Optional[Sequence] = None):
-        vals = float_array(values, self._ndim, copy=True, finite=False)
+        vals = float_array(values, self._ndim, copy=True)
         if not isinstance(grid, Grid):
             grid = Grid(grid)
         if vals.shape[0] < 1:
@@ -176,11 +175,6 @@ class _Sample:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
-        try:
-            ensure_valid(self)
-        except NonFiniteValue:
-            float_array(values)  # raises again, naming a None as not a number
-            raise
 
     @property
     def n(self) -> int:
@@ -272,7 +266,7 @@ def power_of_two_scaled(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarra
 
 def ensure_valid(sample: AnySample) -> AnySample:
     """Raise NonFiniteValue at the first NaN or infinite value; else return
-    the sample. Every sample runs this check when it is constructed."""
+    the sample. Every sample passed this check when it was constructed."""
     float_array(sample.values)
     return sample
 

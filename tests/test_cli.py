@@ -269,6 +269,19 @@ class TestRoundTrip:
         assert os.listdir(tmp_path) == ["out.txt"]
         assert path.read_text() == "abc\n"
 
+    @pytest.mark.parametrize("target, error", [
+        ("nodir/out.txt", FileNotFoundError),  # the temp file cannot be opened
+        ("taken", IsADirectoryError),  # the temp file cannot replace the target
+    ])
+    def test_failed_atomic_write_names_its_target(self, tmp_path, target, error):
+        (tmp_path / "taken").mkdir()
+        path = str(tmp_path / target)
+        with pytest.raises(error) as caught:
+            atomic_write_text(path, "abc\n")
+        assert caught.value.filename == path and caught.value.filename2 is None
+        assert str(caught.value).endswith(f": {path!r}")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
 
 class TestTruthFiles:
     def test_written_one_based(self, tmp_path):
@@ -817,14 +830,55 @@ def _near_largest_double_csv(tmp_path):
     return path
 
 
+def _write_bytes(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+# case -> (error type, argv(tmp_path, data csv) without detect's --report): a
+# file that cannot be opened, decoded or split into cells, or an SVG that
+# cannot be written, is invalid input
+FILE_FAILURES = {
+    "missing_in": ("FileNotFoundError", lambda tmp, data: [
+        "detect", "--method", "fbplot", "--in", str(tmp / "nope.csv")]),
+    "directory_in": ("IsADirectoryError", lambda tmp, data: [
+        "detect", "--method", "fbplot", "--in", str(tmp)]),
+    "undecodable_csv": ("UnicodeDecodeError", lambda tmp, data: [
+        "detect", "--method", "fbplot",
+        "--in", _write_bytes(tmp / "bad.csv", b"\xff1,2\n3,4\n")]),
+    "overlong_cell": ("Error", lambda tmp, data: [
+        "detect", "--method", "fbplot", "--in", _write_bytes(
+            tmp / "long.csv", b"1,2\n3," + b"4" * (csv.field_size_limit() + 1) + b"\n")]),
+    "undecodable_plot_report": ("UnicodeDecodeError", lambda tmp, data: [
+        "plot", "--in", data, "--report", _write_bytes(tmp / "bad.json", b"\xff{}"),
+        "--out", str(tmp / "x.svg")]),
+    "plot_in_missing_directory": ("FileNotFoundError", lambda tmp, data: [
+        "detect", "--method", "fbplot", "--in", data,
+        "--plot", str(tmp / "nodir" / "x.svg")]),
+}
+
+
 class TestCliErrors:
-    def test_missing_input_exits_2(self, tmp_path, capsys):
-        rc = main([
-            "detect", "--method", "fbplot", "--in", str(tmp_path / "nope.csv"),
-            "--report", str(tmp_path / "r.json"),
-        ])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err.lower()
+    @pytest.mark.parametrize("case", FILE_FAILURES)
+    def test_file_failure_exits_2_with_one_line_and_error_report(
+            self, tmp_path, sim_csv, case, capsys):
+        error_type, make_argv = FILE_FAILURES[case]
+        argv = make_argv(tmp_path, sim_csv)
+        report_path = tmp_path / "r.json"
+        if argv[0] == "detect":
+            argv += ["--report", str(report_path)]
+        reports = []
+        for _run in range(2):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{error_type}: ") and err.count("\n") == 1
+            assert ".tmp." not in err  # an atomic write names its target, not its temp file
+            if argv[0] == "detect":
+                reports.append(report_path.read_bytes())
+                report_path.unlink()
+        if reports:
+            assert reports[0] == reports[1]
+            assert json.loads(reports[0])["error"]["type"] == error_type
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -10,12 +10,15 @@ stack of clouds whose geometric medians are solved side by side, for the
 curve SVG, the whole matrix's pixels or Python floats next to the text (and
 for the SVG file, the text itself), for L-infinity depth, a second n x p
 difference beside its distances, and for the CSV reader, a Python string
-or float per cell.
+or float per cell. Every CLI detector and every ordering is also held to
+a peak that grows linearly with the number of curves, except the two
+orderings named as holding an n x n array.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fdout import (
     RandomSource,
@@ -27,6 +30,8 @@ from fdout import (
     pointwise_sdo,
 )
 from fdout.csvio import read_curves, write_curves
+from fdout.detect import DEPTH_METHODS, depth_by_name, msplot, seq_transform, tvdmss
+from fdout.muod import muod
 from fdout.report import DetectionReport
 from fdout.svgplot import emit_plot, render_curves
 
@@ -60,12 +65,6 @@ def test_extremal_depth_holds_no_quadratic_array():
     n, p = 1000, 10
     sample = make_sample(np.random.default_rng(401).standard_normal((n, p)))
     assert peak_bytes(extremal_depth, sample) < n * n * 8 / 4
-
-
-def test_muod_holds_one_pairwise_matrix():
-    n, p = 1000, 20
-    sample = make_sample(np.random.default_rng(402).standard_normal((n, p)))
-    assert peak_bytes(muod_indices, sample) < 2 * n * n * 8
 
 
 def test_muod_holds_a_few_copies_of_the_values():
@@ -126,3 +125,28 @@ def test_linfinity_depth_holds_its_distances_and_one_difference_buffer():
     n, p = 500, 100
     sample = make_sample(np.random.default_rng(407).standard_normal((n, p)))
     assert peak_bytes(linfinity_depth, sample) < (n * n + n * p) * 8 + 2**17
+
+
+# name -> detector or ordering: every depth method and every other CLI method
+GROWING = {
+    **{method: (lambda sample, method=method: depth_by_name(sample, method, rng=RandomSource(0)))
+       for method in DEPTH_METHODS},
+    "msplot": lambda sample: msplot(sample, rng=RandomSource(0)),
+    "tvdmss": tvdmss,
+    "seq": lambda sample: seq_transform(sample, ["T0", "T1", "T2"], rng=RandomSource(0)),
+    "muod": muod,
+}
+# the orderings that hold an n x n array: BD's containing pairs of one
+# curve, and L-infinity's distances between all curves
+QUADRATIC = {"bd", "linf"}
+
+
+@pytest.mark.parametrize("name", GROWING)
+def test_peak_grows_linearly_in_the_curves(name):
+    # 1.7-2.0x from n = 400 to 800 curves, 3.7x for the quadratic holders
+    call = GROWING[name]
+    rng = np.random.default_rng(410)
+    call(make_sample(rng.standard_normal((40, 50))))  # first-call imports and caches
+    small, large = (peak_bytes(call, make_sample(rng.standard_normal((n, 50))))
+                    for n in (400, 800))
+    assert large < (4.3 if name in QUADRATIC else 2.3) * small
