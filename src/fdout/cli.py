@@ -13,7 +13,6 @@ never drift from the library defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import os
 import sys
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import detect as _detect
-from .csvio import atomic_write_text, quote_cell, read_curves, write_curves, write_truth
+from .csvio import atomic_write_text, read_curves, write_curves, write_scores, write_truth
 from .depths import ERLD_TYPES
 from .errors import FdoutError, NumericError, ValidationError
 from .fdcore import RandomSource
@@ -37,12 +36,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-# failure class -> exit code, most specific first: a file that cannot be opened,
-# decoded or split into cells is invalid input, any other exception a fault in fdout
+# failure class -> exit code, most specific first: a file that cannot be opened
+# or decoded is invalid input, any other exception a fault in fdout
 _EXIT_CODES = (
     (NumericError, EXIT_NUMERIC),
     (FdoutError, EXIT_VALIDATION),
-    ((OSError, UnicodeDecodeError, csv.Error), EXIT_VALIDATION),
+    ((OSError, UnicodeDecodeError), EXIT_VALIDATION),
     (Exception, EXIT_NUMERIC),
 )
 
@@ -294,12 +293,7 @@ def run_depth(args) -> int:
     depth = _detect.depth_by_name(
         sample, args.method, erld_type=args.erld_type, rng=RandomSource(args.seed)
     )
-    ids = sample.ids
-    lines = ["curve,score"]
-    for i, score in enumerate(depth.scores):
-        label = quote_cell(ids[i]) if ids is not None else str(i + 1)
-        lines.append(f"{label},{repr(float(score))}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    write_scores(args.out, depth.scores, sample.ids)
     return EXIT_OK
 
 
@@ -309,10 +303,8 @@ def run_plot(args) -> int:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = DetectionReport.from_json(handle.read())
     else:
-        report = DetectionReport(
-            method="none", parameters={}, n=sample.n, p=sample.p, d=sample.d,
-            outliers={"all": []},
-        )
+        report = DetectionReport(method="none", n=sample.n, p=sample.p, d=sample.d,
+                                 outliers={"all": []})
     emit_plot(report, sample, args.kind, args.out)
     return EXIT_OK
 
@@ -322,13 +314,8 @@ def _report_failure(args, exc: Exception, code: int) -> int:
     pipelines can inspect it."""
     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     if args.subcommand == "detect":
-        report = DetectionReport(
-            method=args.method,
-            parameters={},
-            n=0, p=0, d=0,
-            outliers={},
-            error={"type": type(exc).__name__, "message": str(exc)},
-        )
+        report = DetectionReport(method=args.method,
+                                 error={"type": type(exc).__name__, "message": str(exc)})
         try:
             atomic_write_text(args.report, report.to_json())
         except OSError:

@@ -18,12 +18,13 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyInput, ParseError, ShapeMismatch
-from .fdcore import CurveSample, Grid, MultiCurveSample, uniform_grid
+from .fdcore import CurveSample, Grid, MultiCurveSample, curve_values, uniform_grid
 from .report import to_external_indices
 
 __all__ = [
     "read_curves",
     "write_curves",
+    "write_scores",
     "read_truth",
     "write_truth",
     "atomic_write_text",
@@ -143,6 +144,20 @@ def _loadtxt_block(handle, header, id_column):
     return (block[:, 1:] if has_ids else block), grid_points, (ids if has_ids else None)
 
 
+def _long_cell_column(row: str, limit: int) -> int:
+    """The 1-based column of the first cell of the CSV ``row`` past ``limit``
+    characters; a comma between quotes ends no cell."""
+    column, length, quoted = 1, 0, False
+    for char in row:
+        if char == '"':
+            quoted = not quoted
+        elif char == "," and not quoted:
+            column, length = column + 1, 0
+        elif (length := length + 1) > limit:
+            break
+    return column
+
+
 def _csv_block(handle, path: str, header, id_column):
     """(values, grid points, ids) parsed cell by cell with csv.reader: the
     reference for ``_loadtxt_block`` and the reader of every file it leaves."""
@@ -151,12 +166,19 @@ def _csv_block(handle, path: str, header, id_column):
     # float() ignores padding, such as '\x1c', that numpy rejects, and a
     # tuple per row would pin freed memory in the tuple free list. The
     # first cells are also kept as read: an id keeps its padding.
-    numbered, firsts = {}, []
-    for row in reader:
-        cells = [c.strip() for c in row]
-        if any(cells):
-            numbered[reader.line_num] = cells
-            firsts.append(row[0])
+    numbered, firsts, start = {}, [], 1
+    try:
+        for row in reader:
+            cells = [c.strip() for c in row]
+            if any(cells):
+                numbered[reader.line_num] = cells
+                firsts.append(row[0])
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a cell past the field limit, in the row begun on line start
+        handle.seek(0)
+        text = "".join(itertools.islice(handle, start - 1, reader.line_num))
+        raise ParseError(reader.line_num, _long_cell_column(text, csv.field_size_limit()),
+                         str(exc)) from None
     if not numbered:
         raise EmptyInput(f"{path} holds no data")
     lines, rows = list(numbered), list(numbered.values())
@@ -270,9 +292,9 @@ def quote_cell(text: str) -> str:
 
 
 def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample]) -> None:
-    """Serialise a univariate sample as a wide CSV (repr floats) with a grid
-    header, and an id column when the sample has ids."""
-    if isinstance(sample, MultiCurveSample):
+    """Serialise a univariate sample, a d = 1 MultiCurveSample too, as a wide
+    CSV (repr floats) with a grid header, and an id column when it has ids."""
+    if sample.d > 1:
         raise ShapeMismatch(
             "write_curves takes a univariate sample; write each dimension separately"
         )
@@ -282,10 +304,20 @@ def write_curves(path: str, sample: Union[CurveSample, MultiCurveSample]) -> Non
         cells.insert(0, "id")
     lines = [",".join(cells)]
     # a row at a time: a whole-matrix tolist() would pin its freed floats' memory
-    for i, row in enumerate(sample.values):
+    for i, row in enumerate(curve_values(sample, "write_curves")):
         cells = ",".join(map(repr, row.tolist()))
         lines.append(f"{quote_cell(sample.ids[i])},{cells}" if has_ids else cells)
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_scores(path: str, scores, ids=None) -> None:
+    """The depth CSV: a ``curve,score`` header, then per curve its id, quoted
+    as ``write_curves`` quotes ids, or else its 1-based row number, and its
+    score as a repr float."""
+    labels = map(quote_cell, ids) if ids is not None else map(str, itertools.count(1))
+    rows = (f"{label},{score!r}"
+            for label, score in zip(labels, np.asarray(scores, dtype=float).tolist()))
+    atomic_write_text(path, "\n".join(["curve,score", *rows]) + "\n")
 
 
 def write_truth(path: str, outlier_indices) -> None:

@@ -72,20 +72,19 @@ def _not_a_number(cell, index) -> ValidationError:
     return ValidationError(f"{cell!r} at ({', '.join(map(str, index))}) is not a number")
 
 
-def float_array(values, ndim=None, copy=False, finite=True) -> np.ndarray:
+def float_array(values, ndim=None, copy=False) -> np.ndarray:
     """``values`` as a float ndarray: the one conversion of every array that
     comes from outside. Ragged nesting, or ``ndim`` axes wanted and others
-    given, raises RaggedRows, and an entry that is not a number a
-    ValidationError naming it; with ``finite``, the first NaN or infinity
-    raises NonFiniteValue at its index. A float64 ndarray is not copied
-    unless ``copy``."""
+    given, raises RaggedRows, an entry that is not a number a
+    ValidationError naming it, and the first NaN or infinity NonFiniteValue
+    at its index. A float64 ndarray is not copied unless ``copy``."""
     try:
         arr = (np.array if copy else np.asarray)(values, dtype=float)
     except (ValueError, TypeError) as exc:
         raise _conversion_error(values, exc) from None
     if ndim is not None and arr.ndim != ndim:
         raise RaggedRows(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         # a 0-d value is reported at index (0,), as its ravelled callers see it
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0])
         # None converts to NaN, but is not a number
@@ -107,11 +106,12 @@ class Grid:
     points: np.ndarray
 
     def __init__(self, points):
-        pts = float_array(points, 1, copy=True, finite=False)
+        try:
+            pts = float_array(points, 1, copy=True)
+        except NonFiniteValue:
+            raise NonIncreasingGrid("grid contains non-finite points") from None
         if pts.size < 2:
             raise NonIncreasingGrid("grid needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise NonIncreasingGrid("grid contains non-finite points")
         if not np.all(np.diff(pts) > 0):
             raise NonIncreasingGrid("grid points must be strictly increasing")
         pts.flags.writeable = False

@@ -8,7 +8,7 @@ runs produce byte-identical files and text diffs are meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,29 +49,18 @@ class DetectionReport:
     """
 
     method: str
-    parameters: dict
-    n: int
-    p: int
-    d: int
-    outliers: dict
+    parameters: dict = field(default_factory=dict)
+    n: int = 0
+    p: int = 0
+    d: int = 0
+    outliers: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     warnings: tuple = ()
     error: Optional[dict] = None
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "method": self.method,
-            "parameters": self.parameters,
-            "n": int(self.n),
-            "p": int(self.p),
-            "d": int(self.d),
-            "outliers": self.outliers,
-            "diagnostics": self.diagnostics,
-            "warnings": list(self.warnings),
-            "error": self.error,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         try:
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                               default=_plain)
@@ -99,15 +88,6 @@ class DetectionReport:
                 )
         if not all(type(rows) is list for rows in payload["outliers"].values()):
             raise InconsistentReport("report outliers must map each class to a list")
-        return cls(
-            method=payload["method"],
-            parameters=payload.get("parameters", {}),
-            n=payload.get("n", 0),
-            p=payload.get("p", 0),
-            d=payload.get("d", 0),
-            outliers=payload["outliers"],
-            diagnostics=payload.get("diagnostics", {}),
-            warnings=tuple(payload.get("warnings", ())),
-            error=payload.get("error"),
-            schema_version=payload["schema_version"],
-        )
+        # a JSON array is held as a tuple, as the dataclass holds it
+        return cls(**{key: tuple(payload[key]) if type(payload[key]) is list else payload[key]
+                      for key in _FIELD_TYPES if key in payload})

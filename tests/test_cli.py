@@ -7,6 +7,7 @@ acceptance suite via subprocess.
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import fdout.cli
 import fdout.detect
+import fdout.report
 from fdout.cli import DETECTORS, build_parser, main
 from fdout.csvio import (
     atomic_write_text,
@@ -245,6 +247,14 @@ class TestRoundTrip:
         back = read_curves(str(path), header=False)
         assert np.array_equal(back.values, values)
 
+    @pytest.mark.parametrize("ids", [None, ["a", "b,c", 'd"e']])
+    def test_write_curves_takes_a_d1_multivariate_sample(self, tmp_path, ids):
+        sample = CurveSample(np.array([[0.1, -0.0], [1e-300, 2.0], [3.0, 5e300]]),
+                             uniform_grid(2, 0.0, 1.0), ids=ids)
+        write_curves(str(tmp_path / "uni.csv"), sample)
+        write_curves(str(tmp_path / "multi.csv"), as_multivariate(sample))
+        assert (tmp_path / "multi.csv").read_bytes() == (tmp_path / "uni.csv").read_bytes()
+
     def test_write_curves_rejects_multivariate(self, tmp_path):
         multi = MultiCurveSample(np.zeros((3, 4, 2)), uniform_grid(4, 0.0, 1.0))
         with pytest.raises(ShapeMismatch):
@@ -325,6 +335,29 @@ class TestReportJson:
         assert back.warnings == rep.warnings
         assert back.error is None
         assert back.schema_version == rep.schema_version
+
+    def test_field_types_name_every_field(self):
+        names = {f.name for f in dataclasses.fields(DetectionReport)}
+        assert set(fdout.report._FIELD_TYPES) == names
+        assert set(json.loads(self._report().to_json())) == names
+
+    def test_every_field_round_trips(self):
+        rep = DetectionReport(
+            method="seq", parameters={"seed": 3, "sequence": ["T0", "O"]},
+            n=5, p=4, d=2, outliers={"all": [1, 5], "shape": [5]},
+            diagnostics={"stages": [{"label": "T0", "outliers": [1]}]},
+            warnings=("one", "two"), error={"type": "ParseError", "message": "m"},
+            schema_version=7,
+        )
+        assert DetectionReport.from_json(rep.to_json()) == rep
+
+    def test_an_error_report_leaves_the_other_fields_empty(self):
+        rep = DetectionReport(method="msplot", error={"type": "E", "message": "m"})
+        assert json.loads(rep.to_json()) == {
+            "schema_version": 1, "method": "msplot", "parameters": {}, "n": 0, "p": 0,
+            "d": 0, "outliers": {}, "diagnostics": {}, "warnings": [],
+            "error": {"type": "E", "message": "m"},
+        }
 
     def test_serialisation_is_deterministic(self):
         assert self._report().to_json() == self._report().to_json()
@@ -846,7 +879,7 @@ FILE_FAILURES = {
     "undecodable_csv": ("UnicodeDecodeError", lambda tmp, data: [
         "detect", "--method", "fbplot",
         "--in", _write_bytes(tmp / "bad.csv", b"\xff1,2\n3,4\n")]),
-    "overlong_cell": ("Error", lambda tmp, data: [
+    "overlong_cell": ("ParseError", lambda tmp, data: [
         "detect", "--method", "fbplot", "--in", _write_bytes(
             tmp / "long.csv", b"1,2\n3," + b"4" * (csv.field_size_limit() + 1) + b"\n")]),
     "undecodable_plot_report": ("UnicodeDecodeError", lambda tmp, data: [

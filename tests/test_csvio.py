@@ -76,7 +76,7 @@ def outcome(path, header, id_column):
         values, grid, ids = csvio._read_wide(path, header, id_column)
         parsed = ("parsed", values.shape, values.tobytes(), grid.points.tobytes(), ids)
         sample = read_curves(path, header=header, id_column=id_column)
-    except (FdoutError, ValueError, csv.Error) as exc:
+    except (FdoutError, ValueError) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None))
     return parsed, (sample.values.tobytes(), sample.grid.points.tobytes(), sample.ids)
@@ -133,8 +133,43 @@ def test_a_cell_past_the_csv_field_limit_is_refused_on_both_paths(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"0,1\n{long_cell},2\n")
     fast = outcome(path, "auto", "auto")
-    assert fast[:2] == ("error", csv.Error)
+    assert fast[:2] == ("error", ParseError)
     assert fast == csv_outcome(path, "auto", "auto")
+
+
+LONG = "4" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"0,1\n3,{LONG}\n", 2, 2),
+    (f"0,{LONG}\n1,2\n", 1, 2),  # the first row, which the loadtxt path sniffs
+    (f"\r\n0,1\r\n3,{LONG}\r\n", 3, 2),
+    (f"0,1\r3,{LONG}\r", 2, 2),
+    (f'id,0,1\n"a,b",1,2\n\n"c",3,{LONG}\n', 4, 3),  # a quoted comma ends no cell
+    ('id,0,1\n"' + "x," * len(LONG) + '",1,2\n', 2, 1),
+    # reported on the line where the cell passes the limit, counted from its row's start
+    (f'0,1\n5,"two\nlines {LONG}"\n', 3, 2),
+], ids=["second_cell", "first_row", "crlf_blank_line", "cr", "quoted_comma", "quoted_long",
+        "spans_lines"])
+def test_a_cell_past_the_field_limit_is_a_parse_error_at_its_cell(tmp_path, text, line, column):
+    path = str(tmp_path / "a.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    for result in (outcome(path, "auto", "auto"), csv_outcome(path, "auto", "auto")):
+        assert result[:2] == ("error", ParseError)
+        assert result[3:] == (line, column)
+        assert result[2].endswith(f"field larger than field limit ({csv.field_size_limit()})")
+
+
+@pytest.mark.parametrize("ids, expected", [
+    (None, "curve,score\n1,0.5\n2,-0.0\n3,1e-300\n4,0.1\n5,2.0\n"),
+    (["a", "b,c", 'd"e', " f ", "7"],
+     'curve,score\na,0.5\n"b,c",-0.0\n"d""e",1e-300\n f ,0.1\n7,2.0\n'),
+], ids=["row_numbers", "ids"])
+def test_write_scores_bytes(tmp_path, ids, expected):
+    path = tmp_path / "scores.csv"
+    csvio.write_scores(str(path), np.array([0.5, -0.0, 1e-300, 0.1, 2.0]), ids)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_written_files_with_ids_take_the_loadtxt_path(tmp_path):

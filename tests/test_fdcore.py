@@ -36,6 +36,16 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid([0.0])
 
+    def test_non_finite_point_is_refused_as_a_grid(self):
+        with pytest.raises(NonIncreasingGrid, match="non-finite points"):
+            Grid([0.0, np.inf, 1.0])
+
+    def test_point_that_is_not_a_number_is_named(self):
+        with pytest.raises(ValidationError) as info:
+            Grid([0, None, 1])
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "None at (1) is not a number"
+
     def test_uniformity_flag(self):
         assert uniform_grid(7, 0.0, 1.0).is_uniform
         assert not Grid([0.0, 0.1, 1.0]).is_uniform
