@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NonFiniteResult, UnknownErldType
+from .errors import NonFiniteResult, UnknownErldType, ValidationError
 from .fdcore import AnySample, curve_values
 
 __all__ = [
@@ -41,7 +41,7 @@ OUTLYING_IS_LARGER = "outlying_is_larger"
 DQ_TAIL = 0.025
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthVector:
     """Per-curve scores plus the direction in which they order the sample."""
 
@@ -53,7 +53,7 @@ class DepthVector:
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
         if self.direction not in (DEEPER_IS_LARGER, OUTLYING_IS_LARGER):
-            raise ValueError(f"unknown direction {self.direction!r}")
+            raise ValidationError(f"unknown direction {self.direction!r}")
         if not np.all(np.isfinite(scores)):
             raise NonFiniteResult(f"{self.method} depth scores are not finite")
 
@@ -67,7 +67,7 @@ class DepthVector:
         return int(self.scores.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointwiseRanks:
     """Tie-aware pointwise rank counts, the shared kernel for rank-based measures.
 

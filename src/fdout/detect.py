@@ -12,13 +12,14 @@ differencing transforms).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import depths as _depths
-from .depths import DEEPER_IS_LARGER, OUTLYING_IS_LARGER, DepthVector
+from .depths import DEEPER_IS_LARGER, ERLD_TYPES, OUTLYING_IS_LARGER, DepthVector
 from .dirout import decompose, directional_outlyingness, pointwise_sdo
 from .errors import (
     BadCentralRegion,
@@ -30,6 +31,7 @@ from .errors import (
     ShapeMismatch,
     TooFewCurves,
     UnknownDepthMethod,
+    UnknownErldType,
     ValidationError,
 )
 from .fdcore import (
@@ -64,7 +66,7 @@ __all__ = [
     "stage_set_differences",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalBoxplotResult:
     depth: DepthVector
     central_indices: np.ndarray
@@ -75,7 +77,7 @@ class FunctionalBoxplotResult:
     outliers: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsplotResult:
     outliers: np.ndarray
     mo: np.ndarray
@@ -84,7 +86,7 @@ class MsplotResult:
     cutoff: FCutoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TvdmssResult:
     shape_outliers: np.ndarray
     magnitude_outliers: np.ndarray
@@ -93,14 +95,14 @@ class TvdmssResult:
     mss: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqStage:
     label: str
     outliers: np.ndarray
     sample: Optional[AnySample]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqTransformResult:
     stages: tuple
     warnings: tuple
@@ -366,26 +368,6 @@ _SEQ_TRANSFORMS = {
 SEQ_STAGES = tuple(_SEQ_TRANSFORMS)
 
 
-def _stage_labels(sequence: list, warnings: list) -> list:
-    counts = {}
-    for name in sequence:
-        counts[name] = counts.get(name, 0) + 1
-    seen = {}
-    labels = []
-    for name in sequence:
-        if counts[name] > 1:
-            seen[name] = seen.get(name, 0) + 1
-            labels.append(f"{name}_{seen[name]}")
-        else:
-            labels.append(name)
-    duplicated = sorted(name for name, c in counts.items() if c > 1)
-    if duplicated:
-        warnings.append(
-            f"duplicate stage names {duplicated} relabelled with numeric suffixes"
-        )
-    return labels
-
-
 def seq_transform(
     sample: AnySample,
     sequence,
@@ -405,6 +387,11 @@ def seq_transform(
     multivariate curves by their pointwise outlyingness magnitudes. A stage
     whose output overflows raises NonFiniteResult naming it.
 
+    The whole plan is checked before the first stage runs, in this order:
+    stage names, ``depth_method``, fences, each stage's dimension (O only
+    first, on d > 1 curves; every other stage on univariate ones) and, when
+    ``depth_method`` is erld, ``erld_type``.
+
     Every stage's raw flag set comes from a functional boxplot under
     ``depth_method``; no curves are removed between stages. Use
     :func:`stage_set_differences` for first-flagged-at classification.
@@ -420,24 +407,33 @@ def seq_transform(
     if depth_method not in DEPTH_METHODS:
         raise UnknownDepthMethod(f"unknown depth method {depth_method!r}")
     check_fences(factor, central_region)
-    if rng is None:
-        rng = RandomSource(0)
-
-    warnings: list = []
-    labels = _stage_labels(sequence, warnings)
-    current = sample if sample.d > 1 else as_univariate(sample)
-    stages = []
-    for position, (name, label) in enumerate(zip(sequence, labels)):
-        stage_rng = rng.child(position)
-        needs_multivariate, transform = _SEQ_TRANSFORMS[name]
-        if needs_multivariate and current.d == 1:
+    d = sample.d
+    for name in sequence:
+        needs_multivariate = _SEQ_TRANSFORMS[name][0]
+        if needs_multivariate and d == 1:
             raise OOnUnivariate(f"the {name} stage needs multivariate curves")
-        if current.d > 1 and not needs_multivariate:
+        if d > 1 and not needs_multivariate:
             raise ValidationError(
                 f"stage {name} needs univariate curves; apply an O stage first"
             )
+        d = 1
+    if depth_method == "erld" and (erld_type or "two_sided") not in ERLD_TYPES:
+        raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {erld_type!r}")
+    if rng is None:
+        rng = RandomSource(0)
+
+    counts, seen = Counter(sequence), Counter()
+    duplicated = sorted(name for name, count in counts.items() if count > 1)
+    warnings = ([f"duplicate stage names {duplicated} relabelled with numeric suffixes"]
+                if duplicated else [])
+    current = sample if sample.d > 1 else as_univariate(sample)
+    stages = []
+    for position, name in enumerate(sequence):
+        seen[name] += 1
+        label = f"{name}_{seen[name]}" if counts[name] > 1 else name
+        stage_rng = rng.child(position)
         try:
-            current, extra = transform(current, stage_rng.child(0))
+            current, extra = _SEQ_TRANSFORMS[name][1](current, stage_rng.child(0))
         except NonFiniteValue as exc:
             # the stage's input is a checked sample, so its output overflowed
             raise NonFiniteResult(

@@ -29,7 +29,7 @@ __all__ = [
 DEFAULT_DIRECTIONS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionalOutlyingnessField:
     """Per-curve, per-grid-point outlyingness vectors O[i, t, :]."""
 
@@ -38,7 +38,7 @@ class DirectionalOutlyingnessField:
     grid: Grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlyingnessDecomposition:
     """MO (n x d), VO (n), FO (n) with FO = ||MO||^2 + VO."""
 

@@ -93,7 +93,7 @@ def float_array(values, ndim=None, copy=False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Strictly increasing evaluation points on a compact interval.
 
@@ -145,7 +145,7 @@ def uniform_grid(p: int, a: float, b: float) -> Grid:
     return Grid(np.linspace(a, b, p))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Sample:
     """The constructor and shape properties shared by both sample types."""
 
@@ -185,7 +185,7 @@ class _Sample:
         return int(self.values.shape[1])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CurveSample(_Sample):
     """``n x p`` univariate functional sample on a common grid.
 
@@ -200,7 +200,7 @@ class CurveSample(_Sample):
         return 1
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiCurveSample(_Sample):
     """``n x p x d`` multivariate functional sample on a common grid.
 

@@ -27,14 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuodIndices:
     shape: np.ndarray
     magnitude: np.ndarray
     amplitude: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuodOutliers:
     shape: np.ndarray
     magnitude: np.ndarray

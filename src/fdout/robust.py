@@ -67,7 +67,7 @@ class RobustLocationScale:
     mad: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McdFit:
     """Raw MCD location and consistency-corrected scatter with the defining h-subset."""
 

@@ -37,7 +37,7 @@ class GaussianProcessSpec:
     exponent: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationOutput:
     data: CurveSample
     true_outliers: np.ndarray

@@ -20,7 +20,7 @@ from fdout.depths import (
     pointwise_ranks,
     rankdata,
 )
-from fdout.errors import NonFiniteResult, TooFewCurves, UnknownErldType
+from fdout.errors import NonFiniteResult, TooFewCurves, UnknownErldType, ValidationError
 from fdout.simmodels import simulation_model
 
 from . import oracles
@@ -137,10 +137,6 @@ class TestExtremeRankLength:
         right_on_neg = extreme_rank_length(flipped, type="one_sided_right").scores
         left_on_orig = extreme_rank_length(sample, type="one_sided_left").scores
         np.testing.assert_array_equal(right_on_neg, left_on_orig)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(UnknownErldType):
-            extreme_rank_length(random_sample(109, 4, 3), type="sideways")
 
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
@@ -329,6 +325,15 @@ class TestDepthVector:
     def test_rejects_non_finite_scores(self):
         with pytest.raises(NonFiniteResult, match="demo depth scores are not finite"):
             DepthVector(np.array([0.1, np.nan]), DEEPER_IS_LARGER, "demo")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: extreme_rank_length(random_sample(109, 4, 3), type="sideways"), UnknownErldType),
+    (lambda: DepthVector(np.array([0.1, 0.9]), "sideways", "demo"), ValidationError),
+], ids=["erld_type", "direction"])
+def test_unknown_names_rejected(build, error):
+    with pytest.raises(error, match="sideways"):
+        build()
 
 
 @given(st.integers(0, 10**6), st.integers(3, 9), st.integers(2, 7))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from fdout.errors import (
     OOnUnivariate,
     TooFewCurves,
     UnknownDepthMethod,
+    UnknownErldType,
     ValidationError,
 )
 
@@ -516,19 +519,32 @@ class TestSeqTransform:
         with pytest.raises(ValidationError):
             seq_transform(make_multi(values), ["T1"])
 
-    @pytest.mark.parametrize("kwargs, error", [
-        ({"factor": np.nan}, ValidationError),
-        ({"factor": -1.0}, ValidationError),
-        ({"central_region": 2.0}, BadCentralRegion),
+    @pytest.mark.parametrize("d, sequence, kwargs, error, message", [
+        (1, ["T0", "T1"], {"factor": np.nan}, ValidationError,
+         "factor must be positive and finite, got nan"),
+        (1, ["T0", "T1"], {"factor": -1.0}, ValidationError,
+         "factor must be positive and finite, got -1.0"),
+        (1, ["T0", "T1"], {"central_region": 2.0}, BadCentralRegion,
+         "central_region must lie in (0, 1), got 2.0"),
+        (1, ["T1", "T2", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (2, ["O", "T1", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (2, ["T1"], {}, ValidationError,
+         "stage T1 needs univariate curves; apply an O stage first"),
+        (1, ["T0", "D1"], {"depth_method": "erld", "erld_type": "bogus"}, UnknownErldType,
+         "type must be one of ('two_sided', 'one_sided_right', 'one_sided_left'), got 'bogus'"),
     ])
-    def test_bad_fence_parameters_rejected_before_any_stage(self, monkeypatch, kwargs, error):
+    def test_bad_fence_parameters_rejected_before_any_stage(
+            self, monkeypatch, d, sequence, kwargs, error, message):
         def refuse(*args, **kwargs):
             raise AssertionError("a stage was computed")
 
-        monkeypatch.setattr(fdout.detect, "_center_rows", refuse)
-        monkeypatch.setattr(fdout.detect, "depth_by_name", refuse)
-        with pytest.raises(error, match=next(iter(kwargs))):
-            seq_transform(line_family(), ["T0", "T1"], **kwargs)
+        for name in ("_center_rows", "_normalise_rows", "_difference_rows", "o_transform",
+                     "depth_by_name"):
+            monkeypatch.setattr(fdout.detect, name, refuse)
+        sample = (line_family() if d == 1
+                  else make_multi(np.random.default_rng(209).standard_normal((10, 6, d))))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            seq_transform(sample, sequence, **kwargs)
 
     def test_save_data_keeps_every_stage_sample(self):
         out = simulation_model(1, n=20, p=12, outlier_rate=0.1, seed=17)

@@ -10,6 +10,10 @@ from fdout import (
     RandomSource,
     as_multivariate,
     as_univariate,
+    functional_boxplot,
+    modified_band_depth,
+    muod_indices,
+    simulation_model,
     uniform_grid,
 )
 from fdout.errors import (
@@ -124,6 +128,26 @@ class TestConstructionCopies:
         with pytest.raises(ValueError, match="read-only"):
             sample.values[0, 0] = 1.0
 
+
+def _boxplot(seed):
+    sample = simulation_model(1, n=12, p=8, outlier_rate=0.0, seed=seed).data
+    return functional_boxplot(sample, modified_band_depth(sample))
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: Grid([0.0, 1.0, 2.0]),
+    lambda seed: make_sample([[0.0, 1.0], [2.0, 3.0]]),
+    lambda seed: make_multi(np.zeros((2, 3, 2))),
+    lambda seed: simulation_model(1, n=12, p=8, outlier_rate=0.0, seed=seed),
+    lambda seed: _boxplot(seed).depth,
+    _boxplot,
+    lambda seed: muod_indices(simulation_model(1, n=12, p=8, outlier_rate=0.0, seed=seed).data),
+], ids=["grid", "curves", "multicurves", "simulation", "depth", "boxplot", "muod"])
+def test_records_holding_arrays_compare_by_identity(build):
+    first, twin = build(3), build(3)
+    assert first == first and first != twin
+    assert first in [twin, first] and twin not in [first]
+    assert len({first, twin, first}) == 2 and first in {first}
 
 class TestRoundTrip:
     def test_d1_bit_exact(self, np_rng):
