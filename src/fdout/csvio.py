@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyInput, ParseError, ShapeMismatch
-from .fdcore import CurveSample, Grid, MultiCurveSample, curve_values, uniform_grid
+from .fdcore import CurveSample, Grid, MultiCurveSample, _is_number, curve_values, uniform_grid
 from .report import to_external_indices
 
 __all__ = [
@@ -50,19 +50,11 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> int:
     return written
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def _header(first: list, header, more_rows: bool):
     """(has_header, grid points or None) for the first row's stripped cells
     past any id cell. Auto takes the row as a header when a cell is not a
     number, or when another row follows and the points strictly increase."""
-    numeric = all(_is_float(c) for c in first)
+    numeric = all(_is_number(c) for c in first)
     points = np.array(first, dtype=float) if numeric else None
     if header == "auto":
         with np.errstate(invalid="ignore"):  # inf - inf does not increase
@@ -190,7 +182,7 @@ def _csv_block(handle, path: str, header, id_column):
 
     if id_column == "auto":
         # write_curves heads an id column with "id", whatever the ids look like
-        has_ids = rows[0][0] == "id" or not _is_float(rows[-1][0])
+        has_ids = rows[0][0] == "id" or not _is_number(rows[-1][0])
     else:
         has_ids = bool(id_column)
     shift = 1 if has_ids else 0
@@ -211,7 +203,7 @@ def _csv_block(handle, path: str, header, id_column):
     except ValueError:
         for line, row in zip(lines[offset:], data_rows):
             for c, cell in enumerate(row):
-                if not _is_float(cell):
+                if not _is_number(cell):
                     raise ParseError(line, c + 1 + shift,
                                      f"could not parse {cell!r} as a number") from None
         raise
@@ -225,13 +217,8 @@ def _read_wide(path: str, header, id_column):
             handle.seek(0)
             parsed = _csv_block(handle, path, header, id_column)
     values, grid_points, ids = parsed
-    p = values.shape[1]
-    if grid_points is not None:
-        if grid_points.size != p:
-            raise ShapeMismatch(f"grid header has {grid_points.size} points for {p} columns")
-        grid = Grid(grid_points)
-    else:
-        grid = uniform_grid(p, 0.0, 1.0)
+    # both parsers refuse rows of unequal width, so a header has p points
+    grid = Grid(grid_points) if grid_points is not None else uniform_grid(values.shape[1], 0.0, 1.0)
     return values, grid, ids
 
 
@@ -326,15 +313,21 @@ def write_truth(path: str, outlier_indices) -> None:
 
 
 def read_truth(path: str) -> np.ndarray:
-    """0-based outlier indices from a truth file."""
-    out = []
+    """0-based outlier indices from a truth file of 1-based row numbers, one
+    per line; a line that is not an integer, a number below 1 and a repeated
+    number each raise ParseError naming the line."""
+    out = set()
     with open(path, "r", encoding="utf-8") as handle:
         for k, line in enumerate(handle):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(int(line) - 1)
+                row = int(line)
             except ValueError:
                 raise ParseError(k + 1, 1, f"expected an integer row index, got {line!r}") from None
-    return np.array(sorted(out), dtype=np.intp)
+            if row < 1 or row in out:
+                why = "below 1" if row < 1 else "repeated"
+                raise ParseError(k + 1, 1, f"row index {row} is {why}")
+            out.add(row)
+    return np.array(sorted(out), dtype=np.intp) - 1

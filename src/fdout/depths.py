@@ -185,18 +185,27 @@ _ERLD_TAILS = {
 ERLD_TYPES = tuple(_ERLD_TAILS)
 
 
-def extreme_rank_length(sample: AnySample, type: str = "two_sided") -> DepthVector:
+def erld_tail(type: str | None) -> str:
+    """The ERLD tail that ``type`` names, ``None`` meaning ``two_sided``;
+    any other value outside ``ERLD_TYPES`` raises UnknownErldType."""
+    if type is None:
+        return "two_sided"
+    if type not in ERLD_TYPES:
+        raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {type!r}")
+    return type
+
+
+def extreme_rank_length(sample: AnySample, type: str | None = "two_sided") -> DepthVector:
     """Extreme rank length depth with one- or two-sided extremeness.
 
     Each curve gets a vector of pointwise extremeness ranks (small = more
     extreme), sorted ascending; curves are compared lexicographically and
     scored by the fraction of curves weakly more extreme than or tied with
     them. ``one_sided_right`` treats large values as extreme,
-    ``one_sided_left`` small values, ``two_sided`` both.
+    ``one_sided_left`` small values, ``two_sided`` (or ``None``) both.
     """
     values = curve_values(sample, "extreme_rank_length", 2)
-    if type not in ERLD_TYPES:
-        raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {type!r}")
+    type = erld_tail(type)
     r = _ERLD_TAILS[type](pointwise_ranks(values)) / values.shape[0]
     return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
 
@@ -224,18 +233,25 @@ def linfinity_depth(sample: AnySample) -> DepthVector:
     """Depth from the mean sup-norm distance to the rest of the sample.
 
     L-infinity depth of curve i is 1 / (1 + mean_j sup_t |Y_i - Y_j|),
-    the self term included, so scores lie in (0, 1].
+    the self term included, so scores lie in (0, 1]. Curves reaching 1 or
+    more in size are measured in units of 2**e, the power of two of their
+    largest |value|, as 2**-e / (2**-e + mean distance): the same bits,
+    and no overflow however large the curves.
     """
     values = curve_values(sample, "linfinity_depth", 2)
     n = values.shape[0]
+    # e >= 0: smaller curves need no scaling, and 2**-e overflows for subnormal ones
+    unit = 2.0 ** -max(int(np.frexp(np.abs(values).max())[1]), 0)
     # |a - b| == |b - a| bit for bit, so each pair's sup distance is computed
-    # once and written to both triangles; row means sum each full row in order
+    # once and written to both triangles; row means sum each full row in order.
+    # Scaling each row as it is differenced holds no scaled copy of the curves.
     dist = np.zeros((n, n))
     buffer = np.empty(values.shape)
     for i in range(n - 1):
-        diff = np.subtract(values[i + 1:], values[i], out=buffer[:n - i - 1])
+        diff = np.multiply(values[i + 1:], unit, out=buffer[:n - i - 1])
+        diff -= values[i] * unit
         dist[i, i + 1:] = dist[i + 1:, i] = np.abs(diff, out=diff).max(axis=1)
-    return DepthVector(1.0 / (1.0 + dist.mean(axis=1)), DEEPER_IS_LARGER, "linfinity")
+    return DepthVector(unit / (unit + dist.mean(axis=1)), DEEPER_IS_LARGER, "linfinity")
 
 
 def extremal_depth(sample: AnySample) -> DepthVector:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import depths as _depths
-from .depths import DEEPER_IS_LARGER, ERLD_TYPES, OUTLYING_IS_LARGER, DepthVector
+from .depths import DEEPER_IS_LARGER, OUTLYING_IS_LARGER, DepthVector, erld_tail
 from .dirout import decompose, directional_outlyingness, pointwise_sdo
 from .errors import (
     BadCentralRegion,
@@ -30,8 +30,8 @@ from .errors import (
     OOnUnivariate,
     ShapeMismatch,
     TooFewCurves,
+    TooFewPoints,
     UnknownDepthMethod,
-    UnknownErldType,
     ValidationError,
 )
 from .fdcore import (
@@ -114,7 +114,7 @@ _DEPTHS = {
     "bd": (False, lambda sample, erld_type, rng: _depths.band_depth(sample)),
     "mbd": (False, lambda sample, erld_type, rng: _depths.modified_band_depth(sample)),
     "erld": (False, lambda sample, erld_type, rng: _depths.extreme_rank_length(
-        sample, type=erld_type or "two_sided")),
+        sample, type=erld_type)),
     "dq": (False, lambda sample, erld_type, rng: _depths.directional_quantile(sample)),
     "linf": (False, lambda sample, erld_type, rng: _depths.linfinity_depth(sample)),
     "ed": (False, lambda sample, erld_type, rng: _depths.extremal_depth(sample)),
@@ -125,6 +125,13 @@ _DEPTHS = {
         msplot(sample, rng=rng).distances, OUTLYING_IS_LARGER, "rmd")),
 }
 DEPTH_METHODS = tuple(_DEPTHS)
+
+
+def _depth_entry(method: str) -> tuple:
+    """The ``_DEPTHS`` entry of ``method``; UnknownDepthMethod for any other name."""
+    if method not in DEPTH_METHODS:
+        raise UnknownDepthMethod(f"unknown depth method {method!r}")
+    return _DEPTHS[method]
 
 
 def depth_by_name(
@@ -139,9 +146,7 @@ def depth_by_name(
     orders by the robust distance of the (MO, VO) summary and works for any
     dimension (it is the only choice for multivariate data).
     """
-    if method not in DEPTH_METHODS:
-        raise UnknownDepthMethod(f"unknown depth method {method!r}")
-    multivariate_ok, order = _DEPTHS[method]
+    multivariate_ok, order = _depth_entry(method)
     if sample.d > 1 and not multivariate_ok:
         raise ValidationError(
             f"depth method {method!r} needs univariate curves; "
@@ -354,16 +359,17 @@ def _difference_rows(sample: CurveSample) -> tuple[CurveSample, list]:
     return CurveSample(values, grid, ids=sample.ids), []
 
 
-# stage -> (needs d > 1 curves, transform(sample, rng) -> (sample, warnings));
+# stage -> (needs d > 1 curves, grid points it drops,
+#           transform(sample, rng) -> (sample, warnings));
 # every stage but O needs univariate curves
 _SEQ_TRANSFORMS = {
-    "T0": (False, lambda sample, rng: (sample, [])),
-    "D0": (False, lambda sample, rng: (sample, [])),
-    "T1": (False, lambda sample, rng: _center_rows(sample)),
-    "T2": (False, lambda sample, rng: _normalise_rows(sample)),
-    "D1": (False, lambda sample, rng: _difference_rows(sample)),
-    "D2": (False, lambda sample, rng: _difference_rows(sample)),
-    "O": (True, lambda sample, rng: (o_transform(sample, rng=rng), [])),
+    "T0": (False, 0, lambda sample, rng: (sample, [])),
+    "D0": (False, 0, lambda sample, rng: (sample, [])),
+    "T1": (False, 0, lambda sample, rng: _center_rows(sample)),
+    "T2": (False, 0, lambda sample, rng: _normalise_rows(sample)),
+    "D1": (False, 1, lambda sample, rng: _difference_rows(sample)),
+    "D2": (False, 1, lambda sample, rng: _difference_rows(sample)),
+    "O": (True, 0, lambda sample, rng: (o_transform(sample, rng=rng), [])),
 }
 SEQ_STAGES = tuple(_SEQ_TRANSFORMS)
 
@@ -389,8 +395,9 @@ def seq_transform(
 
     The whole plan is checked before the first stage runs, in this order:
     stage names, ``depth_method``, fences, each stage's dimension (O only
-    first, on d > 1 curves; every other stage on univariate ones) and, when
-    ``depth_method`` is erld, ``erld_type``.
+    first, on d > 1 curves; every other stage on univariate ones) and grid
+    length (each D1/D2 drops a point, and 2 must remain; TooFewPoints
+    names the stage) and, when ``depth_method`` is erld, ``erld_type``.
 
     Every stage's raw flag set comes from a functional boxplot under
     ``depth_method``; no curves are removed between stages. Use
@@ -404,21 +411,23 @@ def seq_transform(
             raise ValidationError(
                 f"unknown stage {name!r}; stages are {', '.join(SEQ_STAGES)}"
             )
-    if depth_method not in DEPTH_METHODS:
-        raise UnknownDepthMethod(f"unknown depth method {depth_method!r}")
+    _depth_entry(depth_method)
     check_fences(factor, central_region)
-    d = sample.d
-    for name in sequence:
-        needs_multivariate = _SEQ_TRANSFORMS[name][0]
+    d, p = sample.d, sample.p
+    for position, name in enumerate(sequence, start=1):
+        needs_multivariate, dropped, _ = _SEQ_TRANSFORMS[name]
         if needs_multivariate and d == 1:
             raise OOnUnivariate(f"the {name} stage needs multivariate curves")
         if d > 1 and not needs_multivariate:
             raise ValidationError(
                 f"stage {name} needs univariate curves; apply an O stage first"
             )
-        d = 1
-    if depth_method == "erld" and (erld_type or "two_sided") not in ERLD_TYPES:
-        raise UnknownErldType(f"type must be one of {ERLD_TYPES}, got {erld_type!r}")
+        d, p = 1, p - dropped
+        if p < 2:
+            raise TooFewPoints(f"stage {name} at position {position} leaves {p} grid point; "
+                               "curves need at least 2")
+    if depth_method == "erld":
+        erld_tail(erld_type)
     if rng is None:
         rng = RandomSource(0)
 
@@ -433,7 +442,7 @@ def seq_transform(
         label = f"{name}_{seen[name]}" if counts[name] > 1 else name
         stage_rng = rng.child(position)
         try:
-            current, extra = _SEQ_TRANSFORMS[name][1](current, stage_rng.child(0))
+            current, extra = _SEQ_TRANSFORMS[name][2](current, stage_rng.child(0))
         except NonFiniteValue as exc:
             # the stage's input is a checked sample, so its output overflowed
             raise NonFiniteResult(

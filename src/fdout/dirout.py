@@ -50,12 +50,7 @@ class OutlyingnessDecomposition:
 
 def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
     u = rng.standard_normal((DEFAULT_DIRECTIONS, d))
-    norms = np.sqrt((u * u).sum(axis=1))
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        u[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.sqrt((u * u).sum(axis=1))
-    return u / norms[:, None]
+    return u / np.sqrt((u * u).sum(axis=1))[:, None]
 
 
 def _kth_smallest(valley: np.ndarray, k: int) -> np.ndarray:

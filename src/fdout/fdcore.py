@@ -287,6 +287,7 @@ class RandomSource:
         if seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         self.seed = seed
+        self._path = ()
         self._generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -306,12 +307,14 @@ class RandomSource:
     def child(self, index: int) -> "RandomSource":
         """Deterministic child stream for parallel or staged work.
 
-        Children are derived by re-keying Philox from
-        ``SeedSequence(entropy=seed, spawn_key=(index,))``, so child streams
-        are independent of draws already made from the parent.
+        A stream is keyed by its path from the root: ``child(i)`` re-keys
+        Philox from ``SeedSequence(entropy=seed, spawn_key=path + (i,))``,
+        so streams of distinct paths differ, ``child(i).child(j)`` among
+        them, and none depends on draws already made from its parent.
         """
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
         src = RandomSource.__new__(RandomSource)
         src.seed = self.seed
+        src._path = self._path + (int(index),)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=src._path)
         src._generator = np.random.Generator(np.random.Philox(seed=ss))
         return src

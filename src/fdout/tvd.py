@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .depths import rankdata
-from .errors import EmptyInput, ShapeMismatch, TooFewPoints
+from .errors import EmptyInput, ShapeMismatch
 from .fdcore import AnySample, curve_values, float_array
 
 __all__ = [
@@ -74,9 +74,6 @@ def modified_shape_similarity(sample: AnySample) -> np.ndarray:
     """
     values = curve_values(sample, "modified_shape_similarity", 2)
     n, p = values.shape
-    if p < 2:
-        raise TooFewPoints(f"shape similarity needs p >= 2, got {p}")
-
     med = np.median(values, axis=0)
     similarity = np.empty((n, p - 1))
     for t in range(1, p):

@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -306,10 +307,16 @@ class TestTruthFiles:
         assert path.read_text() == ""
         assert read_truth(str(path)).size == 0
 
-    def test_malformed_truth(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("3\nbogus\n", "line 2, column 1: expected an integer row index, got 'bogus'"),
+        ("0\n-3\n2\n2\n", "line 1, column 1: row index 0 is below 1"),
+        ("2\n\n-3\n", "line 3, column 1: row index -3 is below 1"),
+        ("2\n5\n2\n", "line 3, column 1: row index 2 is repeated"),
+    ], ids=["not_an_integer", "zero", "negative", "repeated"])
+    def test_malformed_truth(self, tmp_path, text, message):
         path = tmp_path / "truth.txt"
-        path.write_text("3\nbogus\n")
-        with pytest.raises(ParseError):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read_truth(str(path))
 
 

@@ -137,6 +137,22 @@ def test_a_cell_past_the_csv_field_limit_is_refused_on_both_paths(tmp_path):
     assert fast == csv_outcome(path, "auto", "auto")
 
 
+@pytest.mark.parametrize("text, header, id_column, message", [
+    ("0,0.5,1,1.5\n1,2,3\n4,5,6\n", True, False, "line 2, column 4: row has 3 cells, expected 4"),
+    ("0,0.5,1,1.5\n1,2,3\n", "auto", "auto", "line 2, column 4: row has 3 cells, expected 4"),
+    ("id,t0,t1,t2\na,1,2\nb,3,4\n", "auto", "auto",
+     "line 2, column 4: row has 3 cells, expected 4"),
+], ids=["grid", "auto_grid", "names_with_ids"])
+def test_a_header_wider_than_the_data_is_refused_on_both_paths(tmp_path, text, header,
+                                                               id_column, message):
+    # so a parsed header always has one point per column
+    path = str(tmp_path / "a.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    for result in (outcome(path, header, id_column), csv_outcome(path, header, id_column)):
+        assert result[:3] == ("error", ParseError, message)
+
+
 LONG = "4" * (csv.field_size_limit() + 1)
 
 

@@ -7,6 +7,7 @@ from scipy import stats
 
 from fdout import (
     band_depth,
+    depth_by_name,
     directional_quantile,
     extremal_depth,
     extreme_rank_length,
@@ -20,7 +21,13 @@ from fdout.depths import (
     pointwise_ranks,
     rankdata,
 )
-from fdout.errors import NonFiniteResult, TooFewCurves, UnknownErldType, ValidationError
+from fdout.errors import (
+    NonFiniteResult,
+    TooFewCurves,
+    UnknownDepthMethod,
+    UnknownErldType,
+    ValidationError,
+)
 from fdout.simmodels import simulation_model
 
 from . import oracles
@@ -107,6 +114,12 @@ class TestExtremeRankLength:
         scores = extreme_rank_length(sample, type="two_sided").scores
         assert np.argmax(scores) == 1
         assert scores[1] == 1.0
+
+    def test_none_means_two_sided(self):
+        sample = random_sample(105, 9, 6)
+        depth = extreme_rank_length(sample, type=None)
+        assert depth.method == "erld_two_sided"
+        np.testing.assert_array_equal(depth.scores, extreme_rank_length(sample).scores)
 
     def test_identical_curves_all_one(self):
         sample = make_sample(np.tile([0.5, 1.5], (4, 1)))
@@ -211,6 +224,20 @@ class TestLinfinityDepth:
         values = np.round(np.random.default_rng(n).standard_normal((n, 11)) * 8.0, 2)
         full = np.array([np.abs(values - row).max(axis=1).mean() for row in values])
         assert np.array_equal(linfinity_depth(make_sample(values)).scores, 1.0 / (1.0 + full))
+
+    def test_extreme_magnitudes_keep_distinct_scores_without_overflow(self):
+        # the sums of sup distances at 1e307 overflow unless taken in units of
+        # the curves' power of two; the order is that of the same curves at
+        # 2**-1000 of that size, where nothing overflows
+        base = np.random.default_rng(118).standard_normal((12, 6))
+        huge = linfinity_depth(make_sample(base * 1e307)).scores
+        tame = linfinity_depth(make_sample(base * 1e307 * 2.0**-1000)).scores
+        assert np.all(huge > 0.0) and np.unique(huge).size == 12
+        np.testing.assert_array_equal(np.argsort(huge), np.argsort(tame))
+
+    def test_subnormal_curves_are_all_deepest(self):
+        values = np.random.default_rng(119).standard_normal((5, 4)) * 1e-320
+        np.testing.assert_array_equal(linfinity_depth(make_sample(values)).scores, np.ones(5))
 
 
 class TestExtremalDepth:
@@ -329,8 +356,11 @@ class TestDepthVector:
 
 @pytest.mark.parametrize("build, error", [
     (lambda: extreme_rank_length(random_sample(109, 4, 3), type="sideways"), UnknownErldType),
+    (lambda: depth_by_name(random_sample(109, 4, 3), "erld", erld_type="sideways"),
+     UnknownErldType),
+    (lambda: depth_by_name(random_sample(109, 4, 3), "sideways"), UnknownDepthMethod),
     (lambda: DepthVector(np.array([0.1, 0.9]), "sideways", "demo"), ValidationError),
-], ids=["erld_type", "direction"])
+], ids=["erld_type", "erld_type_by_name", "depth_method", "direction"])
 def test_unknown_names_rejected(build, error):
     with pytest.raises(error, match="sideways"):
         build()

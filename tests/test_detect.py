@@ -27,6 +27,7 @@ from fdout.errors import (
     NonFiniteResult,
     OOnUnivariate,
     TooFewCurves,
+    TooFewPoints,
     UnknownDepthMethod,
     UnknownErldType,
     ValidationError,
@@ -93,11 +94,14 @@ class TestFunctionalBoxplot:
         flags_perm = functional_boxplot(permuted, modified_band_depth(permuted)).outliers
         np.testing.assert_array_equal(np.sort(perm[flags_perm]), np.sort(flags))
 
-    @pytest.mark.parametrize("region", [0.0, 1.0, -0.5, 2.0])
-    def test_bad_central_region(self, region):
+    @pytest.mark.parametrize("kwargs", [
+        {"central_region": 0.0}, {"central_region": 1.0}, {"central_region": -0.5},
+        {"central_region": 2.0}, {"central_count": 0}, {"central_count": 6},
+    ], ids=["0.0", "1.0", "-0.5", "2.0", "count_0", "count_6"])
+    def test_bad_central_region(self, kwargs):
         sample = constant_curves(FIVE_LEVELS)
         with pytest.raises(BadCentralRegion):
-            functional_boxplot(sample, modified_band_depth(sample), central_region=region)
+            functional_boxplot(sample, modified_band_depth(sample), **kwargs)
 
     def test_infinite_factor_rejected(self):
         sample = constant_curves(FIVE_LEVELS)
@@ -519,30 +523,34 @@ class TestSeqTransform:
         with pytest.raises(ValidationError):
             seq_transform(make_multi(values), ["T1"])
 
-    @pytest.mark.parametrize("d, sequence, kwargs, error, message", [
-        (1, ["T0", "T1"], {"factor": np.nan}, ValidationError,
+    @pytest.mark.parametrize("d, p, sequence, kwargs, error, message", [
+        (1, 17, ["T0", "T1"], {"factor": np.nan}, ValidationError,
          "factor must be positive and finite, got nan"),
-        (1, ["T0", "T1"], {"factor": -1.0}, ValidationError,
+        (1, 17, ["T0", "T1"], {"factor": -1.0}, ValidationError,
          "factor must be positive and finite, got -1.0"),
-        (1, ["T0", "T1"], {"central_region": 2.0}, BadCentralRegion,
+        (1, 17, ["T0", "T1"], {"central_region": 2.0}, BadCentralRegion,
          "central_region must lie in (0, 1), got 2.0"),
-        (1, ["T1", "T2", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
-        (2, ["O", "T1", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
-        (2, ["T1"], {}, ValidationError,
+        (1, 17, ["T1", "T2", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (2, 6, ["O", "T1", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (2, 6, ["T1"], {}, ValidationError,
          "stage T1 needs univariate curves; apply an O stage first"),
-        (1, ["T0", "D1"], {"depth_method": "erld", "erld_type": "bogus"}, UnknownErldType,
+        (1, 17, ["T0", "D1"], {"depth_method": "erld", "erld_type": "bogus"}, UnknownErldType,
          "type must be one of ('two_sided', 'one_sided_right', 'one_sided_left'), got 'bogus'"),
+        (1, 3, ["D1", "D2"], {}, TooFewPoints,
+         "stage D2 at position 2 leaves 1 grid point; curves need at least 2"),
+        (1, 2, ["D1"], {}, TooFewPoints,
+         "stage D1 at position 1 leaves 1 grid point; curves need at least 2"),
     ])
     def test_bad_fence_parameters_rejected_before_any_stage(
-            self, monkeypatch, d, sequence, kwargs, error, message):
+            self, monkeypatch, d, p, sequence, kwargs, error, message):
         def refuse(*args, **kwargs):
             raise AssertionError("a stage was computed")
 
         for name in ("_center_rows", "_normalise_rows", "_difference_rows", "o_transform",
                      "depth_by_name"):
             monkeypatch.setattr(fdout.detect, name, refuse)
-        sample = (line_family() if d == 1
-                  else make_multi(np.random.default_rng(209).standard_normal((10, 6, d))))
+        sample = (make_sample(line_family().values[:, :p]) if d == 1
+                  else make_multi(np.random.default_rng(209).standard_normal((10, p, d))))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             seq_transform(sample, sequence, **kwargs)
 

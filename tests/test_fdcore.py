@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from fdout.errors import (
     DegenerateInterval,
     NonFiniteValue,
     NonIncreasingGrid,
+    RaggedRows,
     ValidationError,
 )
 
@@ -104,6 +107,23 @@ class TestValidation:
         sample = kind(np.ones(shape), points)
         assert isinstance(sample.grid, Grid)
         np.testing.assert_array_equal(sample.grid.points, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("kind, values, ids, error, message", [
+        (CurveSample, np.ones((0, 3)), None, ValidationError, "sample needs at least one curve"),
+        (MultiCurveSample, np.ones((0, 3, 2)), None, ValidationError,
+         "sample needs at least one curve"),
+        (CurveSample, np.ones((2, 3)), ["a"], ValidationError,
+         "ids length must equal the number of curves"),
+        (MultiCurveSample, np.ones((2, 3, 1)), ["a", "b", "c"], ValidationError,
+         "ids length must equal the number of curves"),
+        (MultiCurveSample, np.ones((2, 3, 0)), None, ValidationError,
+         "dimension d must be >= 1"),
+        (CurveSample, np.ones((2, 3, 2)), None, RaggedRows,
+         "expected a 2-dimensional array, got shape (2, 3, 2)"),
+    ], ids=["no_curves", "no_multi_curves", "short_ids", "long_ids", "d_0", "3d_curves"])
+    def test_malformed_sample_rejected(self, kind, values, ids, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            kind(values, np.linspace(0.0, 1.0, 3), ids=ids)
 
     @pytest.mark.parametrize("kind, shape", [(CurveSample, (2, 3)), (MultiCurveSample, (2, 3, 1))])
     def test_decreasing_points_raise_non_increasing_grid(self, kind, shape):
@@ -202,6 +222,24 @@ class TestRandomSource:
         assert not np.array_equal(c0, c1)
         again = RandomSource(7)
         np.testing.assert_array_equal(c0, again.child(0).standard_normal(6))
+
+    def test_streams_are_keyed_by_their_path(self):
+        root = RandomSource(5)
+        streams = [root, root.child(1), root.child(3), root.child(0).child(1),
+                   root.child(3).child(1), root.child(1).child(0), root.child(0).child(1).child(0)]
+        draws = {stream.standard_normal(4).tobytes() for stream in streams}
+        assert len(draws) == len(streams)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    def test_root_and_first_children_keep_their_bits(self, seed):
+        root = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        np.testing.assert_array_equal(RandomSource(seed).standard_normal(5),
+                                      root.standard_normal(5))
+        for i in (0, 1, 7):
+            child = np.random.Generator(np.random.Philox(
+                seed=np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+            np.testing.assert_array_equal(RandomSource(seed).child(i).standard_normal(5),
+                                          child.standard_normal(5))
 
     def test_child_does_not_advance_parent(self):
         a = RandomSource(3)

@@ -247,6 +247,21 @@ class TestFastMcd:
         with pytest.raises(SingularSubsets):
             fast_mcd(points, rng=RandomSource(0))
 
+    @pytest.mark.parametrize("points, coverage, message", [
+        (np.outer(np.linspace(0.0, 1.0, 50), [1.0, 2.0]), 1.0,
+         "full-sample covariance is singular"),
+        # h = 21 of 40 values, 30 of them equal
+        (np.r_[np.zeros(30), np.arange(1.0, 11.0)], None, "more than h identical values"),
+    ], ids=["full_coverage_line", "d1_equal_values"])
+    def test_singular_exact_paths(self, points, coverage, message):
+        with pytest.raises(SingularSubsets, match=message):
+            fast_mcd(points, coverage=coverage)
+
+    def test_vector_is_its_column(self):
+        x = np.random.default_rng(8).standard_normal(40)
+        for a, b in zip(_fields(fast_mcd(x)), _fields(fast_mcd(x[:, None])), strict=True):
+            assert np.array_equal(a, b)
+
     def test_d1_variance_near_classical_on_clean_data(self):
         # consistency-corrected but not small-sample-corrected: at n=100
         # the half-sample estimate sits 10-25% below the classical variance
@@ -334,6 +349,10 @@ class TestFastMcd:
         points = np.random.default_rng(7).standard_normal((40, 2))
         with pytest.raises(BadCoverage):
             fast_mcd(points, coverage=coverage, rng=RandomSource(0))
+
+
+def _fields(fit):
+    return fit.center, fit.covariance, fit.subset_indices, fit.coverage_fraction
 
 
 def _gaussian(m, d, seed):
@@ -645,6 +664,11 @@ class TestHardinRockeCutoff:
     def test_no_coordinates(self):
         with pytest.raises(EmptyInput):
             hardin_rocke_cutoff(100, 0)
+
+    @pytest.mark.parametrize("m, d", [(2, 1), (3, 2), (1, 3)])
+    def test_too_few_points(self, m, d):
+        with pytest.raises(TooFewPoints, match=f"need m > d \\+ 1, got m={m}, d={d}"):
+            hardin_rocke_cutoff(m, d)
 
     def test_fields_valid_across_settings(self):
         for m in (30, 100, 1000):

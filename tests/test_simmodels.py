@@ -112,6 +112,12 @@ class TestSelection:
         out = simulation_model(1, n=7, p=4, outlier_rate=0.3, deterministic=True)
         assert np.array_equal(out.true_outliers, np.array([0, 2, 4]))
 
+    def test_deterministic_rate_zero_plants_none(self):
+        out = simulation_model(1, n=7, p=4, outlier_rate=0.0, deterministic=True)
+        assert out.true_outliers.size == 0 and out.true_outliers.dtype == np.intp
+        random = simulation_model(1, n=7, p=4, outlier_rate=0.0)
+        assert np.array_equal(out.data.values, random.data.values)
+
     def test_bernoulli_rate_roughly_respected(self):
         sizes = [
             simulation_model(1, n=200, p=4, outlier_rate=0.1, seed=s).true_outliers.size

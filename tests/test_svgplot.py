@@ -12,7 +12,9 @@ import pytest
 
 from fdout.cli import DETECTORS, main
 from fdout.csvio import write_curves
-from fdout.svgplot import render_curves, render_msplot
+from fdout.errors import InconsistentReport
+from fdout.report import DetectionReport
+from fdout.svgplot import emit_plot, render_curves, render_msplot
 
 from . import oracles
 from .conftest import make_sample
@@ -122,6 +124,10 @@ MALFORMED = {
     "entry_past_len_vo": (_report(outliers={"all": [N_CURVES + 1]}), "msplot"),
     "entry_a_float": (_report(outliers={"all": [1.7]}), "curves"),
     "entry_a_bool": (_report(outliers={"all": [True]}), "curves"),
+    "mo_ragged": (_report(diagnostics={"mo": [[0.5, 0.5]] * (N_CURVES - 1) + [[0.5]],
+                                       "vo": [1.0] * N_CURVES}), "msplot"),
+    "mo_longer_than_vo": (_report(diagnostics={"mo": [0.5] * N_CURVES,
+                                               "vo": [1.0] * (N_CURVES - 1)}), "msplot"),
 }
 
 
@@ -133,6 +139,13 @@ def test_malformed_report_exits_2_with_one_line(tmp_path, curves_csv, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith("InconsistentReport: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_curve_plot_without_data_is_refused(tmp_path):
+    report = DetectionReport.from_json(json.dumps(_report()))
+    with pytest.raises(InconsistentReport, match="^curve plots need the curve data$"):
+        emit_plot(report, None, "curves", str(tmp_path / "plot.svg"))
+    assert not (tmp_path / "plot.svg").exists()
 
 
 @pytest.mark.parametrize("kind", ["curves", "msplot"])
