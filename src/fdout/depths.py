@@ -126,7 +126,7 @@ def band_depth(sample: AnySample) -> DepthVector:
     and k strictly below i, and none has both strictly above; the (n - 1)
     pairs involving i itself always contain it.
     """
-    values = curve_values(sample, "band_depth", 3)
+    values = curve_values(sample, "band_depth")
     n = values.shape[0]
     n_pairs = comb(n, 2)
     scores = np.empty(n)
@@ -145,7 +145,7 @@ def band_depth(sample: AnySample) -> DepthVector:
 
 def modified_band_depth(sample: AnySample) -> DepthVector:
     """Average fraction of the domain each curve spends inside two-curve bands."""
-    values = curve_values(sample, "modified_band_depth", 3)
+    values = curve_values(sample, "modified_band_depth")
     n, p = values.shape
     n_pairs = comb(n, 2)
     # strict below/above counts (lo, hi) exclude ties, so containing-pair
@@ -204,7 +204,7 @@ def extreme_rank_length(sample: AnySample, type: str | None = "two_sided") -> De
     them. ``one_sided_right`` treats large values as extreme,
     ``one_sided_left`` small values, ``two_sided`` (or ``None``) both.
     """
-    values = curve_values(sample, "extreme_rank_length", 2)
+    values = curve_values(sample, "extreme_rank_length")
     type = erld_tail(type)
     r = _ERLD_TAILS[type](pointwise_ranks(values)) / values.shape[0]
     return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
@@ -219,7 +219,7 @@ def directional_quantile(sample: AnySample) -> DepthVector:
     tie-heavy columns cannot blow up the ratio. Larger scores mean more
     outlying.
     """
-    values = curve_values(sample, "directional_quantile", 5)
+    values = curve_values(sample, "directional_quantile")
     q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
     den_up = np.maximum(q_hi - med, 1e-12)
     den_dn = np.maximum(med - q_lo, 1e-12)
@@ -238,7 +238,7 @@ def linfinity_depth(sample: AnySample) -> DepthVector:
     largest |value|, as 2**-e / (2**-e + mean distance): the same bits,
     and no overflow however large the curves.
     """
-    values = curve_values(sample, "linfinity_depth", 2)
+    values = curve_values(sample, "linfinity_depth")
     n = values.shape[0]
     # e >= 0: smaller curves need no scaling, and 2**-e overflows for subnormal ones
     unit = 2.0 ** -max(int(np.frexp(np.abs(values).max())[1]), 0)
@@ -266,7 +266,7 @@ def extremal_depth(sample: AnySample) -> DepthVector:
     order: two CDFs first differ at the first position where the sorted
     rows differ, and the smaller row carries more mass there.
     """
-    values = curve_values(sample, "extremal_depth", 2)
+    values = curve_values(sample, "extremal_depth")
     n = values.shape[0]
     ranks = pointwise_ranks(values)
     n_below_strict, n_above_strict = n - ranks.above, n - ranks.below

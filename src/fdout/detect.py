@@ -29,7 +29,6 @@ from .errors import (
     NonFiniteValue,
     OOnUnivariate,
     ShapeMismatch,
-    TooFewCurves,
     TooFewPoints,
     UnknownDepthMethod,
     ValidationError,
@@ -42,6 +41,7 @@ from .fdcore import (
     as_univariate,
     curve_values,
     ensure_valid,  # noqa: F401 -- unused here, but perfbench/tracer.py wraps it
+    least_curves,
     power_of_two_scaled,
 )
 from .robust import (FCutoff, check_coverage, check_level, fast_mcd, hardin_rocke_cutoff,
@@ -108,21 +108,21 @@ class SeqTransformResult:
     warnings: tuple
 
 
-# name -> (orders d > 1 curves, ordering(sample, erld_type, rng)). Entries
+# name -> (op of the kernel it runs, ordering(sample, erld_type, rng)). Entries
 # look their kernels up when called, so a replaced module attribute is seen.
 _DEPTHS = {
-    "bd": (False, lambda sample, erld_type, rng: _depths.band_depth(sample)),
-    "mbd": (False, lambda sample, erld_type, rng: _depths.modified_band_depth(sample)),
-    "erld": (False, lambda sample, erld_type, rng: _depths.extreme_rank_length(
-        sample, type=erld_type)),
-    "dq": (False, lambda sample, erld_type, rng: _depths.directional_quantile(sample)),
-    "linf": (False, lambda sample, erld_type, rng: _depths.linfinity_depth(sample)),
-    "ed": (False, lambda sample, erld_type, rng: _depths.extremal_depth(sample)),
-    "tvd": (False, lambda sample, erld_type, rng: DepthVector(
-        total_variation_depth(sample), DEEPER_IS_LARGER, "tvd")),
+    "bd": ("band_depth", lambda s, erld_type, rng: _depths.band_depth(s)),
+    "mbd": ("modified_band_depth", lambda s, erld_type, rng: _depths.modified_band_depth(s)),
+    "erld": ("extreme_rank_length", lambda s, erld_type, rng: _depths.extreme_rank_length(
+        s, type=erld_type)),
+    "dq": ("directional_quantile", lambda s, erld_type, rng: _depths.directional_quantile(s)),
+    "linf": ("linfinity_depth", lambda s, erld_type, rng: _depths.linfinity_depth(s)),
+    "ed": ("extremal_depth", lambda s, erld_type, rng: _depths.extremal_depth(s)),
+    "tvd": ("total_variation_depth", lambda s, erld_type, rng: DepthVector(
+        total_variation_depth(s), DEEPER_IS_LARGER, "tvd")),
     # robust distance of the MO/VO summary: the only ordering for d > 1
-    "rmd": (True, lambda sample, erld_type, rng: DepthVector(
-        msplot(sample, rng=rng).distances, OUTLYING_IS_LARGER, "rmd")),
+    "rmd": ("msplot", lambda s, erld_type, rng: DepthVector(
+        msplot(s, rng=rng).distances, OUTLYING_IS_LARGER, "rmd")),
 }
 DEPTH_METHODS = tuple(_DEPTHS)
 
@@ -146,13 +146,7 @@ def depth_by_name(
     orders by the robust distance of the (MO, VO) summary and works for any
     dimension (it is the only choice for multivariate data).
     """
-    multivariate_ok, order = _depth_entry(method)
-    if sample.d > 1 and not multivariate_ok:
-        raise ValidationError(
-            f"depth method {method!r} needs univariate curves; "
-            "apply an O stage first or order by rmd"
-        )
-    return order(sample, erld_type, rng)
+    return _depth_entry(method)[1](sample, erld_type, rng)
 
 
 def check_fences(factor: float, central_region: float,
@@ -250,9 +244,7 @@ def msplot(
     exceeds the F-approximation threshold at ``level``. A summary that
     overflows raises NonFiniteResult naming its curves.
     """
-    n, d = sample.n, sample.d
-    if n <= 2 * (d + 1) + 2:
-        raise TooFewCurves(f"msplot needs n > {2 * (d + 1) + 2}, got {n}")
+    n, d = curve_values(sample, "msplot", univariate=False).shape[0], sample.d
     check_level(level)
     check_coverage(coverage)
     if rng is None:
@@ -291,7 +283,7 @@ def tvdmss(
     depth of the remaining curves (central size relative to the original
     n) flags magnitude outliers.
     """
-    values = curve_values(sample, "tvdmss", 5)
+    values = curve_values(sample, "tvdmss")
     n = values.shape[0]
     if not 0.0 <= emp_factor_mss < math.inf:
         raise ValidationError(
@@ -393,11 +385,11 @@ def seq_transform(
     multivariate curves by their pointwise outlyingness magnitudes. A stage
     whose output overflows raises NonFiniteResult naming it.
 
-    The whole plan is checked before the first stage runs, in this order:
-    stage names, ``depth_method``, fences, each stage's dimension (O only
-    first, on d > 1 curves; every other stage on univariate ones) and grid
-    length (each D1/D2 drops a point, and 2 must remain; TooFewPoints
-    names the stage) and, when ``depth_method`` is erld, ``erld_type``.
+    The whole plan is checked before the first stage runs, in this order: stage
+    names, ``depth_method``, fences, each stage's dimension (O only first, on d > 1
+    curves; every other stage on univariate ones), grid length (each D1/D2 drops a
+    point, and 2 must remain; TooFewPoints names the stage), ``erld_type`` for erld,
+    and the least number of curves (``LEAST_CURVES``) of an O stage and the ordering.
 
     Every stage's raw flag set comes from a functional boxplot under
     ``depth_method``; no curves are removed between stages. Use
@@ -411,7 +403,7 @@ def seq_transform(
             raise ValidationError(
                 f"unknown stage {name!r}; stages are {', '.join(SEQ_STAGES)}"
             )
-    _depth_entry(depth_method)
+    ordering = _depth_entry(depth_method)[0]
     check_fences(factor, central_region)
     d, p = sample.d, sample.p
     for position, name in enumerate(sequence, start=1):
@@ -428,6 +420,9 @@ def seq_transform(
                                "curves need at least 2")
     if depth_method == "erld":
         erld_tail(erld_type)
+    if sequence[0] == "O":
+        least_curves("pointwise_sdo", sample.n)
+    least_curves(ordering, sample.n)  # every ordering runs on univariate curves
     if rng is None:
         rng = RandomSource(0)
 

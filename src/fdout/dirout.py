@@ -137,7 +137,7 @@ def pointwise_sdo(
     and the MAD (see ``_block_sdo``); the result is that of two
     ``np.median`` calls bit for bit, NaN and infinite values included.
     """
-    values = curve_values(sample, "pointwise_sdo", 3, univariate=False)
+    values = curve_values(sample, "pointwise_sdo", univariate=False)
     n, p, d = values.shape
     u = np.ones((1, 1)) if d == 1 else _unit_directions(rng or RandomSource(0), d)
     step = max(1, p // len(u))

@@ -39,6 +39,8 @@ __all__ = [
     "ensure_valid",
     "as_univariate",
     "as_multivariate",
+    "LEAST_CURVES",
+    "least_curves",
     "curve_values",
 ]
 
@@ -235,13 +237,31 @@ def as_multivariate(sample: AnySample) -> MultiCurveSample:
     return MultiCurveSample(sample.values[:, :, np.newaxis], sample.grid, ids=sample.ids)
 
 
-def curve_values(sample: AnySample, op: str, min_n: int = 1,
-                 univariate: bool = True) -> np.ndarray:
-    """The sample's values as a view, the one entry check of every function
-    that reads curves: ``n x p`` when ``univariate`` (a d = 1
-    MultiCurveSample collapses to that), else ``n x p x d``. Raises
-    ValidationError naming ``op`` for d > 1 curves where univariate ones are
-    needed, and TooFewCurves below ``min_n`` curves."""
+# op -> its least number of curves, or that number as a function of the dimension d
+LEAST_CURVES = {
+    "band_depth": 3, "modified_band_depth": 3, "extreme_rank_length": 2,
+    "directional_quantile": 5, "linfinity_depth": 2, "extremal_depth": 2,
+    "total_variation_depth": 2, "modified_shape_similarity": 2, "pointwise_sdo": 3,
+    "muod_indices": 3, "muod_cutoff_boxplot": 5, "muod_cutoff_tangent": 10, "tvdmss": 5,
+    "msplot": lambda d: 2 * (d + 1) + 3,  # the MO/VO summary's MCD needs n > 2 (d + 1) + 2
+    "functional_boxplot": 1, "render_curves": 1, "write_curves": 1,
+}
+
+
+def least_curves(op: str, n: Optional[int] = None, d: int = 1) -> int:
+    """``op``'s least number of curves at dimension ``d``; TooFewCurves if ``n`` is less."""
+    least = LEAST_CURVES[op]
+    least = least(d) if callable(least) else least
+    if n is not None and n < least:
+        raise TooFewCurves(f"{op} needs at least {least} curves, got {n}")
+    return least
+
+
+def curve_values(sample: AnySample, op: str, univariate: bool = True) -> np.ndarray:
+    """The sample's values as a view, the one entry check of every function that
+    reads curves: ``n x p`` when ``univariate`` (a d = 1 MultiCurveSample collapses
+    to that), else ``n x p x d``. Raises ValidationError naming ``op`` for d > 1
+    curves where univariate ones are needed, and TooFewCurves below its least n."""
     values = sample.values
     if not univariate:
         values = values.reshape(values.shape[:2] + (-1,))
@@ -249,8 +269,7 @@ def curve_values(sample: AnySample, op: str, min_n: int = 1,
         if values.shape[2] != 1:
             raise ValidationError(f"{op} needs univariate curves, got d={values.shape[2]}")
         values = values[:, :, 0]
-    if values.shape[0] < min_n:
-        raise TooFewCurves(f"{op} needs at least {min_n} curves, got {values.shape[0]}")
+    least_curves(op, values.shape[0], sample.d)
     return values
 
 

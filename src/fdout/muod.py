@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
-from .fdcore import AnySample, curve_values, float_array, power_of_two_scaled
+from .errors import AllDegenerate, NonFiniteIndex, TooFewPoints, UnknownCutMethod
+from .fdcore import AnySample, curve_values, float_array, least_curves, power_of_two_scaled
 
 __all__ = [
     "MuodIndices",
@@ -60,7 +60,7 @@ def muod_indices(sample: AnySample) -> MuodIndices:
     curve's variance over the grid is too small next to the sample's
     largest value; both raise NonFiniteIndex.
     """
-    values = curve_values(sample, "muod_indices", 3)
+    values = curve_values(sample, "muod_indices")
     n, p = values.shape
     if p < 3:
         raise TooFewPoints(f"muod indices need p >= 3, got {p}")
@@ -117,8 +117,7 @@ def muod_cutoff_boxplot(indices, scale: float | None = None) -> np.ndarray:
     than TIE_TOLERANCE * ``scale``, the size of the values the indices come
     from (default: the largest index); closer ones are ties with the fence."""
     x = float_array(indices).ravel()
-    if x.size < 5:
-        raise TooFewCurves(f"boxplot cutoff needs n >= 5, got {x.size}")
+    least_curves("muod_cutoff_boxplot", x.size)
     q1, q3 = np.percentile(x, [25.0, 75.0])
     return _beyond(x, q3 + 1.5 * (q3 - q1), scale)
 
@@ -134,8 +133,7 @@ def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:
     """
     x = float_array(indices).ravel()
     n = x.size
-    if n < 10:
-        raise TooFewCurves(f"tangent cutoff needs n >= 10, got {n}")
+    least_curves("muod_cutoff_tangent", n)
     g = np.sort(x, kind="stable")
     window = max(3, int(np.ceil(0.02 * n)))
     ks = np.arange(n - window + 1, n + 1, dtype=float)
@@ -148,11 +146,11 @@ def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:
     return _beyond(x, g[k_cut - 1], scale)
 
 
-# cut_method -> cutoff; the lambdas look the cutoffs up when called, so a
-# wrapper installed on the module attribute sees every call
+# cut_method -> (op name, cutoff); the lambdas look the cutoffs up when
+# called, so a wrapper installed on the module attribute sees every call
 _CUTOFFS = {
-    "boxplot": lambda indices, scale: muod_cutoff_boxplot(indices, scale),
-    "tangent": lambda indices, scale: muod_cutoff_tangent(indices, scale),
+    "boxplot": ("muod_cutoff_boxplot", lambda x, scale: muod_cutoff_boxplot(x, scale)),
+    "tangent": ("muod_cutoff_tangent", lambda x, scale: muod_cutoff_tangent(x, scale)),
 }
 MUOD_CUTS = tuple(_CUTOFFS)
 
@@ -161,8 +159,9 @@ def muod(sample: AnySample, cut_method: str = "boxplot"):
     """Flag shape, magnitude and amplitude outliers via the chosen cutoff."""
     if cut_method not in MUOD_CUTS:
         raise UnknownCutMethod(f"cut_method must be one of {MUOD_CUTS}, got {cut_method!r}")
+    op, cut = _CUTOFFS[cut_method]
+    least_curves(op, sample.n)
     idx = muod_indices(sample)
-    cut = _CUTOFFS[cut_method]
     # each index is rounded to a few eps of what it is computed from: shape
     # and amplitude are distances from 1, magnitude is in the curves' units
     flags = MuodOutliers(

@@ -27,7 +27,7 @@ __all__ = [
 def total_variation_depth(sample: AnySample) -> np.ndarray:
     """Mean over the grid of p_hat(1 - p_hat), p_hat the fraction of curves
     at or below the evaluated curve (ties and the curve itself count)."""
-    values = curve_values(sample, "total_variation_depth", 2)
+    values = curve_values(sample, "total_variation_depth")
     n = values.shape[0]
     # the below count includes every j with Y_j(t) <= Y_i(t), self included
     p_hat = rankdata(values)[0] / n
@@ -72,7 +72,7 @@ def modified_shape_similarity(sample: AnySample) -> np.ndarray:
     zero conditioning cell contributes 0. Weights are the curve's absolute
     increments normalised to sum 1 (uniform for a flat curve).
     """
-    values = curve_values(sample, "modified_shape_similarity", 2)
+    values = curve_values(sample, "modified_shape_similarity")
     n, p = values.shape
     med = np.median(values, axis=0)
     similarity = np.empty((n, p - 1))

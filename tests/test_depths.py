@@ -23,7 +23,6 @@ from fdout.depths import (
 )
 from fdout.errors import (
     NonFiniteResult,
-    TooFewCurves,
     UnknownDepthMethod,
     UnknownErldType,
     ValidationError,
@@ -62,10 +61,6 @@ class TestBandDepth:
         np.testing.assert_array_equal(
             band_depth(sample).scores, oracles.band_depth(sample.values)
         )
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            band_depth(make_sample([[0.0, 1.0], [1.0, 2.0]]))
 
     def test_direction_and_range(self):
         depth = band_depth(random_sample(103, 8, 5))
@@ -151,10 +146,6 @@ class TestExtremeRankLength:
         left_on_orig = extreme_rank_length(sample, type="one_sided_left").scores
         np.testing.assert_array_equal(right_on_neg, left_on_orig)
 
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            extreme_rank_length(make_sample([[1.0, 2.0]]))
-
 
 class TestDirectionalQuantile:
     def test_median_curve_scores_zero(self):
@@ -187,10 +178,6 @@ class TestDirectionalQuantile:
         deeper = depth.as_deeper_is_larger()
         assert deeper.direction == DEEPER_IS_LARGER
         np.testing.assert_array_equal(deeper.scores, -depth.scores)
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            directional_quantile(random_sample(114, 4, 4))
 
 
 class TestLinfinityDepth:

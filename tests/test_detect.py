@@ -154,11 +154,6 @@ class TestDepthByName:
         with pytest.raises(UnknownDepthMethod):
             depth_by_name(constant_curves([0.0, 1.0, 2.0]), "deepest")
 
-    def test_multivariate_needs_rmd(self):
-        values = np.random.default_rng(202).standard_normal((12, 6, 2))
-        with pytest.raises(ValidationError):
-            depth_by_name(make_multi(values), "mbd")
-
 
 class TestMsplot:
     def test_planted_magnitude_outliers_flagged(self):
@@ -207,10 +202,6 @@ class TestMsplot:
         b = msplot(out.data, rng=RandomSource(2))
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.outliers, b.outliers)
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            msplot(constant_curves([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"level": 2.0}, InvalidLevel),
@@ -319,10 +310,6 @@ class TestTvdmss:
             result.outliers, np.union1d(result.shape_outliers, result.magnitude_outliers)
         )
 
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            tvdmss(constant_curves([0.0, 1.0, 2.0, 3.0]))
-
     @pytest.mark.parametrize("factor", [-0.5, -np.inf, np.nan])
     def test_negative_or_nan_mss_factor_rejected(self, factor):
         # a negative factor would put the MSS fence above every curve
@@ -379,11 +366,6 @@ class TestOTransform:
         values[7] += 8.0  # large bivariate shift
         curves = o_transform(make_multi(values), rng=RandomSource(5))
         assert np.argmax(curves.values.mean(axis=1)) == 7
-
-    def test_too_few_curves(self):
-        values = np.zeros((2, 4, 2))
-        with pytest.raises(TooFewCurves):
-            o_transform(make_multi(values))
 
     def test_no_rng_means_seed_zero(self):
         sample = make_multi(np.random.default_rng(206).standard_normal((12, 6, 2)))
@@ -518,39 +500,49 @@ class TestSeqTransform:
         with pytest.raises(OOnUnivariate):
             seq_transform(line_family(), ["O"])
 
-    def test_depth_stage_on_multivariate_rejected(self):
-        values = np.random.default_rng(209).standard_normal((10, 6, 2))
-        with pytest.raises(ValidationError):
-            seq_transform(make_multi(values), ["T1"])
-
-    @pytest.mark.parametrize("d, p, sequence, kwargs, error, message", [
-        (1, 17, ["T0", "T1"], {"factor": np.nan}, ValidationError,
+    @pytest.mark.parametrize("n, p, d, sequence, kwargs, error, message", [
+        (3, 17, 1, ["T0", "T1"], {"factor": np.nan}, ValidationError,
          "factor must be positive and finite, got nan"),
-        (1, 17, ["T0", "T1"], {"factor": -1.0}, ValidationError,
+        (3, 17, 1, ["T0", "T1"], {"factor": -1.0}, ValidationError,
          "factor must be positive and finite, got -1.0"),
-        (1, 17, ["T0", "T1"], {"central_region": 2.0}, BadCentralRegion,
+        (3, 17, 1, ["T0", "T1"], {"central_region": 2.0}, BadCentralRegion,
          "central_region must lie in (0, 1), got 2.0"),
-        (1, 17, ["T1", "T2", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
-        (2, 6, ["O", "T1", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
-        (2, 6, ["T1"], {}, ValidationError,
+        (3, 17, 1, ["T1", "T2", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (10, 6, 2, ["O", "T1", "O"], {}, OOnUnivariate, "the O stage needs multivariate curves"),
+        (10, 6, 2, ["T1"], {}, ValidationError,
          "stage T1 needs univariate curves; apply an O stage first"),
-        (1, 17, ["T0", "D1"], {"depth_method": "erld", "erld_type": "bogus"}, UnknownErldType,
+        (3, 17, 1, ["T0", "D1"], {"depth_method": "erld", "erld_type": "bogus"}, UnknownErldType,
          "type must be one of ('two_sided', 'one_sided_right', 'one_sided_left'), got 'bogus'"),
-        (1, 3, ["D1", "D2"], {}, TooFewPoints,
+        (3, 3, 1, ["D1", "D2"], {}, TooFewPoints,
          "stage D2 at position 2 leaves 1 grid point; curves need at least 2"),
-        (1, 2, ["D1"], {}, TooFewPoints,
+        (3, 2, 1, ["D1"], {}, TooFewPoints,
          "stage D1 at position 1 leaves 1 grid point; curves need at least 2"),
+        # the ordering's and the O stage's least number of curves
+        (4, 6, 1, ["T1", "T2"], {"depth_method": "dq"}, TooFewCurves,
+         "directional_quantile needs at least 5 curves, got 4"),
+        (2, 6, 1, ["T1"], {"depth_method": "bd"}, TooFewCurves,
+         "band_depth needs at least 3 curves, got 2"),
+        (6, 6, 1, ["T1"], {"depth_method": "rmd"}, TooFewCurves,
+         "msplot needs at least 7 curves, got 6"),
+        (1, 6, 1, ["T0"], {"depth_method": "erld"}, TooFewCurves,
+         "extreme_rank_length needs at least 2 curves, got 1"),
+        (2, 6, 2, ["O"], {"depth_method": "mbd"}, TooFewCurves,
+         "pointwise_sdo needs at least 3 curves, got 2"),
+        (4, 6, 2, ["O", "T1"], {"depth_method": "dq"}, TooFewCurves,
+         "directional_quantile needs at least 5 curves, got 4"),
+        (5, 6, 2, ["O"], {"depth_method": "rmd"}, TooFewCurves,
+         "msplot needs at least 7 curves, got 5"),
     ])
     def test_bad_fence_parameters_rejected_before_any_stage(
-            self, monkeypatch, d, p, sequence, kwargs, error, message):
+            self, monkeypatch, n, p, d, sequence, kwargs, error, message):
         def refuse(*args, **kwargs):
             raise AssertionError("a stage was computed")
 
         for name in ("_center_rows", "_normalise_rows", "_difference_rows", "o_transform",
                      "depth_by_name"):
             monkeypatch.setattr(fdout.detect, name, refuse)
-        sample = (make_sample(line_family().values[:, :p]) if d == 1
-                  else make_multi(np.random.default_rng(209).standard_normal((10, p, d))))
+        values = np.random.default_rng(209).standard_normal((n, p, d))
+        sample = make_sample(values[:, :, 0]) if d == 1 else make_multi(values)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             seq_transform(sample, sequence, **kwargs)
 

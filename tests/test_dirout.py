@@ -11,7 +11,6 @@ from fdout import (
     pointwise_sdo,
 )
 from fdout.dirout import DirectionalOutlyingnessField, _project, _unit_directions
-from fdout.errors import TooFewCurves
 
 from . import oracles
 from .conftest import constant_curves, make_multi
@@ -70,10 +69,6 @@ class TestPointwiseSdo:
         for t in sorted({0, 1, p // 2, p - 2}):
             pair = pointwise_sdo(make_multi(values[:, t:t + 2]), rng=RandomSource(d))
             np.testing.assert_array_equal(full[:, t:t + 2], pair)
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            pointwise_sdo(make_multi(np.zeros((2, 3, 1))))
 
     def test_leaves_the_ufunc_buffer_size_as_it_found_it(self):
         # the block loop shrinks numpy's ufunc buffer while it runs

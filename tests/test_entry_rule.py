@@ -55,6 +55,7 @@ from fdout import (
     total_variation_depth,
     tvdmss,
 )
+from fdout.detect import _DEPTHS
 from fdout.errors import (
     NonFiniteValue,
     RaggedRows,
@@ -63,6 +64,7 @@ from fdout.errors import (
     TooFewPoints,
     ValidationError,
 )
+from fdout.fdcore import least_curves
 from fdout.svgplot import render_curves
 from fdout.tvd import indicator_variance_terms
 
@@ -85,52 +87,59 @@ def _muod(sample):
         indices, "shape", "magnitude", "amplitude")
 
 
-# the least number of curves msplot takes at d = 1: n > 2 (d + 1) + 2
-MSPLOT_MIN_N = 7
-DEPTH_MIN_N = {"bd": 3, "mbd": 3, "erld": 2, "dq": 5, "linf": 2, "ed": 2, "tvd": 2,
-               "rmd": MSPLOT_MIN_N}
-
-# (name, call(sample) -> tuple of results, least number of curves, needs d = 1)
+# (name, call(sample) -> tuple of results, needs d = 1)
 ENTRY = [
-    ("band_depth", lambda s: (band_depth(s).scores,), 3, True),
-    ("modified_band_depth", lambda s: (modified_band_depth(s).scores,), 3, True),
-    ("extreme_rank_length", lambda s: (extreme_rank_length(s).scores,), 2, True),
-    ("directional_quantile", lambda s: (directional_quantile(s).scores,), 5, True),
-    ("linfinity_depth", lambda s: (linfinity_depth(s).scores,), 2, True),
-    ("extremal_depth", lambda s: (extremal_depth(s).scores,), 2, True),
-    ("total_variation_depth", lambda s: (total_variation_depth(s),), 2, True),
-    ("modified_shape_similarity", lambda s: (modified_shape_similarity(s),), 2, True),
-    ("muod_indices", lambda s: _fields(muod_indices(s), "shape", "magnitude", "amplitude"),
-     3, True),
-    # the boxplot cutoff needs five indices
-    ("muod", _muod, 5, True),
-    ("pointwise_sdo", lambda s: (pointwise_sdo(s),), 3, False),
+    ("band_depth", lambda s: (band_depth(s).scores,), True),
+    ("modified_band_depth", lambda s: (modified_band_depth(s).scores,), True),
+    ("extreme_rank_length", lambda s: (extreme_rank_length(s).scores,), True),
+    ("directional_quantile", lambda s: (directional_quantile(s).scores,), True),
+    ("linfinity_depth", lambda s: (linfinity_depth(s).scores,), True),
+    ("extremal_depth", lambda s: (extremal_depth(s).scores,), True),
+    ("total_variation_depth", lambda s: (total_variation_depth(s),), True),
+    ("modified_shape_similarity", lambda s: (modified_shape_similarity(s),), True),
+    ("muod_indices", lambda s: _fields(muod_indices(s), "shape", "magnitude", "amplitude"), True),
+    ("muod", _muod, True),
+    ("pointwise_sdo", lambda s: (pointwise_sdo(s),), False),
     ("directional_outlyingness",
-     lambda s: _fields(directional_outlyingness(s), "values", "sdo"), 3, False),
-    ("functional_boxplot", _boxplot, 1, True),
+     lambda s: _fields(directional_outlyingness(s), "values", "sdo"), False),
+    ("functional_boxplot", _boxplot, True),
     ("tvdmss", lambda s: _fields(tvdmss(s), "shape_outliers", "magnitude_outliers",
-                                 "outliers", "tvd", "mss"), 5, True),
-    ("msplot", lambda s: _fields(msplot(s), "outliers", "mo", "vo", "distances"),
-     MSPLOT_MIN_N, False),
-    ("o_transform", lambda s: (o_transform(s).values,), 3, False),
-    ("render_curves", lambda s: (render_curves(s, [0, 2]),), 1, True),
+                                 "outliers", "tvd", "mss"), True),
+    ("msplot", lambda s: _fields(msplot(s), "outliers", "mo", "vo", "distances"), False),
+    ("o_transform", lambda s: (o_transform(s).values,), False),
+    ("render_curves", lambda s: (render_curves(s, [0, 2]),), True),
     *[(f"depth_by_name:{method}",
        lambda s, method=method: (depth_by_name(s, method, rng=RandomSource(1)).scores,),
-       DEPTH_MIN_N[method], method != "rmd")
+       method != "rmd")
       for method in DEPTH_METHODS],
     ("seq_transform",
      lambda s: tuple(stage.outliers for stage in seq_transform(s, ["T0", "T1", "D1"]).stages),
-     3, True),
+     True),
     # returns its argument, whose values differ only by the unit axis
-    ("ensure_valid", lambda s: (ensure_valid(s).values.ravel(),), 1, False),
-    ("as_univariate", lambda s: (as_univariate(s).values,), 1, True),
-    ("as_multivariate", lambda s: (as_multivariate(s).values,), 1, False),
+    ("ensure_valid", lambda s: (ensure_valid(s).values.ravel(),), False),
+    ("as_univariate", lambda s: (as_univariate(s).values,), True),
+    ("as_multivariate", lambda s: (as_multivariate(s).values,), False),
 ]
 IDS = [entry[0] for entry in ENTRY]
 
 
+# name -> the op whose least number of curves it takes where that is not its
+# own name, None where any sample will do
+LEAST_OP = {"muod": "muod_cutoff_boxplot",  # the default cutoff, checked first
+            "directional_outlyingness": "pointwise_sdo", "o_transform": "pointwise_sdo",
+            "seq_transform": _DEPTHS["mbd"][0],  # the default ordering
+            **{f"depth_by_name:{m}": _DEPTHS[m][0] for m in DEPTH_METHODS},
+            "ensure_valid": None, "as_univariate": None, "as_multivariate": None}
+
+
+def _least(name):
+    op = LEAST_OP.get(name, name)
+    return least_curves(op) if op else 1
+
+
 def _over(entries):
-    return pytest.mark.parametrize("name, call, min_n, univariate", entries,
+    rows = [(name, call, _least(name), univariate) for name, call, univariate in entries]
+    return pytest.mark.parametrize("name, call, min_n, univariate", rows,
                                    ids=[entry[0] for entry in entries])
 
 
@@ -149,18 +158,25 @@ def test_d1_multi_sample_gives_the_curve_sample_results(name, call, min_n, univa
         assert np.array_equal(a, b)
 
 
-@_over([entry for entry in ENTRY if entry[3]])
+@_over([entry for entry in ENTRY if entry[2]])
 def test_univariate_only_rejects_d2_with_validation_error(name, call, min_n, univariate):
     with pytest.raises(ValidationError):
         call(_gaussian(30, d=2))
 
 
-@_over([entry for entry in ENTRY if entry[2] > 1])
+@_over([entry for entry in ENTRY if _least(entry[0]) > 1])
 @pytest.mark.parametrize("d", [None, 1])
 def test_one_curve_too_few_raises_too_few_curves(name, call, min_n, univariate, d):
     with pytest.raises(TooFewCurves):
         call(_gaussian(min_n - 1, d))
     call(_gaussian(min_n, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_msplot_takes_more_curves_as_d_grows(d):
+    least = least_curves("msplot", d=d)
+    pytest.raises(TooFewCurves, msplot, _gaussian(least - 1, d))
+    msplot(_gaussian(least, d))
 
 
 def test_every_public_function_taking_a_sample_is_in_the_table():

@@ -22,15 +22,17 @@ from fdout import CurveSample, uniform_grid
 from fdout.cli import main
 from fdout.csvio import write_curves
 from fdout.detect import DEPTH_METHODS
+from fdout.fdcore import least_curves
 from fdout.muod import MUOD_CUTS
 
-# method -> (smallest n, smallest p) that the detector accepts for d = 1
+# method -> (n, p) around which the draws sit for d = 1: the least number of
+# curves of a kernel the detector runs, and the least grid length
 MINIMUM_SIZE = {
-    "msplot": (7, 2),
-    "tvdmss": (5, 2),
-    "seq": (3, 2),
-    "muod": (3, 3),
-    "fbplot": (3, 2),
+    "msplot": (least_curves("msplot"), 2),
+    "tvdmss": (least_curves("tvdmss"), 2),
+    "seq": (least_curves("modified_band_depth"), 2),
+    "muod": (least_curves("muod_indices"), 3),
+    "fbplot": (least_curves("modified_band_depth"), 2),
 }
 
 
@@ -73,8 +75,7 @@ def dependent_dimensions(draw):
     between dimensions."""
     method = draw(st.sampled_from(["msplot", "seq"]))
     d = draw(st.sampled_from([2, 3]))
-    # msplot's MCD of (MO, VO) needs n > 2 (d + 1) + 2
-    min_n = 2 * (d + 1) + 3 if method == "msplot" else MINIMUM_SIZE[method][0]
+    min_n = least_curves("msplot", d=d) if method == "msplot" else MINIMUM_SIZE[method][0]
     n = draw(st.integers(min_n, min_n + 8))
     p = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -123,8 +123,6 @@ class TestMuodIndices:
                 )
 
     def test_preconditions(self):
-        with pytest.raises(TooFewCurves):
-            muod_indices(make_sample(np.random.default_rng(1).standard_normal((2, 5))))
         with pytest.raises(TooFewPoints):
             muod_indices(make_sample(np.random.default_rng(1).standard_normal((5, 2))))
 
@@ -216,6 +214,15 @@ class TestMuod:
         values = np.array([0.0] * 8 + [1e-16, 2e-16])
         np.testing.assert_array_equal(cutoff(values), flagged)
         assert cutoff(values, scale=1.0).size == 0
+
+    @pytest.mark.parametrize("cut, n", [("boxplot", 4), ("tangent", 7)])
+    def test_cutoff_refuses_before_any_index(self, monkeypatch, cut, n):
+        def refuse(sample):
+            raise AssertionError("the indices were computed")
+
+        monkeypatch.setattr(sys.modules["fdout.muod"], "muod_indices", refuse)
+        with pytest.raises(TooFewCurves, match=f"^muod_cutoff_{cut} needs at least"):
+            muod(random_sample(305, n, 6), cut_method=cut)
 
     def test_unknown_cut_method(self):
         out = simulation_model(1, n=10, p=8, outlier_rate=0.0, seed=19)

@@ -4,9 +4,11 @@ The traced benchmark run (perfbench/tracer.py) wraps fdout functions by
 attribute name; a name it lists that its owner no longer holds makes the
 traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
-which scipy subpackages each step loads is checked too.
+which scipy subpackages each step loads is checked too, and so is every op
+name the source gives the least-curves table.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -22,8 +24,10 @@ import fdout
 import fdout.cli  # noqa: F401 -- the tracer finds its owners in sys.modules
 import fdout.report  # noqa: F401
 from fdout.csvio import write_curves
+from fdout.fdcore import LEAST_CURVES
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -115,3 +119,20 @@ def test_only_msplot_loads_scipy_special(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {"import": [], "fbplot_tvdmss": [], "msplot": ["scipy.special"]}
+
+
+def test_every_op_given_the_least_curves_table_is_a_key_and_every_key_is_given():
+    """A misspelt op would raise KeyError only once reached; an entry no call names is dead."""
+    op_position = {"curve_values": 1, "least_curves": 0}
+    literals = {
+        call.args[op_position[name]].value
+        for path in (ROOT / "src" / "fdout").glob("*.py")
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call, ast.Call)
+        and (name := getattr(call.func, "id", getattr(call.func, "attr", None))) in op_position
+        and isinstance(call.args[op_position[name]], ast.Constant)
+    }
+    tabled = {op for op, _order in fdout.detect._DEPTHS.values()} | {
+        op for op, _cut in sys.modules["fdout.muod"]._CUTOFFS.values()}
+    assert sorted((literals | tabled) - set(LEAST_CURVES)) == []
+    assert sorted(set(LEAST_CURVES) - literals) == []

@@ -8,7 +8,7 @@ from scipy import stats
 
 from fdout import modified_shape_similarity, total_variation_depth
 from fdout.depths import pointwise_ranks
-from fdout.errors import EmptyInput, ShapeMismatch, TooFewCurves
+from fdout.errors import EmptyInput, ShapeMismatch
 from fdout.tvd import indicator_variance_terms
 
 from . import oracles
@@ -72,10 +72,6 @@ class TestTotalVariationDepth:
         np.testing.assert_array_equal(
             total_variation_depth(sample), (p_hat * (1.0 - p_hat)).mean(axis=1)
         )
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            total_variation_depth(make_sample([[1.0, 2.0]]))
 
     def test_tie_free_column_rank_multiset(self):
         # the below-fractions at a tie-free column are exactly {1/n, ..., 1}
@@ -158,10 +154,6 @@ class TestModifiedShapeSimilarity:
     def test_range(self):
         mss = modified_shape_similarity(random_sample(79, 18, 11))
         assert np.all(mss >= 0.0) and np.all(mss <= 1.0)
-
-    def test_too_few_curves(self):
-        with pytest.raises(TooFewCurves):
-            modified_shape_similarity(make_sample([[1.0, 2.0]]))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(2, 8))
