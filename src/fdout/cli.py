@@ -7,7 +7,9 @@ report (optionally an SVG); ``depth`` writes per-curve ordering scores;
 3 numeric failure.
 
 Flag defaults are read off the library function signatures, so the CLI can
-never drift from the library defaults.
+never drift from the library defaults. The one exception is the ``--seed``
+of ``detect`` and ``depth``, the CLI's own 0: the functions they call take a
+``RandomSource``, not a seed.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
     det.add_argument("--level", type=float, default=_default(_detect.msplot, "level"),
                      help="msplot: flagging tail probability")
-    det.add_argument("--coverage", type=float, default=None,
+    det.add_argument("--coverage", type=float, default=_default(_detect.msplot, "coverage"),
                      help="msplot: MCD coverage fraction (default max breakdown)")
     det.add_argument("--factor-mss", type=float,
                      default=_default(_detect.tvdmss, "emp_factor_mss"),
@@ -98,12 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--factor-tvd", type=float,
                      default=_default(_detect.tvdmss, "emp_factor_tvd"),
                      help="tvdmss: functional boxplot factor")
-    det.add_argument("--sequence", default="T0,T1,T2",
-                     help="seq: comma-separated stages from T0,D0,T1,T2,D1,D2,O")
+    det.add_argument("--sequence", default=",".join(_default(_detect.seq_transform, "sequence")),
+                     help=f"seq: comma-separated stages from {','.join(_detect.SEQ_STAGES)}")
     det.add_argument("--depth", default=_default(_detect.seq_transform, "depth_method"),
                      choices=list(_detect.DEPTH_METHODS),
                      help="seq/fbplot: ordering method")
-    det.add_argument("--erld-type", default=None, choices=ERLD_TYPES,
+    det.add_argument("--erld-type", default=_default(_detect.seq_transform, "erld_type"),
+                     choices=ERLD_TYPES,
                      help="tail convention when --depth erld")
     det.add_argument("--central-region", type=float,
                      default=_default(_detect.functional_boxplot, "central_region"),
@@ -120,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     dep.add_argument("--method", required=True, choices=list(_detect.DEPTH_METHODS))
     dep.add_argument("--in", dest="infile", required=True)
     dep.add_argument("--out", required=True)
-    dep.add_argument("--erld-type", default=None, choices=ERLD_TYPES)
+    dep.add_argument("--erld-type", default=_default(_detect.seq_transform, "erld_type"),
+                     choices=ERLD_TYPES)
     dep.add_argument("--seed", type=int, default=0)
     _add_csv_flags(dep)
 

@@ -23,9 +23,6 @@ __all__ = [
     "DEEPER_IS_LARGER",
     "OUTLYING_IS_LARGER",
     "DepthVector",
-    "PointwiseRanks",
-    "rankdata",
-    "pointwise_ranks",
     "band_depth",
     "modified_band_depth",
     "extreme_rank_length",

@@ -52,12 +52,10 @@ __all__ = [
     "FunctionalBoxplotResult",
     "MsplotResult",
     "TvdmssResult",
-    "SeqStage",
     "SeqTransformResult",
     "DEPTH_METHODS",
     "SEQ_STAGES",
     "depth_by_name",
-    "check_fences",
     "functional_boxplot",
     "msplot",
     "tvdmss",
@@ -368,7 +366,7 @@ SEQ_STAGES = tuple(_SEQ_TRANSFORMS)
 
 def seq_transform(
     sample: AnySample,
-    sequence,
+    sequence=("T0", "T1", "T2"),
     depth_method: str = "mbd",
     erld_type: Optional[str] = None,
     save_data: bool = False,

@@ -6,6 +6,8 @@ derives from :class:`FdoutError` so callers can catch the whole library
 with one clause.
 """
 
+__all__ = ["FdoutError", "ValidationError", "NumericError"]
+
 
 class FdoutError(Exception):
     """Base class for all errors raised by fdout."""

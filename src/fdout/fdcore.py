@@ -39,9 +39,6 @@ __all__ = [
     "ensure_valid",
     "as_univariate",
     "as_multivariate",
-    "LEAST_CURVES",
-    "least_curves",
-    "curve_values",
 ]
 
 
@@ -245,6 +242,7 @@ LEAST_CURVES = {
     "muod_indices": 3, "muod_cutoff_boxplot": 5, "muod_cutoff_tangent": 10, "tvdmss": 5,
     "msplot": lambda d: 2 * (d + 1) + 3,  # the MO/VO summary's MCD needs n > 2 (d + 1) + 2
     "functional_boxplot": 1, "render_curves": 1, "write_curves": 1,
+    "gp_sample": 1, "simulation_model": 1,
 }
 
 
@@ -253,7 +251,8 @@ def least_curves(op: str, n: Optional[int] = None, d: int = 1) -> int:
     least = LEAST_CURVES[op]
     least = least(d) if callable(least) else least
     if n is not None and n < least:
-        raise TooFewCurves(f"{op} needs at least {least} curves, got {n}")
+        noun = "curve" if least == 1 else "curves"
+        raise TooFewCurves(f"{op} needs at least {least} {noun}, got {n}")
     return least
 
 

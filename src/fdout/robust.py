@@ -31,9 +31,6 @@ __all__ = [
     "RobustLocationScale",
     "McdFit",
     "FCutoff",
-    "MAD_CONSISTENCY",
-    "check_level",
-    "check_coverage",
     "median_mad",
     "geometric_median",
     "fast_mcd",

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadModel, BadRate, CovarianceNotPD, TooFewCurves
-from .fdcore import CurveSample, Grid, RandomSource, uniform_grid
+from .errors import BadModel, BadRate, CovarianceNotPD
+from .fdcore import CurveSample, Grid, RandomSource, least_curves, uniform_grid
 
 __all__ = [
     "GaussianProcessSpec",
     "SimulationOutput",
     "gp_sample",
     "simulation_model",
-    "MODEL_IDS",
 ]
 
 @dataclass(frozen=True)
@@ -65,8 +64,7 @@ def _cholesky_factor(spec: GaussianProcessSpec, grid: Grid) -> np.ndarray:
 def gp_sample(spec: GaussianProcessSpec, grid: Grid, n: int, rng: RandomSource) -> CurveSample:
     """n zero-mean Gaussian-process paths on the grid, via the lower Cholesky
     factor."""
-    if n < 1:
-        raise TooFewCurves(f"gp_sample needs n >= 1, got {n}")
+    least_curves("gp_sample", n)
     factor = _cholesky_factor(spec, grid)
     z = rng.standard_normal((n, grid.size))
     return CurveSample(z @ factor.T, grid)
@@ -188,8 +186,7 @@ def simulation_model(
         raise BadModel(f"model must be in 1..9, got {k}")
     if not 0.0 <= outlier_rate <= 1.0:
         raise BadRate(f"outlier rate must lie in [0, 1], got {outlier_rate}")
-    if n < 1:
-        raise TooFewCurves(f"need n >= 1, got {n}")
+    least_curves("simulation_model", n)
     mean, own, contaminate = _MODELS[k]
     unknown = set(overrides) - set(own) - set(_GP_DEFAULTS)
     if unknown:

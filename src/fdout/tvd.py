@@ -20,7 +20,6 @@ from .fdcore import AnySample, curve_values, float_array
 __all__ = [
     "total_variation_depth",
     "modified_shape_similarity",
-    "indicator_variance_terms",
 ]
 
 

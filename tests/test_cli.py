@@ -380,6 +380,12 @@ class TestReportJson:
         assert payload["parameters"]["seed"] == 3
         assert payload["diagnostics"]["scores"] == [0.5, 1.0]
 
+    def test_a_value_json_cannot_hold_is_refused(self):
+        rep = DetectionReport(method="m", parameters={}, n=2, p=2, d=1,
+                              outliers={"all": []}, diagnostics={"scores": {0.5}})
+        with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+            rep.to_json()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_refused(self, value):
         rep = DetectionReport(method="m", parameters={}, n=2, p=2, d=1,
@@ -1147,6 +1153,27 @@ class TestCliErrors:
         rc = main(["simulate", "--model", "12", "--out", str(tmp_path / "sim")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        # uniform_grid's own p check: np.linspace would raise a plain ValueError
+        (["--p", "-1"], "NonIncreasingGrid: grid needs at least 2 points"),
+        (["--n", "0"], "TooFewCurves: simulation_model needs at least 1 curve, got 0"),
+    ], ids=["p_negative", "n_zero"])
+    def test_simulate_bad_size_exits_2_naming_it(self, tmp_path, capsys, flags, message):
+        rc = main(["simulate", "--model", "1", *flags, "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "sim").exists()
+
+    def test_unwritable_report_exits_2_with_one_line(self, tmp_path, sim_csv, capsys):
+        report_path = tmp_path / "missing" / "r.json"
+        rc = main(["detect", "--method", "fbplot", "--in", sim_csv,
+                   "--report", str(report_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("FileNotFoundError") and str(report_path) in err[0]
+        assert [path.name for path in tmp_path.rglob("*.tmp.*")] == []
+
 
 class TestCliDefaultsMirrorLibrary:
     def test_detect_flag_defaults(self):
@@ -1162,6 +1189,19 @@ class TestCliDefaultsMirrorLibrary:
         assert args.factor == sig(functional_boxplot, "factor")
         assert args.cut == sig(muod, "cut_method")
         assert args.depth == sig(seq_transform, "depth_method")
+        assert args.coverage == sig(msplot, "coverage")
+        assert args.sequence.split(",") == list(sig(seq_transform, "sequence"))
+        assert args.erld_type == sig(seq_transform, "erld_type")
+        # --central-region and --factor feed fbplot, seq and tvdmss alike
+        assert sig(seq_transform, "central_region") == args.central_region
+        assert sig(seq_transform, "factor") == args.factor
+        assert sig(tvdmss, "central_region_tvd") == args.central_region
+        assert sig(tvdmss, "emp_factor_tvd") == args.factor
+
+    def test_depth_flag_defaults(self):
+        args = build_parser().parse_args(["depth", "--method", "mbd", "--in", "x.csv",
+                                          "--out", "d.csv"])
+        assert args.erld_type == inspect.signature(depth_by_name).parameters["erld_type"].default
 
     def test_choices_are_table_keys(self):
         tables = {

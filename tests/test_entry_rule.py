@@ -64,7 +64,7 @@ from fdout.errors import (
     TooFewPoints,
     ValidationError,
 )
-from fdout.fdcore import least_curves
+from fdout.fdcore import float_array, least_curves
 from fdout.svgplot import render_curves
 from fdout.tvd import indicator_variance_terms
 
@@ -254,6 +254,12 @@ def test_non_finite_scalar_raises_non_finite_value_at_index_0(name, call, values
 def test_ragged_nesting_raises_ragged_rows(name, call, values):
     with pytest.raises(RaggedRows):
         call(RAGGED)
+
+
+def test_blocks_no_object_array_can_hold_raise_ragged_rows():
+    # numpy refuses even an object array of a 2 x 2 and a 2 x 3 block
+    with pytest.raises(RaggedRows, match="^could not form a rectangular array"):
+        float_array([np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 @_raw(RAW)

@@ -62,7 +62,7 @@ class TestGpSample:
 
     def test_needs_a_curve(self):
         grid = uniform_grid(4, 0.0, 1.0)
-        with pytest.raises(TooFewCurves):
+        with pytest.raises(TooFewCurves, match="^gp_sample needs at least 1 curve, got 0$"):
             gp_sample(GaussianProcessSpec(), grid, 0, RandomSource(0))
 
     def test_indefinite_kernel_rejected(self):
@@ -88,7 +88,8 @@ class TestValidation:
         assert np.array_equal(out.true_outliers, np.arange(5))
 
     def test_needs_a_curve(self):
-        with pytest.raises(TooFewCurves):
+        with pytest.raises(TooFewCurves,
+                           match="^simulation_model needs at least 1 curve, got 0$"):
             simulation_model(1, n=0)
 
     def test_override_must_belong_to_model(self):

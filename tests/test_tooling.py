@@ -5,13 +5,15 @@ attribute name; a name it lists that its owner no longer holds makes the
 traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
 which scipy subpackages each step loads is checked too, and so is every op
-name the source gives the least-curves table.
+name the source gives the least-curves table. A failing property test must
+not end the suite's run, so that is checked in a fresh pytest process.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -136,3 +138,32 @@ def test_every_op_given_the_least_curves_table_is_a_key_and_every_key_is_given()
         op for op, _cut in sys.modules["fdout.muod"]._CUTOFFS.values()}
     assert sorted((literals | tabled) - set(LEAST_CURVES)) == []
     assert sorted(set(LEAST_CURVES) - literals) == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_plain():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    """The suite's warning filters and conftest, on a failing @given test
+    followed by a plain one: both are reported, and pytest does not crash."""
+    (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
