@@ -37,6 +37,9 @@ OUTLYING_IS_LARGER = "outlying_is_larger"
 # tail probability of the quantile envelope that directional_quantile measures
 DQ_TAIL = 0.025
 
+# curves i x curves j x grid points that band_depth compares at once
+BD_BLOCK_ELEMENTS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class DepthVector:
@@ -121,23 +124,54 @@ def band_depth(sample: AnySample) -> DepthVector:
 
     A pair {j, k} contains curve i exactly when no grid point has both j
     and k strictly below i, and none has both strictly above; the (n - 1)
-    pairs involving i itself always contain it.
+    pairs involving i itself always contain it. Two curves that tie i nowhere
+    contain it exactly when one lies strictly above i where the other does not:
+    such pairs are counted by sorting these above patterns, O(n^2 p), in blocks
+    of ``BD_BLOCK_ELEMENTS`` comparisons. A curve that some other curve ties
+    has all its pairs tested directly, O(n^2 p) for that curve alone.
     """
     values = curve_values(sample, "band_depth")
-    n = values.shape[0]
-    n_pairs = comb(n, 2)
-    scores = np.empty(n)
-    for i in range(n):
-        # [strictly below | strictly above]: a pair's product counts the grid
-        # points where both members sit on the same strict side, a sum of 0/1
-        # terms that is 0 exactly when every term is, in any precision. Curve
-        # i is on neither side, so its row and column mark the pairs with i.
-        side = np.hstack([values < values[i], values > values[i]], dtype=np.float32)
-        contains = side @ side.T == 0.0
-        # the matrix is symmetric: the pairs j < k are half its off-diagonal
-        n_containing = (int(contains.sum()) - int(np.trace(contains))) // 2
-        scores[i] = n_containing / n_pairs
-    return DepthVector(scores, DEEPER_IS_LARGER, "bd")
+    n, p = values.shape
+    n_words = -(-p // 64)
+    # a pattern and its complement share a key: the p bits of a pattern are
+    # flipped when its first one is set, and that flag is kept apart
+    complement = np.packbits(np.arange(64 * n_words) < p, bitorder="little").view("<u8")
+    # without two equal values at a grid point only i ties i: `below` is skipped
+    has_ties = bool((np.diff(np.sort(values, axis=0), axis=0) == 0.0).any())
+    counts = np.full(n, n - 1, dtype=np.int64)
+    rows = max(1, BD_BLOCK_ELEMENTS // (n * p))
+    for start in range(0, n, rows):
+        block = values[start:start + rows, None]
+        b = block.shape[0]
+        above = values > block
+        if has_ties:
+            below = values < block
+            free = (above | below).all(axis=2)  # curve j ties curve i nowhere
+        else:
+            free = np.arange(n) != np.arange(start, start + b)[:, None]
+        packed = np.packbits(above, axis=2, bitorder="little")
+        keys = np.pad(packed, ((0, 0), (0, 0), (0, 8 * n_words - packed.shape[2]))).view("<u8")
+        flipped = (keys[..., 0] & 1).astype(bool)
+        keys ^= flipped[..., None] * complement
+        order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
+        keys = np.take_along_axis(keys, order[..., None], axis=1)
+        new_key = np.ones((b, n), dtype=bool)
+        new_key[:, 1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=2)
+        starts = np.flatnonzero(new_key)
+        flipped, counted = (np.take_along_axis(a, order, axis=1).ravel() for a in (flipped, free))
+        ones = np.add.reduceat(flipped & counted, starts, dtype=np.int64)
+        pairs = ones * (np.add.reduceat(counted, starts, dtype=np.int64) - ones)
+        # a row's groups add up from its first, which starts at a multiple of n
+        counts[start:start + b] += np.add.reduceat(pairs, np.flatnonzero(starts % n == 0))
+        # a curve that another curve ties somewhere has all its pairs tested
+        # directly (i is never free): a pair's product counts the grid points
+        # where both lie on one strict side of i, 0 in any precision when the
+        # pair contains i, and the symmetric matrix holds each pair twice
+        for q in np.flatnonzero(np.count_nonzero(~free, axis=1) > 1):
+            side = np.concatenate([below[q], above[q]], axis=1, dtype=np.float32)
+            contains = side @ side.T == 0.0
+            counts[start + q] = (np.count_nonzero(contains) - np.trace(contains)) // 2
+    return DepthVector(counts / comb(n, 2), DEEPER_IS_LARGER, "bd")
 
 
 def modified_band_depth(sample: AnySample) -> DepthVector:

@@ -83,11 +83,12 @@ def modified_shape_similarity(sample: AnySample) -> np.ndarray:
             similarity[:, t - 1] = 1.0
             continue
         thresholds = values[:, t - 1] - values[:, t] + med[t]
+        order = np.argsort(thresholds)  # searchsorted is fastest on increasing queries
+        thresholds = thresholds[order]
         n_s = np.searchsorted(np.sort(values[:, t - 1]), thresholds, side="right")
-        joint = np.sort(values[at_or_below_t, t - 1])
-        n_st = np.searchsorted(joint, thresholds, side="right")
+        n_st = np.searchsorted(np.sort(values[at_or_below_t, t - 1]), thresholds, side="right")
         _a, _b, explained = _explained_variance(n_s / n, p_t, n_st / n)
-        similarity[:, t - 1] = np.clip(explained / total, 0.0, 1.0)
+        similarity[order, t - 1] = np.clip(explained / total, 0.0, 1.0)
 
     increments = np.abs(np.diff(values, axis=1))
     denom = increments.sum(axis=1)

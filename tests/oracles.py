@@ -6,9 +6,10 @@ shared code paths with the package under test. Production kernels must
 agree with these to the tolerances asserted in the test modules. The
 FastMCD and pointwise SDO references keep the package's earlier, plainer
 form with the same float operations, so those kernels are pinned bit for
-bit, as are the ranks by the tie-aware rank kernel and MBD by its float
-form; the SVG renderers keep their per-point form, so the files are pinned
-byte for byte.
+bit, as are the ranks by the tie-aware rank kernel, MBD by its float
+form, BD by its per-curve pair product and MSS by its unsorted queries; the
+SVG renderers keep their per-point form, so the files are pinned byte for
+byte.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ def band_depth(values):
                 hits += 1
         out[i] = hits / len(pairs)
     return out
+
+
+def band_depth_product(values):
+    """BD from one float32 product of the side indicators per curve (the
+    package's kernel before it matched sign patterns)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    n_pairs = n * (n - 1) // 2
+    scores = np.empty(n)
+    for i in range(n):
+        # [strictly below | strictly above]: a pair's product counts the grid
+        # points where both sit on the same strict side
+        side = np.hstack([values < values[i], values > values[i]], dtype=np.float32)
+        contains = side @ side.T == 0.0
+        n_containing = (int(contains.sum()) - int(np.trace(contains))) // 2
+        scores[i] = n_containing / n_pairs
+    return scores
 
 
 def modified_band_depth(values):
@@ -216,6 +234,37 @@ def modified_shape_similarity(values):
             weights = np.full(p - 1, 1.0 / (p - 1))
         out[i] = float(terms @ weights)
     return out
+
+
+def modified_shape_similarity_unsorted(values):
+    """MSS with the threshold queries searched in curve order (the package's
+    loop before it sorted them): the same counts and float operations."""
+    values = np.asarray(values, dtype=float)
+    n, p = values.shape
+    med = np.median(values, axis=0)
+    similarity = np.empty((n, p - 1))
+    for t in range(1, p):
+        at_or_below_t = values[:, t] <= med[t]
+        p_t = int(at_or_below_t.sum()) / n
+        total = p_t * (1.0 - p_t)
+        if total == 0.0:
+            similarity[:, t - 1] = 1.0
+            continue
+        thresholds = values[:, t - 1] - values[:, t] + med[t]
+        n_s = np.searchsorted(np.sort(values[:, t - 1]), thresholds, side="right")
+        n_st = np.searchsorted(np.sort(values[at_or_below_t, t - 1]), thresholds, side="right")
+        p_s, p_st = n_s / n, n_st / n
+        a = np.where(p_s > 0.0, p_st / np.where(p_s > 0.0, p_s, 1.0), 0.0)
+        b = np.where(p_s < 1.0, (p_t - p_st) / np.where(p_s < 1.0, 1.0 - p_s, 1.0), 0.0)
+        explained = p_s * (1.0 - p_s) * (a - b) ** 2
+        similarity[:, t - 1] = np.clip(explained / total, 0.0, 1.0)
+    increments = np.abs(np.diff(values, axis=1))
+    denom = increments.sum(axis=1)
+    flat = denom == 0.0
+    weights = np.where(
+        flat[:, None], 1.0 / (p - 1), increments / np.where(flat, 1.0, denom)[:, None]
+    )
+    return (similarity * weights).sum(axis=1)
 
 
 # ------------------------------------------------------------------ muod

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -14,6 +14,7 @@ from fdout import (
     linfinity_depth,
     modified_band_depth,
 )
+from fdout import depths
 from fdout.depths import (
     DEEPER_IS_LARGER,
     OUTLYING_IS_LARGER,
@@ -389,3 +390,45 @@ def test_ed_always_matches_oracle(seed, n, p):
     np.testing.assert_array_equal(
         extremal_depth(sample).scores, oracles.extremal_depth(sample.values)
     )
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 40),
+    p=st.sampled_from([2, 63, 64, 65, 130]),
+    levels=st.sampled_from([0.0, 3.0]),
+    flat_head=st.booleans(),
+    decimals=st.sampled_from([None, 1, 0]),
+    plant=st.booleans(),
+    rows=st.integers(1, 40),
+)
+@example(seed=0, n=3, p=2, levels=0.0, flat_head=False, decimals=None, plant=False, rows=1)
+@example(seed=1, n=3, p=64, levels=3.0, flat_head=False, decimals=0, plant=True, rows=2)
+@example(seed=2, n=37, p=63, levels=0.0, flat_head=False, decimals=0, plant=True, rows=5)
+@example(seed=3, n=37, p=65, levels=3.0, flat_head=True, decimals=1, plant=True, rows=8)
+@example(seed=4, n=29, p=130, levels=3.0, flat_head=True, decimals=None, plant=False, rows=4)
+@example(seed=5, n=29, p=130, levels=3.0, flat_head=False, decimals=None, plant=True, rows=29)
+def test_band_depth_equals_the_product_kernel_bit_for_bit(
+    seed, n, p, levels, flat_head, decimals, plant, rows
+):
+    # Curves spread over random levels cross seldom, so many pairs contain a
+    # curve. 64 bits go to a key word: p = 63, 64, 65 and 130 straddle the
+    # word edges, and curves flat over the first 64 points share their first
+    # word. Rounding makes ties (to 0 decimals, mostly ties), and ``rows``
+    # sets the curves per block, so the last block is often a partial one.
+    rng = np.random.default_rng(seed)
+    values = levels * rng.standard_normal((n, 1)) + rng.standard_normal((n, p))
+    if flat_head:
+        values[:, :64] = values[:, :1]
+    if decimals is not None:
+        values = np.round(values, decimals)
+    if plant:
+        # duplicated curves, and zeros of either sign at a tenth of the points
+        values[rng.integers(n, size=n // 3)] = values[rng.integers(n, size=n // 3)]
+        zeros = rng.random((n, p)) < 0.1
+        values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depths, "BD_BLOCK_ELEMENTS", rows * n * p)
+        scores = band_depth(make_sample(values)).scores
+    np.testing.assert_array_equal(scores, oracles.band_depth_product(values))

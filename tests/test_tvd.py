@@ -9,6 +9,7 @@ from scipy import stats
 from fdout import modified_shape_similarity, total_variation_depth
 from fdout.depths import pointwise_ranks
 from fdout.errors import EmptyInput, ShapeMismatch
+from fdout.simmodels import simulation_model
 from fdout.tvd import indicator_variance_terms
 
 from . import oracles
@@ -154,6 +155,25 @@ class TestModifiedShapeSimilarity:
     def test_range(self):
         mss = modified_shape_similarity(random_sample(79, 18, 11))
         assert np.all(mss >= 0.0) and np.all(mss <= 1.0)
+
+    def test_equals_the_unsorted_queries_where_thresholds_meet_values(self):
+        # integer curves, n odd: the medians and so the thresholds are
+        # integers in the columns' range, and side="right" counts the ties
+        values = np.random.default_rng(80).integers(0, 4, (31, 12)).astype(float)
+        med = np.median(values, axis=0)
+        thresholds = values[:, :-1] - values[:, 1:] + med[1:]
+        assert (thresholds[:, None, :] == values[None, :, :-1]).any()
+        np.testing.assert_array_equal(
+            modified_shape_similarity(make_sample(values)),
+            oracles.modified_shape_similarity_unsorted(values),
+        )
+
+    def test_equals_the_unsorted_queries_at_full_size(self):
+        values = simulation_model(6, n=2000, p=200, seed=81).data.values
+        np.testing.assert_array_equal(
+            modified_shape_similarity(make_sample(values)),
+            oracles.modified_shape_similarity_unsorted(values),
+        )
 
 
 @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(2, 8))
