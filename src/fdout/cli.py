@@ -331,10 +331,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflow on curves near the largest double ends in a typed
-        # error, so numpy's floating-point warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.run(args)
+        return args.run(args)
     except Exception as exc:
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
         return _report_failure(args, exc, code)

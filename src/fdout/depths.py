@@ -137,7 +137,8 @@ def band_depth(sample: AnySample) -> DepthVector:
     # flipped when its first one is set, and that flag is kept apart
     complement = np.packbits(np.arange(64 * n_words) < p, bitorder="little").view("<u8")
     # without two equal values at a grid point only i ties i: `below` is skipped
-    has_ties = bool((np.diff(np.sort(values, axis=0), axis=0) == 0.0).any())
+    ordered = np.sort(values, axis=0)
+    has_ties = bool((ordered[1:] == ordered[:-1]).any())
     counts = np.full(n, n - 1, dtype=np.int64)
     rows = max(1, BD_BLOCK_ELEMENTS // (n * p))
     for start in range(0, n, rows):
@@ -248,14 +249,14 @@ def directional_quantile(sample: AnySample) -> DepthVector:
     Each column's median and tail quantiles use linear interpolation
     between order statistics; denominators are floored at 1e-12 so
     tie-heavy columns cannot blow up the ratio. Larger scores mean more
-    outlying.
+    outlying. Where a quantile or a difference overflows, some score is not
+    finite, and DepthVector raises NonFiniteResult.
     """
     values = curve_values(sample, "directional_quantile")
-    q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
-    den_up = np.maximum(q_hi - med, 1e-12)
-    den_dn = np.maximum(med - q_lo, 1e-12)
-    up = (values - med) / den_up
-    dn = (med - values) / den_dn
+    with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteResult just below
+        q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
+        up = (values - med) / np.maximum(q_hi - med, 1e-12)
+        dn = (med - values) / np.maximum(med - q_lo, 1e-12)
     scores = np.maximum(up, dn).max(axis=1)
     return DepthVector(scores, OUTLYING_IS_LARGER, "dq")
 

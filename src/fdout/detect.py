@@ -249,8 +249,7 @@ def msplot(
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
     _check_finite_outlyingness(field.sdo)
-    with np.errstate(over="ignore"):  # reported just below
-        summary = decompose(field)
+    summary = decompose(field)
     points = np.hstack([summary.mo, summary.vo[:, None]])
     overflowed = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if overflowed.size:
@@ -344,7 +343,8 @@ def _normalise_rows(sample: CurveSample) -> tuple[CurveSample, list]:
 
 
 def _difference_rows(sample: CurveSample) -> tuple[CurveSample, list]:
-    values = np.diff(sample.values, axis=1)
+    with np.errstate(over="ignore"):  # seq_transform names the stage that overflows
+        values = np.diff(sample.values, axis=1)
     grid = Grid(sample.grid.points[1:])
     return CurveSample(values, grid, ids=sample.ids), []
 

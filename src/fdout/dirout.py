@@ -154,11 +154,12 @@ def pointwise_sdo(
     # time. No sum runs here, so the floats do not depend on it.
     bufsize = np.setbufsize(256)
     try:
-        for t in range(0, p, step):
-            if t + step > p:  # the last block is shorter
-                proj, dev = proj[:p - t], dev[:p - t]
-            _project(values[:, t:t + step], u, proj, dev)
-            sdo[:, t:t + step] = _block_sdo(proj, dev).T
+        with np.errstate(over="ignore", invalid="ignore"):  # the inf and NaN values above
+            for t in range(0, p, step):
+                if t + step > p:  # the last block is shorter
+                    proj, dev = proj[:p - t], dev[:p - t]
+                _project(values[:, t:t + step], u, proj, dev)
+                sdo[:, t:t + step] = _block_sdo(proj, dev).T
     finally:
         np.setbufsize(bufsize)
     return sdo
@@ -175,22 +176,22 @@ def directional_outlyingness(
     vector is scaled by the power of two of its largest |component| before
     its norm is taken, so the squares neither overflow nor underflow; the
     scaling is exact, so elsewhere the unit vector is the unscaled one bit
-    for bit.
+    for bit. Where the center or the differences overflow, the field is inf or NaN.
     """
     sample = as_multivariate(sample)
     values = sample.values
     sdo = pointwise_sdo(sample, rng=rng)
-    center = (np.median(values, axis=0) if values.shape[2] == 1
-              else geometric_median(values.swapaxes(0, 1)))
-    diff = values - center[None, :, :]
-    diff, _exponents = power_of_two_scaled(diff, axis=2)
-    norms = np.sqrt((diff * diff).sum(axis=2))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    field = np.where(
-        norms[:, :, None] > 0.0,
-        sdo[:, :, None] * (diff / safe[:, :, None]),
-        0.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # documented above; msplot refuses it
+        center = (np.median(values, axis=0) if values.shape[2] == 1
+                  else geometric_median(values.swapaxes(0, 1)))
+        diff, _exponents = power_of_two_scaled(values - center[None, :, :], axis=2)
+        norms = np.sqrt((diff * diff).sum(axis=2))
+        safe = np.where(norms > 0.0, norms, 1.0)
+        field = np.where(
+            norms[:, :, None] > 0.0,
+            sdo[:, :, None] * (diff / safe[:, :, None]),
+            0.0,
+        )
     return DirectionalOutlyingnessField(values=field, sdo=sdo, grid=sample.grid)
 
 
@@ -198,13 +199,14 @@ def decompose(field: DirectionalOutlyingnessField) -> OutlyingnessDecomposition:
     """Split an outlyingness field into mean (MO) and variation (VO) parts.
 
     Grid points carry uniform weights 1/p, which sum to one and so make
-    FO = ||MO||^2 + VO an exact identity.
+    FO = ||MO||^2 + VO an exact identity; parts that overflow are inf or NaN.
     """
     o = field.values
     n, p, d = o.shape
     w = np.full(p, 1.0 / p)
-    mo = np.einsum("itd,t->id", o, w)
-    resid = o - mo[:, None, :]
-    vo = np.einsum("itd,t->i", resid * resid, w)
-    fo = (mo * mo).sum(axis=1) + vo
+    with np.errstate(over="ignore", invalid="ignore"):  # msplot names the curves
+        mo = np.einsum("itd,t->id", o, w)
+        resid = o - mo[:, None, :]
+        vo = np.einsum("itd,t->i", resid * resid, w)
+        fo = (mo * mo).sum(axis=1) + vo
     return OutlyingnessDecomposition(mo=mo, vo=vo, fo=fo, weights=w)

@@ -131,9 +131,6 @@ class Grid:
         steps = np.diff(self.points)
         return bool(np.allclose(steps, steps[0], rtol=1e-12, atol=1e-12 * self.interval_length))
 
-    def __len__(self) -> int:
-        return self.size
-
 
 def uniform_grid(p: int, a: float, b: float) -> Grid:
     """Equally spaced grid of ``p`` points from ``a`` to ``b`` inclusive."""

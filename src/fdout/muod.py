@@ -118,8 +118,11 @@ def muod_cutoff_boxplot(indices, scale: float | None = None) -> np.ndarray:
     from (default: the largest index); closer ones are ties with the fence."""
     x = float_array(indices).ravel()
     least_curves("muod_cutoff_boxplot", x.size)
-    q1, q3 = np.percentile(x, [25.0, 75.0])
-    return _beyond(x, q3 + 1.5 * (q3 - q1), scale)
+    scaled, exponent = power_of_two_scaled(x, axis=None)  # exact quartiles and fence
+    q1, q3 = np.percentile(scaled, [25.0, 75.0])
+    with np.errstate(over="ignore"):  # a fence past the largest double flags nothing
+        fence = np.ldexp(q3 + 1.5 * (q3 - q1), exponent[0])
+    return _beyond(x, fence, scale)
 
 
 def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:

@@ -98,13 +98,16 @@ def check_coverage(coverage: float | None) -> None:
 
 
 def median_mad(xs) -> RobustLocationScale:
-    """Median and consistency-scaled median absolute deviation."""
+    """Median and consistency-scaled median absolute deviation, taken exactly in
+    units of the power of two of the largest |value|; a MAD past the largest double is inf."""
     xs = float_array(xs).ravel()
     if xs.size == 0:
         raise EmptyInput("median_mad needs at least one value")
-    med = float(np.median(xs))
-    mad = MAD_CONSISTENCY * float(np.median(np.abs(xs - med)))
-    return RobustLocationScale(median=med, mad=mad)
+    xs, exponent = power_of_two_scaled(xs, axis=None)
+    med = np.median(xs)
+    with np.errstate(over="ignore"):  # documented above
+        med, mad = np.ldexp([med, MAD_CONSISTENCY * np.median(np.abs(xs - med))], exponent[0])
+    return RobustLocationScale(median=float(med), mad=float(mad))
 
 
 def _sum_kept(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -264,19 +267,20 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     squared Euclidean distances from its center: garbage that no caller
     reads, but computed without a warning. LAPACK factors a covariance that
     holds a NaN without raising, so a factor that is not finite counts as
-    not PD."""
+    not PD. A distance whose terms overflow is +inf, never NaN."""
     lower, ok = _per_matrix(np.linalg.cholesky, cov)
     ok &= np.isfinite(lower).all(axis=(1, 2))
     lower[~ok] = np.eye(cov.shape[-1])
     # k x d x m: each coordinate's differences form a contiguous row
     z = x.T - center[:, :, None]
     dist = np.zeros(z[:, 0].shape)
-    for j in range(z.shape[1]):
-        for i in range(j):
-            z[:, j] -= lower[:, j, i, None] * z[:, i]
-        z[:, j] /= lower[:, j, j, None]
-        dist += z[:, j] * z[:, j]
-    return dist, ok
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, read as +inf
+        for j in range(z.shape[1]):
+            for i in range(j):
+                z[:, j] -= lower[:, j, i, None] * z[:, i]
+            z[:, j] /= lower[:, j, j, None]
+            dist += z[:, j] * z[:, j]
+    return np.where(np.isnan(dist), np.inf, dist), ok
 
 
 def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
@@ -284,14 +288,12 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
     from one partition. Every entry below the row's h-th smallest value is
     taken, and of the entries equal to it the first ones in index order;
-    ``np.nonzero`` reads the indices out already sorted. A row whose h-th
-    value is NaN takes the stable argsort."""
+    ``np.nonzero`` reads the indices out already sorted. ``_mahalanobis_sq``
+    gives no NaN."""
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
     keep = dist < kth
     tie = dist == kth
     keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
-    nan = np.flatnonzero(np.isnan(kth[:, 0]))
-    keep[nan[:, None], np.argsort(dist[nan], axis=1, kind="stable")[:, :h]] = True
     return np.nonzero(keep)[1].reshape(-1, h)
 
 
@@ -357,7 +359,8 @@ def fast_mcd(
 
     ``coverage`` is the fraction h/m of points defining the fit; default is
     the maximum-breakdown choice floor((m + d + 1)/2) / m. Deterministic
-    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``.
+    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``. A |value|
+    above sqrt(max double / 4m) can overflow a covariance: NonFiniteResult.
     """
     x = float_array(points)
     if x.ndim == 1:
@@ -370,6 +373,8 @@ def fast_mcd(
     if m <= 2 * d:
         raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
     check_coverage(coverage)
+    if np.abs(x).max() > np.sqrt(np.finfo(float).max / (4 * m)):  # m squares of 2 |value|
+        raise NonFiniteResult(f"fast_mcd: a |value| of {np.abs(x).max():.3g} can overflow")
     h_min = (m + d + 1) // 2
     h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
     alpha = h / m
@@ -403,8 +408,8 @@ def fast_mcd(
         raise SingularSubsets("all candidate subsets produced singular covariances")
 
     # refine the best candidates side by side; a candidate stops when its
-    # step is not PD (keeping its state), its support is unchanged, or its
-    # log-determinant no longer falls
+    # step is not PD (keeping its state) or its log-determinant no longer
+    # falls, as it does not when its support is unchanged
     keep = np.argsort(logdets, kind="stable")[:N_BEST]
     centers, covs, logdets, supports = centers[keep], covs[keep], logdets[keep], supports[keep]
     active = np.arange(keep.size)
@@ -414,10 +419,9 @@ def fast_mcd(
         center, cov, logdet, support, ok = _c_steps(x, centers[active], covs[active], h)
         active = active[ok]
         improved = logdet[ok] < logdets[active] - 1e-12 * np.maximum(1.0, np.abs(logdets[active]))
-        moved = (support[ok] != supports[active]).any(axis=1)
         centers[active], covs[active] = center[ok], cov[ok]
         logdets[active], supports[active] = logdet[ok], support[ok]
-        active = active[improved & moved]
+        active = active[improved]
 
     best = np.argmin(logdets)
     return McdFit(centers[best], covs[best] * factor, supports[best], alpha)
@@ -429,7 +433,8 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
     A singular covariance gets one shot of diagonal regularisation
     (1e-12 * trace/d) before failing with ``SingularCovariance``, which is
     also what a covariance holding a NaN or an infinity raises. A center
-    that is not finite raises ``NonFiniteResult``.
+    that is not finite raises ``NonFiniteResult``. A distance that overflows
+    is +inf, never NaN.
     """
     x = float_array(points)
     if x.ndim == 1:

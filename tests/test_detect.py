@@ -234,7 +234,7 @@ class TestMsplot:
         # SDO value is NaN, which used to surface later as SingularSubsets
         rng = np.random.default_rng(211)
         values = rng.choice([-1.0, 1.0], (30, 8, d)) * rng.uniform(0.9, 1.0, (30, 8, d)) * 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        with pytest.raises(
                 NonFiniteOutlyingness, match=r"NaN .* grid points \[0, 1, 2, 3, 4, 5, 6, 7\]"):
             msplot(make_multi(values), rng=RandomSource(0))
 

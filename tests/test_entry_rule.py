@@ -57,6 +57,7 @@ from fdout import (
 )
 from fdout.detect import _DEPTHS
 from fdout.errors import (
+    FdoutError,
     NonFiniteValue,
     RaggedRows,
     ShapeMismatch,
@@ -190,6 +191,31 @@ def test_every_public_function_taking_a_sample_is_in_the_table():
     assert [name for name in takes_sample if name not in tabled] == []
 
 
+def _near_largest_double(shape):
+    """Values of mixed sign within 1 % of +-1.7e308."""
+    rng = np.random.default_rng(500)
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.99, 1.0, shape) * 1.7e308
+
+
+# ENTRY's seq_transform row stops at T1, whose output overflows: D1 differences
+# the curves themselves
+EXTREME = ENTRY + [("seq_transform:D1", lambda s: tuple(
+    stage.outliers for stage in seq_transform(s, ["D1"]).stages), True)]
+
+
+@pytest.mark.parametrize("call, d", [
+    pytest.param(call, d, id=f"{name}-d{d}")
+    for name, call, univariate in EXTREME for d in ([1] if univariate else [1, 2])
+])
+def test_curves_near_the_largest_double_give_a_result_or_a_typed_error(call, d):
+    # the suite's error::RuntimeWarning filter fails any warning that leaks
+    values = _near_largest_double((30, 12, d))
+    try:
+        call(make_sample(values[:, :, 0]) if d == 1 else make_multi(values))
+    except FdoutError:
+        pass
+
+
 # a 40 x 3 Gaussian cloud, and a below-curve indicator of 40 curves
 CLOUD = np.random.default_rng(400).standard_normal((40, 3))
 INDICATOR = (CLOUD[:, 0] <= np.median(CLOUD[:, 0])).astype(float)
@@ -299,6 +325,17 @@ def test_sample_cell_that_is_not_a_number_raises_validation_error_naming_it():
     assert str(info.value) == "None at (1, 1, 0) is not a number"
     with pytest.raises(NonFiniteValue):
         fdout.CurveSample([[1.0, 2.0], [3.0, float("nan")]], grid)
+
+
+@_raw([entry for entry in RAW if entry[2] is CLOUD])
+@pytest.mark.parametrize("scale", ["near_max", "1e160"])
+def test_clouds_of_extreme_size_give_a_result_or_a_typed_error(name, call, values, scale):
+    # at 1e160 the cloud is finite but its squares overflow
+    cloud = _near_largest_double(values.shape) if scale == "near_max" else values * 1e160
+    try:
+        call(cloud)
+    except FdoutError:
+        pass
 
 
 def test_fast_mcd_takes_a_vector_or_a_matrix():

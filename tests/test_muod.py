@@ -143,6 +143,19 @@ class TestBoxplotCutoff:
         with pytest.raises(TooFewCurves):
             muod_cutoff_boxplot([1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quartiles_near_the_largest_double_are_exact(self):
+        # Q1 interpolates between -1.7e308 and 1.7e307, whose difference
+        # overflows: unscaled it came out -inf, and so did a fence that lies
+        # near 8.7e307, below the last index
+        values = np.array([-1.7e308] * 2 + [1.7e307] * 5 + [1.53e308])
+        np.testing.assert_array_equal(muod_cutoff_boxplot(values), [7])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fence_past_the_largest_double_flags_nothing(self):
+        values = np.array([-1.7e308] * 4 + [1.7e308] * 4)
+        assert muod_cutoff_boxplot(values).size == 0
+
 
 class TestTangentCutoff:
     def test_linear_indices_flag_all_but_minimum(self):

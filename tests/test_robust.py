@@ -64,6 +64,24 @@ class TestMedianMad:
     def test_consistency_constant_exported(self):
         assert MAD_CONSISTENCY == 1.4826
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_even_count_near_the_largest_double(self):
+        # the two middle values sum past the largest double, which made the
+        # median inf; in units of their power of two it is exact
+        xs = np.array([-1.7e308, 1.6e308, 1.7e308, 1.75e308])
+        loc, tame = median_mad(xs), median_mad(np.ldexp(xs, -1000))
+        assert (loc.median, loc.mad) == (np.ldexp(tame.median, 1000), np.ldexp(tame.mad, 1000))
+        assert np.isfinite([loc.median, loc.mad]).all()
+        # 1.4826 * 1.7e308 passes it
+        assert median_mad([-1.7e308, -1.7e308, 1.7e308, 1.7e308]).mad == np.inf
+
+    @pytest.mark.parametrize("exponent", [900, -900])
+    def test_exact_under_power_of_two_scaling(self, exponent):
+        xs = np.random.default_rng(9).standard_normal(40)
+        base, scaled = median_mad(xs), median_mad(np.ldexp(xs, exponent))
+        assert (scaled.median, scaled.mad) == (np.ldexp(base.median, exponent),
+                                               np.ldexp(base.mad, exponent))
+
 
 class TestGeometricMedian:
     def test_square_corners(self):
@@ -240,6 +258,25 @@ class TestFastMcd:
         a, b = fast_mcd(points), fast_mcd(points, rng=RandomSource(0))
         np.testing.assert_array_equal(a.subset_indices, b.subset_indices)
         np.testing.assert_array_equal(a.covariance, b.covariance)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d, coverage", [(3, None), (3, 1.0), (1, None)])
+    def test_cloud_whose_covariances_can_overflow_raises_before_the_search(self, d, coverage):
+        # it used to end in SingularSubsets after hundreds of warnings
+        points = np.random.default_rng(11).standard_normal((40, d))
+        with pytest.raises(NonFiniteResult, match=r"^fast_mcd: a \|value\| of .* can overflow"):
+            fast_mcd(points * 1e160, coverage=coverage)
+        # below sqrt(max double / 4m), about 1e153 at m = 40, the fit runs
+        fast_mcd(points * 1e150, coverage=coverage)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_point_whose_distance_overflows_is_left_out(self):
+        # point 7 lies 1e200 spreads from the bulk, so its C-step distance overflows
+        points = np.random.default_rng(12).standard_normal((40, 2)) * 1e-100
+        points[7] = [1e100, -1e100]
+        fit = fast_mcd(points)
+        assert 7 not in fit.subset_indices
+        assert robust_distances(points, fit)[7] == np.inf
 
     def test_exact_line_is_singular(self):
         x = np.linspace(0.0, 1.0, 50)
@@ -475,24 +512,15 @@ class TestNearestMatchesStableArgsort:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
-    def test_ties_infinities_and_nan_rows(self, seed):
+    def test_ties_and_infinities(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
             k, m = int(rng.integers(1, 8)), int(rng.integers(2, 30))
             h = int(rng.integers(1, m + 1))
             dist = np.round(rng.standard_normal((k, m)) ** 2, int(rng.integers(0, 3)))
-            dist[rng.random((k, m)) < 0.2] = np.inf
-            dist[rng.random((k, m)) < 0.3 * (seed % 2)] = np.nan
+            dist[rng.random((k, m)) < 0.2 + 0.3 * (seed % 2)] = np.inf
             expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
             np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_row_whose_hth_value_is_nan(self):
-        nan = np.nan
-        dist = np.array([[nan, 2.0, nan, 1.0, nan, 2.0],
-                         [3.0, 1.0, 2.0, 1.0, nan, 0.5]])
-        np.testing.assert_array_equal(fdout.robust._nearest(dist, 4),
-                                      [[0, 1, 3, 5], [1, 2, 3, 5]])
 
 
 class TestRobustDistances:
@@ -503,6 +531,14 @@ class TestRobustDistances:
             subset_indices=np.arange(d + 1),
             coverage_fraction=1.0,
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_distance_that_overflows_is_inf(self):
+        # the second point used to give NaN: the identity's zero entry
+        # times an overflowed coordinate
+        points = np.array([[1.0, 2.0], [1.7e308, -1.7e308], [-1.7e308, 1e200], [3e154, 0.0]])
+        np.testing.assert_array_equal(robust_distances(points, self._identity_fit(2)),
+                                      [5.0, np.inf, np.inf, np.inf])
 
     def test_center_scores_zero(self):
         fit = self._identity_fit(3)

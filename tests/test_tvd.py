@@ -168,6 +168,24 @@ class TestModifiedShapeSimilarity:
             oracles.modified_shape_similarity_unsorted(values),
         )
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_exact_under_power_of_two_scaling(self, exponent):
+        # comparisons, thresholds and weight ratios are exact under the
+        # scaling, so the scores keep their bits
+        for model in (1, 6, 8):
+            values = simulation_model(model, n=50, p=30, seed=82).data.values
+            np.testing.assert_array_equal(
+                modified_shape_similarity(make_sample(np.ldexp(values, exponent))),
+                modified_shape_similarity(make_sample(values)))
+
+    def test_curves_near_the_largest_double_score_as_scaled_down_ones(self):
+        rng = np.random.default_rng(83)
+        values = rng.choice([-1.0, 1.0], (30, 12)) * rng.uniform(0.99, 1.0, (30, 12)) * 1.7e308
+        mss = modified_shape_similarity(make_sample(values))
+        assert np.isfinite(mss).all()
+        np.testing.assert_array_equal(
+            mss, modified_shape_similarity(make_sample(np.ldexp(values, -1000))))
+
     def test_equals_the_unsorted_queries_at_full_size(self):
         values = simulation_model(6, n=2000, p=200, seed=81).data.values
         np.testing.assert_array_equal(
