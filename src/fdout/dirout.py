@@ -181,9 +181,12 @@ def directional_outlyingness(
     sample = as_multivariate(sample)
     values = sample.values
     sdo = pointwise_sdo(sample, rng=rng)
+    if values.shape[2] == 1:
+        with np.errstate(over="ignore"):  # the mean of the middle two values can be inf
+            center = np.median(values, axis=0)
+    else:
+        center = geometric_median(values.swapaxes(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # documented above; msplot refuses it
-        center = (np.median(values, axis=0) if values.shape[2] == 1
-                  else geometric_median(values.swapaxes(0, 1)))
         diff, _exponents = power_of_two_scaled(values - center[None, :, :], axis=2)
         norms = np.sqrt((diff * diff).sum(axis=2))
         safe = np.where(norms > 0.0, norms, 1.0)

@@ -288,12 +288,14 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
     from one partition. Every entry below the row's h-th smallest value is
     taken, and of the entries equal to it the first ones in index order;
-    ``np.nonzero`` reads the indices out already sorted. ``_mahalanobis_sq``
-    gives no NaN."""
+    ``np.nonzero`` reads the indices out already sorted. A row whose h-th
+    value is NaN takes the stable argsort."""
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
     keep = dist < kth
     tie = dist == kth
     keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
+    nan = np.flatnonzero(np.isnan(kth[:, 0]))
+    keep[nan[:, None], np.argsort(dist[nan], axis=1, kind="stable")[:, :h]] = True
     return np.nonzero(keep)[1].reshape(-1, h)
 
 
@@ -335,9 +337,10 @@ def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
 
 
 def _mcd_exact_1d(x: np.ndarray, h: int) -> tuple[float, float, np.ndarray]:
-    """Exact univariate MCD: the minimum-variance window of h sorted values."""
+    """Exact univariate MCD: the minimum-variance window of h sorted values,
+    taken exactly in units of the power of two of the largest |value|."""
     order = np.argsort(x[:, 0], kind="stable")
-    xs = x[order, 0]
+    xs, exponent = power_of_two_scaled(x[order, 0], axis=None)
     csum = np.concatenate(([0.0], np.cumsum(xs)))
     csum2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
     m = xs.size
@@ -347,7 +350,8 @@ def _mcd_exact_1d(x: np.ndarray, h: int) -> tuple[float, float, np.ndarray]:
     variances = (sums2 - sums * sums / h) / (h - 1)
     best = int(np.argmin(variances))
     subset = np.sort(order[best:best + h])
-    return float(sums[best] / h), float(max(variances[best], 0.0)), subset
+    center, var = np.ldexp([sums[best] / h, max(variances[best], 0.0)], [1, 2] * exponent)
+    return float(center), float(var), subset
 
 
 def fast_mcd(
@@ -359,8 +363,8 @@ def fast_mcd(
 
     ``coverage`` is the fraction h/m of points defining the fit; default is
     the maximum-breakdown choice floor((m + d + 1)/2) / m. Deterministic
-    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``. A |value|
-    above sqrt(max double / 4m) can overflow a covariance: NonFiniteResult.
+    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``. A cloud
+    whose mean or covariance can overflow raises ``NonFiniteResult``.
     """
     x = float_array(points)
     if x.ndim == 1:
@@ -373,8 +377,9 @@ def fast_mcd(
     if m <= 2 * d:
         raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
     check_coverage(coverage)
-    if np.abs(x).max() > np.sqrt(np.finfo(float).max / (4 * m)):  # m squares of 2 |value|
-        raise NonFiniteResult(f"fast_mcd: a |value| of {np.abs(x).max():.3g} can overflow")
+    big, half_range = np.finfo(float).max, (x.max(axis=0) / 2 - x.min(axis=0) / 2).max()
+    if np.abs(x).max() > big / m or half_range > np.sqrt(big / (16 * m)):  # m squares of a range
+        raise NonFiniteResult("fast_mcd: a mean or a covariance of this cloud can overflow")
     h_min = (m + d + 1) // 2
     h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
     alpha = h / m

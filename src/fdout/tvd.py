@@ -69,9 +69,8 @@ def modified_shape_similarity(sample: AnySample) -> np.ndarray:
     at s keeps curve i's increment: c_i = y_i(s) - y_i(t) + m(t). The share
     S = var[E(R_t | R_s)] / var(R_t) is set to 1 when var(R_t) = 0, and a
     zero conditioning cell contributes 0. Weights are the curve's absolute
-    increments normalised to sum 1 (uniform for a flat curve). The values are
-    read in units of the power of two of their largest |value|, which keeps the
-    scores' bits where nothing overflows or underflows, and finite near the largest double.
+    increments normalised to sum 1 (uniform for a flat curve). Read in units of
+    the power of two of the largest |value|: the same bits, finite near max double.
     """
     values, _exponent = power_of_two_scaled(
         curve_values(sample, "modified_shape_similarity"), axis=None)

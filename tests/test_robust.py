@@ -264,10 +264,27 @@ class TestFastMcd:
     def test_cloud_whose_covariances_can_overflow_raises_before_the_search(self, d, coverage):
         # it used to end in SingularSubsets after hundreds of warnings
         points = np.random.default_rng(11).standard_normal((40, d))
-        with pytest.raises(NonFiniteResult, match=r"^fast_mcd: a \|value\| of .* can overflow"):
+        message = r"^fast_mcd: a mean or a covariance of this cloud can overflow"
+        with pytest.raises(NonFiniteResult, match=message):
             fast_mcd(points * 1e160, coverage=coverage)
-        # below sqrt(max double / 4m), about 1e153 at m = 40, the fit runs
+        # a |value| above max double / m can overflow a mean
+        with pytest.raises(NonFiniteResult, match=message):
+            fast_mcd(1e307 + points * 1e300, coverage=coverage)
+        # with ranges below sqrt(max double / 4m), about 1e153 at m = 40,
+        # the fit runs, also far from the origin
         fast_mcd(points * 1e150, coverage=coverage)
+        fast_mcd(1e155 + points * 1e152, coverage=coverage)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_same_sign_values_just_below_the_bound(self):
+        # the exact 1-d search sums and squares whole windows: uncentred,
+        # 21 values of 1e153 square past the largest double
+        x = 1e153 * (1.0 + 0.005 * np.random.default_rng(13).standard_normal(40))
+        fit = fast_mcd(x)
+        scaled = fast_mcd(np.ldexp(x, -600))
+        np.testing.assert_array_equal(fit.subset_indices, scaled.subset_indices)
+        assert fit.center[0] == np.ldexp(scaled.center[0], 600)
+        assert fit.covariance[0, 0] == np.ldexp(scaled.covariance[0, 0], 1200)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_point_whose_distance_overflows_is_left_out(self):
@@ -512,15 +529,24 @@ class TestNearestMatchesStableArgsort:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
-    def test_ties_and_infinities(self, seed):
+    def test_ties_infinities_and_nan_rows(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
             k, m = int(rng.integers(1, 8)), int(rng.integers(2, 30))
             h = int(rng.integers(1, m + 1))
             dist = np.round(rng.standard_normal((k, m)) ** 2, int(rng.integers(0, 3)))
-            dist[rng.random((k, m)) < 0.2 + 0.3 * (seed % 2)] = np.inf
+            dist[rng.random((k, m)) < 0.2] = np.inf
+            dist[rng.random((k, m)) < 0.3 * (seed % 2)] = np.nan
             expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
             np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_whose_hth_value_is_nan(self):
+        nan = np.nan
+        dist = np.array([[nan, 2.0, nan, 1.0, nan, 2.0],
+                         [3.0, 1.0, 2.0, 1.0, nan, 0.5]])
+        np.testing.assert_array_equal(fdout.robust._nearest(dist, 4),
+                                      [[0, 1, 3, 5], [1, 2, 3, 5]])
 
 
 class TestRobustDistances:
