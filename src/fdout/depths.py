@@ -67,21 +67,12 @@ class DepthVector:
         return int(self.scores.size)
 
 
-@dataclass(frozen=True, eq=False)
-class PointwiseRanks:
-    """Tie-aware pointwise rank counts, the shared kernel for rank-based measures.
+def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie-aware pointwise rank counts of an ``n x p`` matrix, shared by rank measures.
 
     ``below[i, t]`` counts curves j with Y_j(t) <= Y_i(t) and ``above[i, t]``
     counts Y_j(t) >= Y_i(t); both include the curve itself, so
     below + above = n + (number of ties at (i, t) besides self) + 1.
-    """
-
-    below: np.ndarray
-    above: np.ndarray
-
-
-def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Below and above counts (see :class:`PointwiseRanks`) of an ``n x p`` matrix.
 
     One sort per grid point. When no sorted column holds two equal
     neighbours (``0.0`` and ``-0.0`` are equal), a curve's below count is
@@ -114,9 +105,9 @@ def rankdata(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return below.T, above.T
 
 
-def pointwise_ranks(values: np.ndarray) -> PointwiseRanks:
+def pointwise_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Below/above counts for every curve at every grid point."""
-    return PointwiseRanks(*rankdata(values))
+    return rankdata(values)
 
 
 def band_depth(sample: AnySample) -> DepthVector:
@@ -182,8 +173,8 @@ def modified_band_depth(sample: AnySample) -> DepthVector:
     n_pairs = comb(n, 2)
     # strict below/above counts (lo, hi) exclude ties, so containing-pair
     # counts are n_pairs minus pairs lying entirely on one strict side
-    ranks = pointwise_ranks(values)
-    lo, hi = n - ranks.above, n - ranks.below
+    below, above = pointwise_ranks(values)
+    lo, hi = n - above, n - below
     # every term is an integer below 2**53, so the sum is exact in any order
     # and the divisions by p and n_pairs are the only roundings
     failing = (lo * (lo - 1) + hi * (hi - 1)).sum(axis=1) // 2
@@ -193,14 +184,14 @@ def modified_band_depth(sample: AnySample) -> DepthVector:
 
 def _lex_extremeness_scores(vectors: np.ndarray) -> np.ndarray:
     """Sort each row ascending; score it by the fraction of sorted rows
-    lexicographically <= it (ties share scores)."""
+    lexicographically <= it (ties share scores): any strictly increasing map
+    of the entries gives the same scores."""
     vectors = np.sort(vectors, axis=1)
     n = vectors.shape[0]
     order = np.lexsort(vectors.T[::-1])
     ordered = vectors[order]
     new_group = np.ones(n, dtype=bool)
-    if n > 1:
-        new_group[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    new_group[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     group_id = np.cumsum(new_group) - 1
     cum_counts = np.cumsum(np.bincount(group_id))
     scores = np.empty(n)
@@ -208,11 +199,11 @@ def _lex_extremeness_scores(vectors: np.ndarray) -> np.ndarray:
     return scores
 
 
-# type -> pointwise extremeness counts (small = extreme) from the ranks
+# type -> pointwise extremeness counts (small = extreme) from (below, above)
 _ERLD_TAILS = {
-    "two_sided": lambda ranks: np.minimum(ranks.below, ranks.above),
-    "one_sided_right": lambda ranks: ranks.above,
-    "one_sided_left": lambda ranks: ranks.below,
+    "two_sided": np.minimum,
+    "one_sided_right": lambda below, above: above,
+    "one_sided_left": lambda below, above: below,
 }
 ERLD_TYPES = tuple(_ERLD_TAILS)
 
@@ -238,8 +229,8 @@ def extreme_rank_length(sample: AnySample, type: str | None = "two_sided") -> De
     """
     values = curve_values(sample, "extreme_rank_length")
     type = erld_tail(type)
-    r = _ERLD_TAILS[type](pointwise_ranks(values)) / values.shape[0]
-    return DepthVector(_lex_extremeness_scores(r), DEEPER_IS_LARGER, f"erld_{type}")
+    counts = _ERLD_TAILS[type](*pointwise_ranks(values))
+    return DepthVector(_lex_extremeness_scores(counts), DEEPER_IS_LARGER, f"erld_{type}")
 
 
 def directional_quantile(sample: AnySample) -> DepthVector:
@@ -300,7 +291,7 @@ def extremal_depth(sample: AnySample) -> DepthVector:
     """
     values = curve_values(sample, "extremal_depth")
     n = values.shape[0]
-    ranks = pointwise_ranks(values)
-    n_below_strict, n_above_strict = n - ranks.above, n - ranks.below
-    pointwise = 1.0 - np.abs(n_below_strict - n_above_strict) / n
-    return DepthVector(_lex_extremeness_scores(pointwise), DEEPER_IS_LARGER, "extremal")
+    below, above = pointwise_ranks(values)
+    # n times the pointwise depth: the strict counts are n - above and n - below
+    scaled = n - np.abs(below - above)
+    return DepthVector(_lex_extremeness_scores(scaled), DEEPER_IS_LARGER, "extremal")

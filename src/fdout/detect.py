@@ -303,7 +303,7 @@ def tvdmss(
     return TvdmssResult(
         shape_outliers=shape,
         magnitude_outliers=magnitude,
-        outliers=np.union1d(shape, magnitude).astype(np.intp),
+        outliers=np.union1d(shape, magnitude),
         tvd=tvd_scores,
         mss=mss_scores,
     )

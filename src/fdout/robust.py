@@ -288,14 +288,12 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
     from one partition. Every entry below the row's h-th smallest value is
     taken, and of the entries equal to it the first ones in index order;
-    ``np.nonzero`` reads the indices out already sorted. A row whose h-th
-    value is NaN takes the stable argsort."""
+    ``np.nonzero`` reads the indices out already sorted. ``dist`` holds no
+    NaN, because ``_mahalanobis_sq`` reads NaN as +inf."""
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
     keep = dist < kth
     tie = dist == kth
     keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
-    nan = np.flatnonzero(np.isnan(kth[:, 0]))
-    keep[nan[:, None], np.argsort(dist[nan], axis=1, kind="stable")[:, :h]] = True
     return np.nonzero(keep)[1].reshape(-1, h)
 
 
@@ -337,21 +335,26 @@ def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
 
 
 def _mcd_exact_1d(x: np.ndarray, h: int) -> tuple[float, float, np.ndarray]:
-    """Exact univariate MCD: the minimum-variance window of h sorted values,
-    taken exactly in units of the power of two of the largest |value|."""
+    """Exact univariate MCD: the minimum-variance window of h sorted values.
+    As h > m/2, every window holds the middle value xs[c]. Its sums of deviations
+    from xs[c] run outward from c over its own values: equal values give variance 0."""
     order = np.argsort(x[:, 0], kind="stable")
-    xs, exponent = power_of_two_scaled(x[order, 0], axis=None)
-    csum = np.concatenate(([0.0], np.cumsum(xs)))
-    csum2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-    m = xs.size
-    starts = np.arange(m - h + 1)
-    sums = csum[starts + h] - csum[starts]
-    sums2 = csum2[starts + h] - csum2[starts]
-    variances = (sums2 - sums * sums / h) / (h - 1)
+    xs = x[order, 0]
+    c = xs.size // 2
+    dev = xs - xs[c]
+    starts = np.arange(xs.size - h + 1)
+
+    def window_sums(a):
+        # window [s, s + h) adds a[s:c] from c - 1 down and a[c:s + h] from c up
+        down = np.concatenate(([0.0], np.cumsum(a[c - 1::-1])))
+        return down[c - starts] + np.cumsum(a[c:])[starts + h - c - 1]
+
+    sums, sums2 = window_sums(dev), window_sums(dev * dev)
+    # S1 * (S1 / h): S1 * S1 can overflow where the range meets fast_mcd's bound
+    variances = (sums2 - sums * (sums / h)) / (h - 1)
     best = int(np.argmin(variances))
     subset = np.sort(order[best:best + h])
-    center, var = np.ldexp([sums[best] / h, max(variances[best], 0.0)], [1, 2] * exponent)
-    return float(center), float(var), subset
+    return float(xs[c] + sums[best] / h), float(variances[best]), subset
 
 
 def fast_mcd(
@@ -457,7 +460,7 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
         dist, ok = _mahalanobis_sq(x, center, (cov + jitter * np.eye(d))[None])
         if not ok[0]:
             raise SingularCovariance("covariance not invertible after regularisation")
-    return np.maximum(dist[0], 0.0)
+    return dist[0]
 
 
 def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:

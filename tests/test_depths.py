@@ -255,14 +255,14 @@ class TestPointwiseRanks:
     def test_tie_free_counts(self):
         rng = np.random.default_rng(119)
         values = rng.standard_normal((8, 5))
-        ranks = pointwise_ranks(values)
-        np.testing.assert_array_equal(ranks.below + ranks.above, np.full((8, 5), 9))
+        below, above = pointwise_ranks(values)
+        np.testing.assert_array_equal(below + above, np.full((8, 5), 9))
 
     def test_ties_inflate_counts(self):
         values = np.array([[1.0, 2.0], [1.0, 3.0], [4.0, 5.0]])
-        ranks = pointwise_ranks(values)
-        assert np.all(ranks.below + ranks.above >= 4)
-        assert ranks.below[0, 0] + ranks.above[0, 0] == 5  # tied pair at t=0
+        below, above = pointwise_ranks(values)
+        assert np.all(below + above >= 4)
+        assert below[0, 0] + above[0, 0] == 5  # tied pair at t=0
 
 
 # heavy ties from a few small integers, signed zeros, and magnitudes near the
@@ -390,6 +390,23 @@ def test_ed_always_matches_oracle(seed, n, p):
     np.testing.assert_array_equal(
         extremal_depth(sample).scores, oracles.extremal_depth(sample.values)
     )
+
+
+@pytest.mark.parametrize("model", range(1, 10))
+def test_ed_equals_two_sided_erld_without_ties(model):
+    # tie-free, ED's pointwise depth (2 min(below, above) - 1) / n increases
+    # with ERLD's key min(below, above), so both give the same scores
+    for n, p in ((5, 7), (60, 30), (501, 40)):
+        sample = simulation_model(model, n=n, p=p, seed=model).data
+        assert (np.diff(np.sort(sample.values, axis=0), axis=0) > 0).all()
+        np.testing.assert_array_equal(extremal_depth(sample).scores,
+                                      extreme_rank_length(sample).scores)
+
+
+def test_ed_and_two_sided_erld_differ_with_ties():
+    sample = make_sample(np.round(simulation_model(1, n=60, p=30, seed=1).data.values))
+    assert not np.array_equal(extremal_depth(sample).scores,
+                              extreme_rank_length(sample).scores)
 
 
 @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,8 +278,8 @@ class TestFastMcd:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_same_sign_values_just_below_the_bound(self):
-        # the exact 1-d search sums and squares whole windows: uncentred,
-        # 21 values of 1e153 square past the largest double
+        # these values square past the largest double; the exact 1-d search
+        # squares only their deviations from the middle value
         x = 1e153 * (1.0 + 0.005 * np.random.default_rng(13).standard_normal(40))
         fit = fast_mcd(x)
         scaled = fast_mcd(np.ldexp(x, -600))
@@ -288,9 +289,7 @@ class TestFastMcd:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_point_whose_distance_overflows_is_left_out(self):
-        # point 7 lies 1e200 spreads from the bulk, so its C-step distance overflows
-        points = np.random.default_rng(12).standard_normal((40, 2)) * 1e-100
-        points[7] = [1e100, -1e100]
+        points = _overflow_cloud()
         fit = fast_mcd(points)
         assert 7 not in fit.subset_indices
         assert robust_distances(points, fit)[7] == np.inf
@@ -306,7 +305,10 @@ class TestFastMcd:
          "full-sample covariance is singular"),
         # h = 21 of 40 values, 30 of them equal
         (np.r_[np.zeros(30), np.arange(1.0, 11.0)], None, "more than h identical values"),
-    ], ids=["full_coverage_line", "d1_equal_values"])
+        # equal values not exact in binary: a window of them still has variance 0
+        *((np.r_[np.full(30, v), np.arange(1.0, 11.0)], None, "more than h identical values")
+          for v in (1 / 3, 1e-7)),
+    ], ids=["full_coverage_line", "d1_equal_values", "d1_thirds", "d1_tiny"])
     def test_singular_exact_paths(self, points, coverage, message):
         with pytest.raises(SingularSubsets, match=message):
             fast_mcd(points, coverage=coverage)
@@ -405,8 +407,43 @@ class TestFastMcd:
             fast_mcd(points, coverage=coverage, rng=RandomSource(0))
 
 
+@pytest.mark.parametrize("offset, spread", [(1.0, 1e-7), (1e8, 1e-3), (-3e5, 1e-9)])
+def test_d1_spread_small_next_to_offset(offset, spread):
+    # a window's variance is taken from its deviations from the middle value,
+    # so it does not cancel away against the offset; statistics.variance is exact
+    x = offset + spread * np.random.default_rng(21).standard_normal(40)
+    fit = fast_mcd(x)
+    h = fit.subset_indices.size
+    windows = [np.sort(x)[start:start + h] for start in range(x.size - h + 1)]
+    variances = [statistics.variance(window) for window in windows]
+    best = int(np.argmin(variances))
+    np.testing.assert_array_equal(np.sort(x[fit.subset_indices]), windows[best])
+    factor = _chi2_consistency(fit.coverage_fraction, 1)
+    np.testing.assert_allclose(fit.covariance[0, 0], variances[best] * factor, rtol=1e-12)
+    np.testing.assert_allclose(fit.center[0], statistics.fmean(windows[best]), rtol=1e-15)
+
+
+def test_d1_tight_cluster_far_from_the_rest():
+    # the window of the 21 clustered values is found, and its variance is
+    # theirs, not the cancellation left from the values near -1e8
+    rng = np.random.default_rng(22)
+    x = np.r_[-1e8 + rng.standard_normal(19), 5.0 + 1e-6 * rng.standard_normal(21)]
+    fit = fast_mcd(x)
+    np.testing.assert_array_equal(fit.subset_indices, np.arange(19, 40))
+    factor = _chi2_consistency(fit.coverage_fraction, 1)
+    np.testing.assert_allclose(fit.covariance[0, 0], statistics.variance(x[19:]) * factor,
+                               rtol=1e-12)
+
+
 def _fields(fit):
     return fit.center, fit.covariance, fit.subset_indices, fit.coverage_fraction
+
+
+def _overflow_cloud():
+    # point 7 lies 1e200 spreads from the bulk, so its C-step distance overflows
+    points = np.random.default_rng(12).standard_normal((40, 2)) * 1e-100
+    points[7] = [1e100, -1e100]
+    return points
 
 
 def _gaussian(m, d, seed):
@@ -529,24 +566,34 @@ class TestNearestMatchesStableArgsort:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
-    def test_ties_infinities_and_nan_rows(self, seed):
+    def test_ties_and_infinities(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
             k, m = int(rng.integers(1, 8)), int(rng.integers(2, 30))
             h = int(rng.integers(1, m + 1))
             dist = np.round(rng.standard_normal((k, m)) ** 2, int(rng.integers(0, 3)))
             dist[rng.random((k, m)) < 0.2] = np.inf
-            dist[rng.random((k, m)) < 0.3 * (seed % 2)] = np.nan
             expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
             np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_row_whose_hth_value_is_nan(self):
-        nan = np.nan
-        dist = np.array([[nan, 2.0, nan, 1.0, nan, 2.0],
-                         [3.0, 1.0, 2.0, 1.0, nan, 0.5]])
-        np.testing.assert_array_equal(fdout.robust._nearest(dist, 4),
-                                      [[0, 1, 3, 5], [1, 2, 3, 5]])
+    def test_c_steps_hand_it_no_nan(self, monkeypatch):
+        # _nearest relies on _mahalanobis_sq reading NaN as +inf: an
+        # overflowing distance, and repeated rows whose covariances go singular
+        seen = []
+        nearest = fdout.robust._nearest
+
+        def recording(dist, h):
+            seen.append(dist)
+            return nearest(dist, h)
+
+        monkeypatch.setattr(fdout.robust, "_nearest", recording)
+        for points in (_repeated_rows(80, 3, 9), _overflow_cloud()):
+            seen.clear()
+            fast_mcd(points, rng=RandomSource(9))
+            assert seen and not any(np.isnan(dist).any() for dist in seen)
+        # the overflow cloud, run last, does reach distances past the largest double
+        assert any(np.isinf(dist).any() for dist in seen)
 
 
 class TestRobustDistances:

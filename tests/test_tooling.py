@@ -6,7 +6,8 @@ traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
 which scipy subpackages each step loads is checked too, and so is every op
 name the source gives the least-curves table. A failing property test must
-not end the suite's run, so that is checked in a fresh pytest process.
+not end the suite's run, so that is checked in a fresh pytest process. The
+CI job at the declared floors must install what pyproject.toml declares.
 """
 
 import ast
@@ -15,6 +16,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +169,16 @@ def test_a_failing_property_test_does_not_end_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_floors_job_installs_the_declared_floors():
+    """The CI floors job runs the Python, numpy and scipy floors of pyproject.toml."""
+    # Python 3.10 has no tomllib, so the floors are read by pattern
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M).group(1)
+    numpy_floor, scipy_floor = (re.search(rf'"{name}>=([\d.]+)"', pyproject).group(1)
+                                for name in ("numpy", "scipy"))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    floors = re.search(r"^  floors:\n((?:    .*\n|\n)*)", workflow, re.M).group(1)
+    assert re.search(rf'^ +python-version: "{re.escape(python)}"$', floors, re.M)
+    assert f'pip install "numpy=={numpy_floor}.*" "scipy=={scipy_floor}.*"' in floors
