@@ -16,7 +16,7 @@ import numpy as np
 
 from .fdcore import (AnySample, Grid, RandomSource, as_multivariate, curve_values,
                      power_of_two_scaled)
-from .robust import MAD_CONSISTENCY, geometric_median
+from .robust import geometric_median
 
 __all__ = [
     "DirectionalOutlyingnessField",
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_DIRECTIONS = 500
+# scales the raw MAD to be consistent for the standard deviation under normality
+MAD_CONSISTENCY = 1.4826
 
 
 @dataclass(frozen=True, eq=False)

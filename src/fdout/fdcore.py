@@ -238,7 +238,7 @@ LEAST_CURVES = {
     "total_variation_depth": 2, "modified_shape_similarity": 2, "pointwise_sdo": 3,
     "muod_indices": 3, "muod_cutoff_boxplot": 5, "muod_cutoff_tangent": 10, "tvdmss": 5,
     "msplot": lambda d: 2 * (d + 1) + 3,  # the MO/VO summary's MCD needs n > 2 (d + 1) + 2
-    "functional_boxplot": 1, "render_curves": 1, "write_curves": 1,
+    "functional_boxplot": 1, "emit_plot": 1, "write_curves": 1,
     "gp_sample": 1, "simulation_model": 1,
 }
 

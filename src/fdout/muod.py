@@ -131,20 +131,22 @@ def muod_cutoff_tangent(indices, scale: float | None = None) -> np.ndarray:
     The terminal slope is a least-squares fit over the last
     max(3, ceil(0.02 n)) sorted points; the tangent through the maximum
     meets the x axis at k*, and the cutoff is the sorted value at
-    ceil(k*) clamped into range. Non-increasing tails flag nothing, and
-    ties with the cutoff are treated as in ``muod_cutoff_boxplot``.
+    ceil(k*) clamped into range. The slope and k* are taken in units of the
+    power of two of the largest |index|, so the fit of a tail near the
+    largest double does not overflow. Non-increasing tails flag nothing,
+    and ties with the cutoff are treated as in ``muod_cutoff_boxplot``.
     """
     x = float_array(indices).ravel()
     n = x.size
     least_curves("muod_cutoff_tangent", n)
     g = np.sort(x, kind="stable")
+    scaled, _exponent = power_of_two_scaled(g, axis=None)  # the same k* at any scale
     window = max(3, int(np.ceil(0.02 * n)))
     ks = np.arange(n - window + 1, n + 1, dtype=float)
-    tail = g[n - window:]
-    slope = np.polyfit(ks, tail, 1)[0]
+    slope = np.polyfit(ks, scaled[n - window:], 1)[0]
     if slope <= 0.0:
         return np.array([], dtype=np.intp)
-    k_star = n - g[-1] / slope
+    k_star = n - scaled[-1] / slope
     k_cut = min(max(int(np.ceil(k_star)), 1), n)
     return _beyond(x, g[k_cut - 1], scale)
 

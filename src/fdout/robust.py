@@ -28,18 +28,13 @@ from .errors import (
 from .fdcore import RandomSource, float_array, power_of_two_scaled
 
 __all__ = [
-    "RobustLocationScale",
     "McdFit",
     "FCutoff",
-    "median_mad",
     "geometric_median",
     "fast_mcd",
     "robust_distances",
     "hardin_rocke_cutoff",
 ]
-
-# scales the raw MAD to be consistent for the standard deviation under normality
-MAD_CONSISTENCY = 1.4826
 
 # FastMCD search budget: random elemental starts, C-steps on each start, the
 # number of best starts refined, and the cap on C-steps per refinement
@@ -56,12 +51,6 @@ TRIAL_BLOCK = 50
 # NonConvergence
 GM_TOL = 1e-10
 GM_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class RobustLocationScale:
-    median: float
-    mad: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +84,6 @@ def check_coverage(coverage: float | None) -> None:
     """The rule for an MCD coverage fraction: None, or in [0.5, 1]."""
     if coverage is not None and not 0.5 <= coverage <= 1.0:
         raise BadCoverage(f"coverage must lie in [0.5, 1], got {coverage}")
-
-
-def median_mad(xs) -> RobustLocationScale:
-    """Median and consistency-scaled median absolute deviation, taken exactly in
-    units of the power of two of the largest |value|; a MAD past the largest double is inf."""
-    xs = float_array(xs).ravel()
-    if xs.size == 0:
-        raise EmptyInput("median_mad needs at least one value")
-    xs, exponent = power_of_two_scaled(xs, axis=None)
-    med = np.median(xs)
-    with np.errstate(over="ignore"):  # documented above
-        med, mad = np.ldexp([med, MAD_CONSISTENCY * np.median(np.abs(xs - med))], exponent[0])
-    return RobustLocationScale(median=float(med), mad=float(mad))
 
 
 def _sum_kept(a: np.ndarray, keep: np.ndarray) -> np.ndarray:

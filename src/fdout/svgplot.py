@@ -19,7 +19,7 @@ from .errors import InconsistentReport, NonFiniteResult
 from .fdcore import AnySample, curve_values
 from .report import DetectionReport
 
-__all__ = ["render_curves", "render_msplot", "emit_plot", "PlotFile"]
+__all__ = ["emit_plot", "PlotFile"]
 
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72.0, 24.0, 24.0, 56.0
@@ -103,7 +103,7 @@ def _flags(n: int, outliers: Sequence[int]) -> list:
 
 def _curve_parts(sample: AnySample, outliers: Sequence[int]) -> Iterator[str]:
     """The pieces of the curve SVG; each polyline is formatted as it is reached."""
-    values = curve_values(sample, "render_curves")
+    values = curve_values(sample, "emit_plot")
     t = sample.grid.points
     x_span, y_span = _span(t), _span(values)
     # every row shares the grid's x pixels, so they are formatted once, into
@@ -124,11 +124,6 @@ def _curve_parts(sample: AnySample, outliers: Sequence[int]) -> Iterator[str]:
     return _document(x_span, y_span, "t", "value", marks)
 
 
-def render_curves(sample: AnySample, outliers: Sequence[int] = ()) -> str:
-    """All curves as polylines, flagged rows highlighted and drawn on top."""
-    return "".join(_curve_parts(sample, outliers))
-
-
 def _msplot_parts(mo, vo, outliers: Sequence[int], d: int) -> Iterator[str]:
     """The pieces of the MO/VO scatter SVG; each circle is formatted as it is reached."""
     mo = np.asarray(mo, dtype=float)
@@ -147,13 +142,6 @@ def _msplot_parts(mo, vo, outliers: Sequence[int], d: int) -> Iterator[str]:
         for x, y, flag in zip(cx, cy, _flags(scalar_mo.size, outliers))
     )
     return _document(x_span, y_span, x_label, "VO", marks)
-
-
-def render_msplot(
-    mo: np.ndarray, vo: np.ndarray, outliers: Sequence[int] = (), d: int = 1
-) -> str:
-    """Scatter of VO against MO (d = 1) or against ||MO|| otherwise."""
-    return "".join(_msplot_parts(mo, vo, outliers, d))
 
 
 def _curves_check(method: str, sample: AnySample) -> None:

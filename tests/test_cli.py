@@ -54,7 +54,7 @@ from fdout.fdcore import (
 from fdout.muod import MUOD_CUTS, muod
 from fdout.report import DetectionReport, to_external_indices
 from fdout.simmodels import simulation_model
-from fdout.svgplot import PLOT_KINDS, emit_plot, render_curves, render_msplot
+from fdout.svgplot import PLOT_KINDS, _curve_parts, _msplot_parts, emit_plot
 
 from .conftest import make_sample
 
@@ -411,29 +411,29 @@ class TestSvg:
         return make_sample(rng.normal(size=(5, 12)))
 
     def test_one_polyline_per_curve(self):
-        text = render_curves(self._sample(), outliers=[2])
+        text = "".join(_curve_parts(self._sample(), [2]))
         assert text.count("<polyline") == 5
         assert text.count('stroke="#d62728"') == 1
         assert text.startswith('<?xml version="1.0"')
         assert text.rstrip().endswith("</svg>")
 
     def test_flagged_curves_drawn_last(self):
-        text = render_curves(self._sample(), outliers=[0])
+        text = "".join(_curve_parts(self._sample(), [0]))
         last_poly = text.rfind("<polyline")
         assert text.find('stroke="#d62728"', last_poly) > 0
 
     def test_rendering_is_deterministic(self):
-        a = render_curves(self._sample(), outliers=[1, 3])
-        b = render_curves(self._sample(), outliers=[1, 3])
+        a = "".join(_curve_parts(self._sample(), [1, 3]))
+        b = "".join(_curve_parts(self._sample(), [1, 3]))
         assert a == b
 
     def test_msplot_axis_labels(self):
         mo = np.array([0.1, -0.2, 0.3])
         vo = np.array([0.5, 0.6, 0.7])
-        univariate = render_msplot(mo, vo, outliers=[1], d=1)
+        univariate = "".join(_msplot_parts(mo, vo, [1], 1))
         assert ">MO</text>" in univariate and ">VO</text>" in univariate
         assert univariate.count("<circle") == 3
-        multi = render_msplot(np.abs(mo), vo, d=2)
+        multi = "".join(_msplot_parts(np.abs(mo), vo, [], 2))
         assert ">||MO||</text>" in multi
 
     def test_emit_plot_validates_kind_and_shape(self, tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fdout import csvio
 from fdout.csvio import read_curves, write_curves
 from fdout.errors import FdoutError, ParseError
+from fdout.fdcore import _is_number
 
 from .conftest import make_sample
 
@@ -108,6 +109,31 @@ def test_read_curves_matches_the_csv_reader(csv_path, text, header, id_column):
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     assert outcome(csv_path, header, id_column) == csv_outcome(csv_path, header, id_column)
+
+
+# the characters of the cells above, with NUL and digits of other scripts
+CELL_CHARACTERS = sorted(set("".join(NUMBERS + ODD + PADDING)) | set("\x00٣۴५৬๗１"))
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(PADDING), st.sampled_from(NUMBERS + ODD),
+              st.sampled_from(PADDING)),
+    st.text(st.sampled_from(CELL_CHARACTERS), max_size=8),
+))
+@example("\x00")
+@example("1\x00")
+@example("٣.٥")
+def test_numpy_refuses_exactly_the_cells_that_float_refuses(cell):
+    # so _csv_block's cell scan finds the cell np.array failed on, and the
+    # bare raise after it is only a guard
+    cell = cell.strip()
+    try:
+        np.array([[cell]], dtype=float)
+    except ValueError:
+        assert not _is_number(cell)
+    else:
+        assert _is_number(cell)
 
 
 @pytest.mark.parametrize("text", [

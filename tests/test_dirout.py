@@ -10,7 +10,8 @@ from fdout import (
     directional_outlyingness,
     pointwise_sdo,
 )
-from fdout.dirout import DirectionalOutlyingnessField, _project, _unit_directions
+from fdout.dirout import (MAD_CONSISTENCY, DirectionalOutlyingnessField, _project,
+                          _unit_directions)
 
 from . import oracles
 from .conftest import constant_curves, make_multi
@@ -26,6 +27,9 @@ def random_field(seed, n=8, p=6, d=1):
 
 
 class TestPointwiseSdo:
+    def test_consistency_constant(self):
+        assert MAD_CONSISTENCY == 1.4826
+
     def test_exact_univariate_column(self):
         sample = as_multivariate(constant_curves([1.0, 2.0, 3.0, 4.0, 5.0]))
         sdo = pointwise_sdo(sample)

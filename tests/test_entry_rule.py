@@ -39,7 +39,6 @@ from fdout import (
     functional_boxplot,
     geometric_median,
     linfinity_depth,
-    median_mad,
     modified_band_depth,
     modified_shape_similarity,
     msplot,
@@ -66,7 +65,7 @@ from fdout.errors import (
     ValidationError,
 )
 from fdout.fdcore import float_array, least_curves
-from fdout.svgplot import render_curves
+from fdout.svgplot import _curve_parts
 from fdout.tvd import indicator_variance_terms
 
 from .conftest import make_multi, make_sample
@@ -108,7 +107,7 @@ ENTRY = [
                                  "outliers", "tvd", "mss"), True),
     ("msplot", lambda s: _fields(msplot(s), "outliers", "mo", "vo", "distances"), False),
     ("o_transform", lambda s: (o_transform(s).values,), False),
-    ("render_curves", lambda s: (render_curves(s, [0, 2]),), True),
+    ("emit_plot", lambda s: ("".join(_curve_parts(s, [0, 2])),), True),
     *[(f"depth_by_name:{method}",
        lambda s, method=method: (depth_by_name(s, method, rng=RandomSource(1)).scores,),
        method != "rmd")
@@ -232,7 +231,6 @@ def _mcd(points):
 
 # (name, call(array) -> tuple of results, a finite array it takes)
 RAW = [
-    ("median_mad", lambda x: _fields(median_mad(x), "median", "mad"), CLOUD),
     ("geometric_median", lambda x: (geometric_median(x),), CLOUD),
     ("fast_mcd", _mcd, CLOUD),
     ("robust_distances", lambda x: (robust_distances(x, _cloud_fit()),), CLOUD),
@@ -360,5 +358,5 @@ def test_every_public_function_taking_a_raw_array_is_in_the_table():
         and next(iter(inspect.signature(function).parameters), None)
         in ("xs", "points", "indices", "r_s")
     ]
-    assert {"median_mad", "muod_cutoff_boxplot", "indicator_variance_terms"} <= set(takes_array)
+    assert {"muod_cutoff_boxplot", "indicator_variance_terms"} <= set(takes_array)
     assert [name for name in takes_array if name not in tabled] == []

@@ -34,8 +34,9 @@ from fdout.csvio import read_curves, write_curves
 from fdout.detect import DEPTH_METHODS, depth_by_name, msplot, seq_transform, tvdmss
 from fdout.muod import muod
 from fdout.report import DetectionReport
-from fdout.svgplot import emit_plot, render_curves
+from fdout.svgplot import emit_plot
 
+from . import oracles
 from .conftest import make_multi, make_sample
 
 
@@ -88,23 +89,15 @@ def test_geometric_median_holds_a_few_copies_of_its_stack():
     assert peak_bytes(geometric_median, stack) < 8 * stack.nbytes
 
 
-def test_render_curves_holds_its_text_and_one_row_of_pixels():
-    # the row strings and their join: about twice the text; an n x p pixel
-    # matrix (3.2 MB here) or a whole-matrix tolist() would pass 2.5 times it
-    sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
-    text_bytes = len(render_curves(sample, [3, 7]))
-    assert peak_bytes(render_curves, sample, [3, 7]) < 2.5 * text_bytes
-
-
 def test_emit_plot_writes_the_svg_without_holding_its_text(tmp_path):
     # the row order and flags (n entries each) and one row's pixels and
-    # string; the text that render_curves returns is 5.7 MB here
+    # string; the whole text is 5.7 MB here
     sample = make_sample(np.random.default_rng(406).standard_normal((2000, 200)))
     report = DetectionReport(method="fbplot", parameters={}, n=2000, p=200, d=1,
                              outliers={"all": [4, 8]})
     path = str(tmp_path / "plot.svg")
     peak = peak_bytes(emit_plot, report, sample, "curves", path)
-    text = render_curves(sample, [3, 7])
+    text = oracles.render_curves(sample, [3, 7])
     with open(path, encoding="utf-8", newline="") as handle:
         assert handle.read() == text
     assert peak < len(text) / 20

@@ -105,10 +105,14 @@ class TestMuodIndices:
         np.testing.assert_allclose(after.amplitude, before.amplitude, rtol=0, atol=1e-12)
         assert after.magnitude[2] != pytest.approx(before.magnitude[2], abs=1e-6)
 
-    @pytest.mark.parametrize("exponent", [900, -900])
-    def test_exact_under_power_of_two_scaling(self, exponent):
-        # at 2**900 the covariances would overflow, at 2**-900 underflow to 0
-        values = np.random.default_rng(304).standard_normal((20, 6))
+    @pytest.mark.parametrize("exponent, model", [(900, None), (-900, None), (1019, 1)],
+                             ids=["900", "-900", "1019"])
+    def test_exact_under_power_of_two_scaling(self, exponent, model):
+        # at 2**900 the covariances would overflow, at 2**-900 underflow to 0;
+        # at 2**1019 model 1's magnitude indices pass 1e308, where the tangent
+        # cutoff's slope must be fitted in power-of-two units to stay finite
+        values = (np.random.default_rng(304).standard_normal((20, 6)) if model is None
+                  else simulation_model(model, n=100, p=50, seed=2).data.values)
         base = muod_indices(make_sample(values))
         scaled = muod_indices(make_sample(np.ldexp(values, exponent)))
         np.testing.assert_array_equal(scaled.shape, base.shape)
@@ -171,6 +175,16 @@ class TestTangentCutoff:
 
     def test_all_equal_flags_nothing(self):
         assert muod_cutoff_tangent(np.full(15, 2.0)).size == 0
+
+    @pytest.mark.parametrize("exponent", [1020, 500, -500])
+    def test_same_flags_under_power_of_two_scaling(self, exponent):
+        # at 2**1020 the sorted tail passes 1e308, where a slope fitted in
+        # the values' own units would be infinite
+        values = np.abs(np.random.default_rng(0).standard_normal(60))
+        values[:3] += 10.0
+        flagged = muod_cutoff_tangent(values)
+        assert flagged.size > 3
+        np.testing.assert_array_equal(muod_cutoff_tangent(np.ldexp(values, exponent)), flagged)
 
     def test_too_few(self):
         with pytest.raises(TooFewCurves):

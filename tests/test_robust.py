@@ -12,7 +12,6 @@ from fdout import (
     fast_mcd,
     geometric_median,
     hardin_rocke_cutoff,
-    median_mad,
     robust_distances,
     simulation_model,
 )
@@ -26,62 +25,9 @@ from fdout.errors import (
     SingularSubsets,
     TooFewPoints,
 )
-from fdout.robust import MAD_CONSISTENCY, McdFit, _chi2_consistency
+from fdout.robust import McdFit, _chi2_consistency
 
 from . import oracles
-
-
-class TestMedianMad:
-    def test_one_to_five(self):
-        loc = median_mad([1, 2, 3, 4, 5])
-        assert loc.median == 3.0
-        assert loc.mad == pytest.approx(1.4826, abs=0)
-
-    def test_constant(self):
-        loc = median_mad([2.5, 2.5, 2.5])
-        assert loc.median == 2.5
-        assert loc.mad == 0.0
-
-    def test_even_length_median(self):
-        assert median_mad([1, 2, 3, 4]).median == 2.5
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            median_mad([])
-
-    def test_permutation_invariant(self):
-        xs = [3.0, -1.0, 7.0, 0.5, 2.0]
-        a = median_mad(xs)
-        b = median_mad(xs[::-1])
-        assert (a.median, a.mad) == (b.median, b.mad)
-
-    def test_translation_equivariant(self):
-        xs = np.array([1.0, 2.0, 3.5, 7.0])
-        base = median_mad(xs)
-        moved = median_mad(xs + 2.5)
-        assert moved.median == base.median + 2.5
-        assert moved.mad == base.mad
-
-    def test_consistency_constant_exported(self):
-        assert MAD_CONSISTENCY == 1.4826
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_even_count_near_the_largest_double(self):
-        # the two middle values sum past the largest double, which made the
-        # median inf; in units of their power of two it is exact
-        xs = np.array([-1.7e308, 1.6e308, 1.7e308, 1.75e308])
-        loc, tame = median_mad(xs), median_mad(np.ldexp(xs, -1000))
-        assert (loc.median, loc.mad) == (np.ldexp(tame.median, 1000), np.ldexp(tame.mad, 1000))
-        assert np.isfinite([loc.median, loc.mad]).all()
-        # 1.4826 * 1.7e308 passes it
-        assert median_mad([-1.7e308, -1.7e308, 1.7e308, 1.7e308]).mad == np.inf
-
-    @pytest.mark.parametrize("exponent", [900, -900])
-    def test_exact_under_power_of_two_scaling(self, exponent):
-        xs = np.random.default_rng(9).standard_normal(40)
-        base, scaled = median_mad(xs), median_mad(np.ldexp(xs, exponent))
-        assert (scaled.median, scaled.mad) == (np.ldexp(base.median, exponent),
-                                               np.ldexp(base.mad, exponent))
 
 
 class TestGeometricMedian:

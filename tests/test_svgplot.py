@@ -14,7 +14,7 @@ from fdout.cli import DETECTORS, main
 from fdout.csvio import write_curves
 from fdout.errors import InconsistentReport
 from fdout.report import DetectionReport
-from fdout.svgplot import emit_plot, render_curves, render_msplot
+from fdout.svgplot import _curve_parts, _msplot_parts, emit_plot
 
 from . import oracles
 from .conftest import make_sample
@@ -52,7 +52,7 @@ OUTLIER_LISTS = {
 def test_curves_file_equals_oracle(name, outliers):
     sample = SAMPLES[name]()
     flagged = OUTLIER_LISTS[outliers](sample.n)
-    assert render_curves(sample, flagged) == oracles.render_curves(sample, flagged)
+    assert "".join(_curve_parts(sample, flagged)) == oracles.render_curves(sample, flagged)
 
 
 @pytest.mark.parametrize("outliers", OUTLIER_LISTS)
@@ -63,13 +63,14 @@ def test_msplot_file_equals_oracle(d, outliers):
     mo = rng.standard_normal(m) if d == 1 else rng.standard_normal((m, d))
     vo = rng.exponential(size=m)
     flagged = OUTLIER_LISTS[outliers](m)
-    assert render_msplot(mo, vo, flagged, d=d) == oracles.render_msplot(mo, vo, flagged, d=d)
+    expected = oracles.render_msplot(mo, vo, flagged, d=d)
+    assert "".join(_msplot_parts(mo, vo, flagged, d)) == expected
 
 
 def test_msplot_with_one_mo_column_equals_oracle():
     rng = np.random.default_rng(14)
     mo, vo = rng.standard_normal((20, 1)), rng.exponential(size=20)
-    assert render_msplot(mo, vo, [3], d=1) == oracles.render_msplot(mo, vo, [3], d=1)
+    assert "".join(_msplot_parts(mo, vo, [3], 1)) == oracles.render_msplot(mo, vo, [3], d=1)
 
 
 # ------------------------------------------------------- malformed reports

@@ -7,7 +7,8 @@ package and its modules export. A cold CLI run is mostly import time, so
 which scipy subpackages each step loads is checked too, and so is every op
 name the source gives the least-curves table. A failing property test must
 not end the suite's run, so that is checked in a fresh pytest process. The
-CI job at the declared floors must install what pyproject.toml declares.
+CI job at the declared floors must install what pyproject.toml declares, and
+the console script it declares must resolve.
 """
 
 import ast
@@ -182,3 +183,13 @@ def test_floors_job_installs_the_declared_floors():
     floors = re.search(r"^  floors:\n((?:    .*\n|\n)*)", workflow, re.M).group(1)
     assert re.search(rf'^ +python-version: "{re.escape(python)}"$', floors, re.M)
     assert f'pip install "numpy=={numpy_floor}.*" "scipy=={scipy_floor}.*"' in floors
+
+
+def test_the_console_script_resolves_to_a_callable():
+    """The target of the fdout command that installing the package makes is a callable."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:.+\n)*)", pyproject, re.M).group(1)
+    entries = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', scripts, re.M))
+    assert entries == {"fdout": "fdout.cli:main"}
+    module, attribute = entries["fdout"].split(":")
+    assert callable(getattr(importlib.import_module(module), attribute))
