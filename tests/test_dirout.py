@@ -84,6 +84,51 @@ class TestPointwiseSdo:
             np.setbufsize(before)
 
 
+class TestSdoMedianAndMad:
+    """The median and MAD that every detector scores by come from one kernel,
+    ``_block_sdo``; its scores inherit their exact invariances."""
+
+    def test_even_count_averages_the_middle_values(self):
+        # median 2.5, raw MAD mean(0.5, 1.5) = 1
+        sdo = pointwise_sdo(as_multivariate(constant_curves([1.0, 2.0, 3.0, 4.0])))
+        expected = np.array([1.5, 0.5, 0.5, 1.5]) / 1.4826
+        np.testing.assert_array_equal(sdo, np.repeat(expected[:, None], 4, axis=1))
+
+    def test_constant_column_scores_zero(self):
+        sdo = pointwise_sdo(as_multivariate(constant_curves([2.5, 2.5, 2.5])))
+        np.testing.assert_array_equal(sdo, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_permutation_equivariant(self, d):
+        values = np.random.default_rng(40 + d).standard_normal((9, 5, d))
+        order = np.random.default_rng(50 + d).permutation(9)
+        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
+        moved = pointwise_sdo(make_multi(values[order]), rng=RandomSource(d))
+        np.testing.assert_array_equal(moved, base[order])
+
+    def test_translation_invariant(self):
+        # small integers and halves: every sum and difference is exact
+        values = np.random.default_rng(42).integers(-20, 20, (10, 6, 1)).astype(float)
+        base = pointwise_sdo(make_multi(values))
+        np.testing.assert_array_equal(pointwise_sdo(make_multi(values + 2.5)), base)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sign_invariant(self, d):
+        # a projection of -x is minus that of x, and sorting mirrors
+        values = np.random.default_rng(60 + d).standard_normal((8, 5, d))
+        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
+        np.testing.assert_array_equal(pointwise_sdo(make_multi(-values), rng=RandomSource(d)),
+                                      base)
+
+    @pytest.mark.parametrize("exponent", [900, -900])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_under_power_of_two_scaling(self, d, exponent):
+        values = np.random.default_rng(9 + d).standard_normal((40, 4, d))
+        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
+        scaled = pointwise_sdo(make_multi(np.ldexp(values, exponent)), rng=RandomSource(d))
+        np.testing.assert_array_equal(scaled, base)
+
+
 def two_median_sdo(values, seed):
     d = values.shape[2]
     directions = np.ones((1, 1)) if d == 1 else _unit_directions(RandomSource(seed), d)
