@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdcore import (AnySample, Grid, RandomSource, as_multivariate, curve_values,
-                     power_of_two_scaled)
+                     power_of_two_scaled, small_ufunc_buffer)
 from .robust import geometric_median
 
 __all__ = [
@@ -77,7 +77,9 @@ def _project(block: np.ndarray, u: np.ndarray, proj: np.ndarray, term: np.ndarra
     finite, so the running sum may overflow to +-inf but never meets
     inf - inf: a finite curve does not project to NaN.
     """
-    x = block.transpose(1, 2, 0)[:, :, None, :]  # s x d x 1 x n
+    # one contiguous s x d x n copy, so that each product reads its
+    # coordinate's curves as a contiguous row
+    x = np.ascontiguousarray(block.transpose(1, 2, 0))[:, :, None, :]  # s x d x 1 x n
     u = u.T[:, :, None]  # d x k x 1
     np.multiply(x[:, 0], u[0], out=proj)
     for j in range(1, len(u)):
@@ -147,23 +149,14 @@ def pointwise_sdo(
     proj = np.empty((step, len(u), n))
     dev = np.empty_like(proj)
     sdo = np.empty((n, p))
-    # numpy (>= 2.3) copies an operand broadcast along the rows (the
-    # directions, the medians, the MADs) into its ufunc buffer whenever the
-    # buffer holds more than two rows. With the default 8192 elements that
-    # makes these calls up to three times slower at 200 curves and
-    # allocates 64 KiB per operand. At 256 elements, rows of 128 curves or
-    # more run unbuffered and shorter rows are still gathered a few at a
-    # time. No sum runs here, so the floats do not depend on it.
-    bufsize = np.setbufsize(256)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the inf and NaN values above
-            for t in range(0, p, step):
-                if t + step > p:  # the last block is shorter
-                    proj, dev = proj[:p - t], dev[:p - t]
-                _project(values[:, t:t + step], u, proj, dev)
-                sdo[:, t:t + step] = _block_sdo(proj, dev).T
-    finally:
-        np.setbufsize(bufsize)
+    # the directions, medians and MADs are broadcast along rows of curves;
+    # no sum runs in the loop, so the floats do not depend on the buffer
+    with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):  # inf, NaN above
+        for t in range(0, p, step):
+            if t + step > p:  # the last block is shorter
+                proj, dev = proj[:p - t], dev[:p - t]
+            _project(values[:, t:t + step], u, proj, dev)
+            sdo[:, t:t + step] = _block_sdo(proj, dev).T
     return sdo
 
 

@@ -16,6 +16,7 @@ platform. A RandomSource is single-owner: parallel work must use
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -277,6 +278,27 @@ def power_of_two_scaled(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarra
     values neither overflow nor underflow and scale back bit for bit."""
     exponents = np.frexp(np.abs(values).max(axis=axis, keepdims=True))[1]
     return np.ldexp(values, -exponents), exponents
+
+
+@contextmanager
+def small_ufunc_buffer():
+    """numpy's ufunc buffer at 256 elements while the block runs, restored
+    after it, also when it raises.
+
+    numpy (>= 2.3) copies an operand broadcast along the rows of a 2-d
+    operation (a row of directions, of medians, of Cholesky entries) into
+    its ufunc buffer whenever the buffer holds more than two rows. With the
+    default 8192 elements that makes such calls up to three times slower at
+    200 columns and allocates 64 KiB per operand. At 256 elements, rows of
+    128 columns or more run unbuffered and shorter rows are still gathered
+    a few at a time. Only element-wise operations belong in the block: the
+    floats of a sum could depend on the buffer size.
+    """
+    bufsize = np.setbufsize(256)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
 
 
 def ensure_valid(sample: AnySample) -> AnySample:

@@ -25,7 +25,7 @@ from .errors import (
     SingularSubsets,
     TooFewPoints,
 )
-from .fdcore import RandomSource, float_array, power_of_two_scaled
+from .fdcore import RandomSource, float_array, power_of_two_scaled, small_ufunc_buffer
 
 __all__ = [
     "McdFit",
@@ -204,11 +204,17 @@ def _chi2_consistency(alpha: float, d: int) -> float:
     return alpha / scipy.special.chdtr(d + 2, _chi2_ppf(alpha, d))
 
 
-def _subset_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the rows of x, or of each matrix of a stack."""
-    center = x.mean(axis=-2)
-    diff = x - center[..., None, :]
-    cov = np.swapaxes(diff, -1, -2) @ diff / (x.shape[-2] - 1)
+def _subset_cov(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the rows of x that ``rows`` names, or of those
+    each row of a k x s ``rows`` names.
+
+    The centre sums an s x k x d gather along its outer axis, so each sum
+    adds the rows one by one in the order of ``rows``. A sum along a
+    contiguous last axis would be pairwise and give other floats."""
+    center = np.take(x, rows.T, axis=0).mean(axis=0)
+    diff = np.take(x, rows, axis=0)
+    diff -= center[..., None, :]
+    cov = np.swapaxes(diff, -1, -2) @ diff / (rows.shape[-1] - 1)
     return center, cov
 
 
@@ -247,10 +253,13 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     lower, ok = _per_matrix(np.linalg.cholesky, cov)
     ok &= np.isfinite(lower).all(axis=(1, 2))
     lower[~ok] = np.eye(cov.shape[-1])
-    # k x d x m: each coordinate's differences form a contiguous row
-    z = x.T - center[:, :, None]
+    # k x d x m from one contiguous d x m copy of the points: each
+    # coordinate's differences form a contiguous row, and the factor's
+    # entries are broadcast along them
+    z = np.ascontiguousarray(x.T) - center[:, :, None]
     dist = np.zeros(z[:, 0].shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, read as +inf
+    # inf - inf is NaN, read as +inf
+    with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
         for j in range(z.shape[1]):
             for i in range(j):
                 z[:, j] -= lower[:, j, i, None] * z[:, i]
@@ -263,14 +272,19 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     """Sorted indices of the h smallest entries of each row of ``dist``, ties
     broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
     from one partition. Every entry below the row's h-th smallest value is
-    taken, and of the entries equal to it the first ones in index order;
-    ``np.nonzero`` reads the indices out already sorted. ``dist`` holds no
-    NaN, because ``_mahalanobis_sq`` reads NaN as +inf."""
+    taken, and of the entries equal to it the first ones in index order:
+    all of them where each row holds its h-th value once. The flat indices
+    of the kept entries, less each row's offset, are the indices sorted.
+    ``dist`` holds no NaN, because ``_mahalanobis_sq`` reads NaN as +inf."""
+    k, m = dist.shape
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
     keep = dist < kth
     tie = dist == kth
-    keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
-    return np.nonzero(keep)[1].reshape(-1, h)
+    if np.count_nonzero(tie) == k:
+        keep |= tie
+    else:
+        keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
+    return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * m, m)[:, None]
 
 
 def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
@@ -279,7 +293,7 @@ def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
     indices, with a mask of the steps whose covariances in and out are PD."""
     dist, ok = _mahalanobis_sq(x, center, cov)
     support = _nearest(dist, h)
-    center, cov = _subset_cov(x[support])
+    center, cov = _subset_cov(x, support)
     sign, logdet = np.linalg.slogdet(cov)
     ok &= (sign > 0) & np.isfinite(logdet)
     return center, cov, logdet, support, ok
@@ -296,7 +310,7 @@ def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
     started = np.zeros(k, dtype=bool)
     for size in range(d + 1, m + 1):
         pending = np.flatnonzero(~started)
-        c, s = _subset_cov(x[perms[pending, :size]])
+        c, s = _subset_cov(x, perms[pending, :size])
         sign, logdet = np.linalg.slogdet(s)
         good = (sign > 0) & np.isfinite(logdet)
         center[pending[good]], cov[pending[good]] = c[good], s[good]
@@ -365,7 +379,7 @@ def fast_mcd(
     factor = _chi2_consistency(alpha, d)
 
     if h == m:
-        center, cov = _subset_cov(x)
+        center, cov = _subset_cov(x, np.arange(m))
         sign, _ = np.linalg.slogdet(cov)
         if sign <= 0:
             raise SingularSubsets("full-sample covariance is singular")

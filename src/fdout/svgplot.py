@@ -96,9 +96,12 @@ def _document(x_span: tuple, y_span: tuple, x_label: str, y_label: str,
 
 
 def _flags(n: int, outliers: Sequence[int]) -> list:
-    """Whether each row 0..n-1 is flagged; entries outside 0..n-1 flag nothing."""
-    flagged = set(int(i) for i in outliers)
-    return [i in flagged for i in range(n)]
+    """Whether each row 0..n-1 is flagged; ``_flagged_rows`` has checked
+    that every entry is one of those rows."""
+    flags = [False] * n
+    for i in outliers:
+        flags[i] = True
+    return flags
 
 
 def _curve_parts(sample: AnySample, outliers: Sequence[int]) -> Iterator[str]:

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import fdout.robust
@@ -424,6 +426,20 @@ def _exact_line(m, d, seed):
     return np.outer(np.linspace(0.0, 1.0, m), np.arange(1.0, d + 1.0))
 
 
+def _assert_matches_oracle(points, coverage, seed):
+    expected = oracles.fast_mcd_raw(points, coverage, RandomSource(seed))
+    if expected is None:
+        with pytest.raises(SingularSubsets):
+            fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
+        return
+    center, cov, subset = expected
+    fit = fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
+    factor = _chi2_consistency(fit.coverage_fraction, points.shape[1])
+    assert np.array_equal(fit.center, center)
+    assert np.array_equal(fit.covariance, cov * factor)
+    assert np.array_equal(fit.subset_indices, subset)
+
+
 class TestFastMcdMatchesScalarOracle:
     """The blocked trials reproduce the one-trial-at-a-time search bit for bit."""
 
@@ -447,18 +463,18 @@ class TestFastMcdMatchesScalarOracle:
         (_exact_line, 40, 3, 0.6, 14),
     ])
     def test_bit_identical(self, make, m, d, coverage, seed):
-        points = make(m, d, seed)
-        expected = oracles.fast_mcd_raw(points, coverage, RandomSource(seed))
-        if expected is None:
-            with pytest.raises(SingularSubsets):
-                fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
-            return
-        center, cov, subset = expected
-        fit = fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
-        factor = _chi2_consistency(fit.coverage_fraction, d)
-        assert np.array_equal(fit.center, center)
-        assert np.array_equal(fit.covariance, cov * factor)
-        assert np.array_equal(fit.subset_indices, subset)
+        _assert_matches_oracle(make(m, d, seed), coverage, seed)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(9, 80), st.integers(2, 4), st.sampled_from([None, 0.75]),
+           st.sampled_from([None, 0, 1]), st.integers(0, 10**6))
+    def test_random_clouds(self, m, d, coverage, decimals, seed):
+        # clouds rounded to 0 or 1 decimals tie at the h-th distance and
+        # have singular elemental starts
+        points = np.random.default_rng(seed).standard_normal((m, d))
+        if decimals is not None:
+            points = np.round(points, decimals)
+        _assert_matches_oracle(points, coverage, seed)
 
     def test_cases_cover_growth_and_failure(self):
         # the repeated-row clouds do have singular elemental starts
@@ -510,6 +526,11 @@ class TestFastMcdMatchesScalarOracle:
 class TestNearestMatchesStableArgsort:
     """The h-subset by partition is the first h of a stable argsort, sorted."""
 
+    @staticmethod
+    def _check(dist, h):
+        expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
+        np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
     def test_ties_and_infinities(self, seed):
@@ -519,8 +540,25 @@ class TestNearestMatchesStableArgsort:
             h = int(rng.integers(1, m + 1))
             dist = np.round(rng.standard_normal((k, m)) ** 2, int(rng.integers(0, 3)))
             dist[rng.random((k, m)) < 0.2] = np.inf
-            expected = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :h], axis=1)
-            np.testing.assert_array_equal(fdout.robust._nearest(dist, h), expected)
+            self._check(dist, h)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_free_blocks_and_one_tied_row(self, seed):
+        # a block whose every row holds its h-th value once takes every
+        # entry up to it; one row that ties there sends the whole block
+        # through the count of ties in index order
+        rng = np.random.default_rng(seed)
+        tied_blocks = []
+        for _ in range(50):
+            k, m = int(rng.integers(1, 8)), int(rng.integers(2, 30))
+            h = int(rng.integers(1, m + 1))
+            dist = rng.permutation(k * m).reshape(k, m) / 7.0
+            self._check(dist, h)
+            dist[rng.integers(k)] = rng.integers(0, 3, m)
+            kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
+            tied_blocks.append(np.count_nonzero(dist == kth) > k)
+            self._check(dist, h)
+        assert any(tied_blocks) and not all(tied_blocks)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_c_steps_hand_it_no_nan(self, monkeypatch):

@@ -38,11 +38,11 @@ SAMPLES = {
         grid=np.cumsum(np.random.default_rng(7).uniform(0.01, 1.0, 40))),
 }
 
-# the renderers ignore entries outside 0..n-1 and flag a repeated row once
+# the renderers flag a repeated row once; entries outside 0..n-1 never
+# reach them (see the malformed-report tests below)
 OUTLIER_LISTS = {
     "none": lambda n: [],
     "unsorted_duplicated": lambda n: [n - 1, 2, 0, 2, n - 1],
-    "out_of_range": lambda n: [-1, n, n + 5, 1],
     "all_rows": lambda n: list(range(n)),
 }
 
@@ -120,7 +120,10 @@ MALFORMED = {
                                            "vo": [1.0] * N_CURVES}), "msplot"),
     "vo_holds_null": (_report(diagnostics={"mo": [0.5] * N_CURVES,
                                            "vo": [1.0] * (N_CURVES - 1) + [None]}), "msplot"),
+    # the renderers index rows by entry: row -1 would flag the last curve
     "entry_zero": (_report(outliers={"all": [0, 3]}), "curves"),
+    "entry_zero_msplot": (_report(outliers={"all": [3, 0]}), "msplot"),
+    "entry_negative": (_report(outliers={"all": [-1]}), "curves"),
     "entry_past_n": (_report(outliers={"all": [3, N_CURVES + 5]}), "curves"),
     "entry_past_len_vo": (_report(outliers={"all": [N_CURVES + 1]}), "msplot"),
     "entry_a_float": (_report(outliers={"all": [1.7]}), "curves"),

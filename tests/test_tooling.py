@@ -5,7 +5,8 @@ attribute name; a name it lists that its owner no longer holds makes the
 traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
 which scipy subpackages each step loads is checked too, and so is every op
-name the source gives the least-curves table. A failing property test must
+name the source gives the least-curves table, and that one helper owns
+numpy's ufunc buffer size. A failing property test must
 not end the suite's run, so that is checked in a fresh pytest process. The
 CI job at the declared floors must install what pyproject.toml declares, and
 the console script it declares must resolve.
@@ -141,6 +142,22 @@ def test_every_op_given_the_least_curves_table_is_a_key_and_every_key_is_given()
         op for op, _cut in sys.modules["fdout.muod"]._CUTOFFS.values()}
     assert sorted((literals | tabled) - set(LEAST_CURVES)) == []
     assert sorted(set(LEAST_CURVES) - literals) == []
+
+
+def test_only_the_buffer_helper_sets_the_ufunc_buffer_size():
+    """numpy's buffer size is process state: ``fdcore.small_ufunc_buffer``
+    sets it and restores it, and no other code names ``setbufsize``."""
+    def uses(tree):
+        return sum("setbufsize" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                    getattr(node, "name", None))
+                   for node in ast.walk(tree))
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "fdout").glob("*.py")}
+    helper = next(node for node in ast.walk(trees["fdcore.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "small_ufunc_buffer")
+    assert uses(helper) == 2
+    assert {name: uses(tree) for name, tree in trees.items() if uses(tree)} == {"fdcore.py": 2}
 
 
 FAILING_PROPERTY = """
