@@ -272,18 +272,15 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     """Sorted indices of the h smallest entries of each row of ``dist``, ties
     broken by lowest index: ``np.sort(np.argsort(dist, kind="stable")[:, :h])``
     from one partition. Every entry below the row's h-th smallest value is
-    taken, and of the entries equal to it the first ones in index order:
-    all of them where each row holds its h-th value once. The flat indices
-    of the kept entries, less each row's offset, are the indices sorted.
-    ``dist`` holds no NaN, because ``_mahalanobis_sq`` reads NaN as +inf."""
+    taken, and of the entries equal to it the first ones in index order;
+    the flat indices of the kept entries, less each row's offset, are the
+    indices sorted. ``dist`` holds no NaN, because ``_mahalanobis_sq``
+    reads NaN as +inf."""
     k, m = dist.shape
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
     keep = dist < kth
     tie = dist == kth
-    if np.count_nonzero(tie) == k:
-        keep |= tie
-    else:
-        keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
+    keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
     return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * m, m)[:, None]
 
 

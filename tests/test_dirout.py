@@ -14,9 +14,7 @@ from fdout import (
 )
 from fdout.dirout import (MAD_CONSISTENCY, DirectionalOutlyingnessField, _project,
                           _unit_directions)
-from fdout.errors import SingularCovariance, SingularSubsets
 from fdout.fdcore import small_ufunc_buffer
-from fdout.robust import McdFit
 
 from . import oracles
 from .conftest import constant_curves, make_multi
@@ -79,48 +77,29 @@ class TestPointwiseSdo:
             pair = pointwise_sdo(make_multi(values[:, t:t + 2]), rng=RandomSource(d))
             np.testing.assert_array_equal(full[:, t:t + 2], pair)
 
-    def test_leaves_the_ufunc_buffer_size_as_it_found_it(self):
-        # the block loop shrinks numpy's ufunc buffer while it runs
+    @pytest.mark.parametrize("call", [
+        lambda: pointwise_sdo(make_multi(np.random.default_rng(36).standard_normal((5, 3, 2)))),
+        lambda: fast_mcd(np.random.default_rng(37).standard_normal((20, 2)), rng=RandomSource(37)),
+        lambda: robust_distances(np.eye(3), fast_mcd(np.random.default_rng(38).standard_normal((20, 3)),
+                                                     rng=RandomSource(38))),
+    ], ids=["pointwise_sdo", "fast_mcd", "robust_distances"])
+    def test_leaves_the_ufunc_buffer_size_as_it_found_it(self, call):
+        # the block loop, and the Mahalanobis distances of fast_mcd and
+        # robust_distances, shrink numpy's ufunc buffer while they run
         before = np.setbufsize(4096)
         try:
-            pointwise_sdo(make_multi(np.random.default_rng(36).standard_normal((5, 3, 2))))
+            call()
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(before)
 
 
-def _all_c_steps_singular():
-    # elemental starts that take a scattered point are nonsingular, but every
-    # C-step keeps the h = 11 repeated points
-    points = np.zeros((20, 2))
-    points[15:] = np.random.default_rng(37).standard_normal((5, 2))
-    fast_mcd(points, rng=RandomSource(37))
-
-
-def _zero_covariance():
-    # singular before and after the diagonal jitter
-    fit = McdFit(np.zeros(2), np.zeros((2, 2)), np.arange(3), 0.5)
-    robust_distances(np.ones((4, 2)), fit)
-
-
-def _raise_in_block():
-    with small_ufunc_buffer():
-        assert np.getbufsize() == 256
-        raise ValueError("raised while the buffer is small")
-
-
-@pytest.mark.parametrize("call, error", [
-    (_all_c_steps_singular, SingularSubsets),
-    (_zero_covariance, SingularCovariance),
-    (_raise_in_block, ValueError),
-])
-def test_a_raising_call_leaves_the_ufunc_buffer_size_as_it_found_it(call, error):
-    # the Mahalanobis distances of fast_mcd and robust_distances run under
-    # the same small buffer as pointwise_sdo's block loop
+def test_a_raise_under_the_small_buffer_restores_its_size():
     before = np.setbufsize(4096)
     try:
-        with pytest.raises(error):
-            call()
+        with pytest.raises(ValueError), small_ufunc_buffer():
+            assert np.getbufsize() == 256
+            raise ValueError("raised while the buffer is small")
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(before)

@@ -544,9 +544,8 @@ class TestNearestMatchesStableArgsort:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tie_free_blocks_and_one_tied_row(self, seed):
-        # a block whose every row holds its h-th value once takes every
-        # entry up to it; one row that ties there sends the whole block
-        # through the count of ties in index order
+        # distinct distances, then the same block with one row of small
+        # integers, which ties at its h-th value in some of the draws
         rng = np.random.default_rng(seed)
         tied_blocks = []
         for _ in range(50):
