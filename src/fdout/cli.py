@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--factor-mss", type=float,
                      default=_default(_detect.tvdmss, "emp_factor_mss"),
                      help="tvdmss: boxplot factor on shape similarity")
-    det.add_argument("--factor-tvd", type=float,
-                     default=_default(_detect.tvdmss, "emp_factor_tvd"),
-                     help="tvdmss: functional boxplot factor")
     det.add_argument("--sequence", default=",".join(_default(_detect.seq_transform, "sequence")),
                      help=f"seq: comma-separated stages from {','.join(_detect.SEQ_STAGES)}")
     det.add_argument("--depth", default=_default(_detect.seq_transform, "depth_method"),
@@ -113,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fbplot/seq/tvdmss: central region fraction")
     det.add_argument("--factor", type=float,
                      default=_default(_detect.functional_boxplot, "factor"),
-                     help="fbplot/seq: fence factor")
+                     help="fbplot/seq/tvdmss: fence factor")
     det.add_argument("--cut", default=_default(_muod, "cut_method"),
                      choices=MUOD_CUTS, help="muod: cutoff method")
     _add_csv_flags(det)
@@ -180,7 +177,7 @@ def _detect_msplot(args, sample):
 
 def _detect_tvdmss(args, sample):
     parameters = {"emp_factor_mss": args.factor_mss,
-                  "emp_factor_tvd": args.factor_tvd,
+                  "emp_factor_tvd": args.factor,
                   "central_region_tvd": args.central_region}
     res = _detect.tvdmss(sample, **parameters)
     outliers = {"all": res.outliers, "shape": res.shape_outliers,

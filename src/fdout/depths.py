@@ -238,16 +238,25 @@ def directional_quantile(sample: AnySample) -> DepthVector:
 
     The envelope is the ``DQ_TAIL`` and ``1 - DQ_TAIL`` quantile curves.
     Each column's median and tail quantiles use linear interpolation
-    between order statistics; denominators are floored at 1e-12 so
-    tie-heavy columns cannot blow up the ratio. Larger scores mean more
-    outlying. Where a quantile or a difference overflows, some score is not
-    finite, and DepthVector raises NonFiniteResult.
+    between order statistics. So that tie-heavy columns cannot blow up the
+    ratio, a grid point's two denominators are floored at 2**-40 times the
+    power of two of its envelope, max(|q_lo|, |q_hi|), or of its largest
+    |value| where both quantiles are 0: multiplying the data by a power of
+    two leaves the scores unchanged, and one huge curve moves no other
+    point's floor. Larger scores mean more outlying. Where a quantile or a
+    difference overflows, some score is not finite, and DepthVector raises
+    NonFiniteResult.
     """
     values = curve_values(sample, "directional_quantile")
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteResult just below
         q_lo, med, q_hi = np.quantile(values, [DQ_TAIL, 0.5, 1.0 - DQ_TAIL], axis=0)
-        up = (values - med) / np.maximum(q_hi - med, 1e-12)
-        dn = (med - values) / np.maximum(med - q_lo, 1e-12)
+        envelope = np.maximum(np.abs(q_lo), np.abs(q_hi))
+        flat = envelope == 0.0
+        envelope[flat] = np.abs(values[:, flat]).max(axis=0)
+        # an all-zero point gets 2**-40; a subnormal floor stays at least 2**-1074
+        floor = np.ldexp(1.0, np.maximum(np.frexp(envelope)[1] - 40, -1074))
+        up = (values - med) / np.maximum(q_hi - med, floor)
+        dn = (med - values) / np.maximum(med - q_lo, floor)
     scores = np.maximum(up, dn).max(axis=1)
     return DepthVector(scores, OUTLYING_IS_LARGER, "dq")
 

@@ -14,6 +14,7 @@ byte.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -151,7 +152,7 @@ def extremal_depth(values):
     return np.array([sum(k >= keys[i] for k in keys) / n for i in range(n)])
 
 
-def directional_quantile(values, tail=0.025, floor=1e-12):
+def directional_quantile(values, tail=0.025):
     values = np.asarray(values, dtype=float)
     n, p = values.shape
     out = np.zeros(n)
@@ -162,6 +163,10 @@ def directional_quantile(values, tail=0.025, floor=1e-12):
             med = np.quantile(col, 0.5)
             hi = np.quantile(col, 1.0 - tail)
             lo = np.quantile(col, tail)
+            # 2**-40 of the envelope's power of two, of the largest |value| on a
+            # zero envelope; an all-zero point takes 2**-40
+            envelope = max(abs(lo), abs(hi)) or np.abs(col).max()
+            floor = math.ldexp(1.0, max(math.frexp(envelope)[1] - 40, -1074))
             up = (values[i, t] - med) / max(hi - med, floor)
             down = (med - values[i, t]) / max(med - lo, floor)
             worst = max(worst, up, down)

@@ -2,7 +2,8 @@
 
 CLI behaviour is exercised in process through ``main(argv)``; the exit-code
 and byte-determinism contracts across OS processes are covered again in the
-acceptance suite via subprocess.
+acceptance suite via subprocess. The BLAS thread-count test runs ``main`` in
+one subprocess per thread count, since the count is fixed at numpy's import.
 """
 
 import argparse
@@ -12,6 +13,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -530,6 +533,23 @@ class TestCliCommands:
         assert payload["outliers"]["shape"] == []
         assert payload["outliers"]["all"] == [5]
 
+    def test_factor_sets_the_tvdmss_fence(self, tmp_path, capsys):
+        # level 7 lies beyond the 1.5 fence of the central levels 1..3, inside the 3 fence
+        values = np.repeat(np.array([0.0, 1.0, 2.0, 3.0, 7.0])[:, None], 4, axis=1)
+        path = tmp_path / "levels.csv"
+        write_curves(str(path), make_sample(values))
+        report_path = tmp_path / "report.json"
+        argv = ["detect", "--method", "tvdmss", "--in", str(path), "--report", str(report_path)]
+        for extra, factor, magnitude in (([], 1.5, [5]), (["--factor", "3"], 3.0, [])):
+            assert main(argv + extra) == 0
+            payload = json.loads(report_path.read_text())
+            assert payload["parameters"]["emp_factor_tvd"] == factor
+            assert payload["outliers"]["magnitude"] == magnitude
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--factor-tvd", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --factor-tvd 2" in capsys.readouterr().err
+
     def test_detect_msplot_matches_library(self, tmp_path):
         out_dir = tmp_path / "sim"
         main([
@@ -829,6 +849,64 @@ class TestEveryMethodReport:
         assert lines[0] == "curve,score"
         expected = depth_by_name(read_curves(sim_csv), method, rng=RandomSource(0)).scores
         assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
+
+
+# runs every fdout.cli.main argv of a JSON list in one process, so that the
+# interpreter and import cost is paid once per thread count
+_RUN_COMMANDS = """
+import json, sys
+from fdout.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_cli_report_is_the_same_at_every_blas_thread_count(tmp_path):
+    # the inputs are written once: fdout simulate itself is not thread-invariant
+    big, small, second = (str(tmp_path / name) for name in ("big.csv", "small.csv", "second.csv"))
+    write_curves(big, simulation_model(3, n=2000, p=200, seed=3).data)
+    write_curves(small, simulation_model(6, n=500, p=100, seed=3).data)
+    write_curves(second, simulation_model(6, n=500, p=100, seed=4).data)
+
+    def commands(out):
+        runs = []
+        for name, path in (("big", big), ("small", small)):
+            for method in DETECTORS:
+                runs.append(["detect", "--method", method, "--in", path,
+                             "--report", f"{out}/{name}_{method}.json",
+                             "--plot", f"{out}/{name}_{method}.svg",
+                             *(["--plot-kind", "msplot"] if method == "msplot" else [])])
+            # BD is the one cubic ordering: the smaller sample is enough
+            for method in (m for m in DEPTH_METHODS if m != "bd" or path == small):
+                runs.append(["depth", "--method", method, "--in", path,
+                             "--out", f"{out}/{name}_{method}.csv"])
+        runs.append(["plot", "--in", small, "--report", f"{out}/small_fbplot.json",
+                     "--out", f"{out}/plot.svg"])
+        runs.append(["detect", "--method", "msplot", "--in", f"{small},{second}",
+                     "--report", f"{out}/two_files_msplot.json",
+                     "--plot", f"{out}/two_files_msplot.svg", "--plot-kind", "msplot"])
+        runs.append(["detect", "--method", "seq", "--sequence", "O,T1,D1",
+                     "--in", f"{small},{second}", "--report", f"{out}/two_files_seq.json"])
+        return runs
+
+    # the two thread counts run side by side, each in its own output directory,
+    # so the test takes about as long as one of them
+    procs = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        with open(tmp_path / f"{threads}.err", "w") as stderr:
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands(tmp_path / threads))],
+                env=env, stderr=stderr)
+    outputs = {}
+    for threads, proc in procs.items():
+        assert proc.wait(timeout=300) == 0, (tmp_path / f"{threads}.err").read_text()
+        outputs[threads] = {path.name: path.read_bytes() for path in (tmp_path / threads).iterdir()}
+    assert len(outputs["1"]) == len(outputs["2"]) == 39
+    for name, data in outputs["1"].items():
+        assert outputs["2"][name] == data, name
 
 
 @pytest.fixture(scope="module", params=["nan", "inf"])
@@ -1184,7 +1262,6 @@ class TestCliDefaultsMirrorLibrary:
         sig = lambda f, name: inspect.signature(f).parameters[name].default
         assert args.level == sig(msplot, "level")
         assert args.factor_mss == sig(tvdmss, "emp_factor_mss")
-        assert args.factor_tvd == sig(tvdmss, "emp_factor_tvd")
         assert args.central_region == sig(functional_boxplot, "central_region")
         assert args.factor == sig(functional_boxplot, "factor")
         assert args.cut == sig(muod, "cut_method")

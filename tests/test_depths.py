@@ -173,6 +173,41 @@ class TestDirectionalQuantile:
             atol=1e-12,
         )
 
+    def test_matches_direct_loop_where_the_floor_binds(self):
+        # 60 curves tie at each point but for one above and one below: both
+        # quantiles equal the median, so every denominator is the floor;
+        # column 0 is all zero, and columns 1, 2 have a zero envelope
+        rng = np.random.default_rng(113)
+        values = np.repeat(rng.uniform(-8.0, 8.0, 8), 60).reshape(8, 60).T
+        values[:, :3] = 0.0
+        for t in range(1, 8):
+            up, down = rng.choice(60, 2, replace=False)
+            values[up, t] += rng.uniform(0.5, 4.0)
+            values[down, t] -= rng.uniform(0.5, 4.0)
+        scores = directional_quantile(make_sample(values)).scores
+        assert scores.max() > 2.0**30
+        np.testing.assert_array_equal(scores, oracles.directional_quantile(values))
+
+    @pytest.mark.parametrize("k", [-900, -43, 43, 900])
+    def test_scores_do_not_depend_on_units(self, k):
+        # with an absolute floor this sample ordered its curves differently at 2**-43
+        values = simulation_model(1, n=100, p=50, seed=3).data.values
+        np.testing.assert_array_equal(
+            directional_quantile(make_sample(values * 2.0**k)).scores,
+            directional_quantile(make_sample(values)).scores,
+        )
+
+    def test_one_huge_curve_moves_no_other_floor(self):
+        values = simulation_model(1, n=100, p=50, seed=3).data.values.copy()
+        values[7] *= 1e20
+        # the earlier absolute floor of 1e-12, which binds nowhere on this sample
+        q_lo, med, q_hi = np.quantile(values, [0.025, 0.5, 0.975], axis=0)
+        up = (values - med) / np.maximum(q_hi - med, 1e-12)
+        down = (med - values) / np.maximum(med - q_lo, 1e-12)
+        expected = np.maximum(up, down).max(axis=1)
+        scores = directional_quantile(make_sample(values)).scores
+        np.testing.assert_array_equal(np.delete(scores, 7), np.delete(expected, 7))
+
     def test_direction_is_outlyingness(self):
         depth = directional_quantile(random_sample(112, 8, 5))
         assert depth.direction == OUTLYING_IS_LARGER

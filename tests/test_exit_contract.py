@@ -154,9 +154,8 @@ def test_dependent_dimensions_keep_the_exit_contract(case, data):
 FLOAT_FLAGS = {
     "--level": ["msplot"],
     "--coverage": ["msplot"],
-    "--factor": ["fbplot", "seq"],
+    "--factor": ["fbplot", "seq", "tvdmss"],
     "--factor-mss": ["tvdmss"],
-    "--factor-tvd": ["tvdmss"],
     "--central-region": ["fbplot", "seq", "tvdmss"],
 }
 SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "2"]

@@ -1,5 +1,3 @@
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -14,7 +12,6 @@ from fdout import (
     muod_indices,
     simulation_model,
 )
-from fdout.csvio import write_curves
 from fdout.errors import AllDegenerate, NonFiniteIndex, TooFewCurves, TooFewPoints, UnknownCutMethod
 
 from . import oracles
@@ -267,27 +264,3 @@ def test_indices_always_match_oracle(seed, n, p):
     np.testing.assert_allclose(idx.amplitude, amplitude, rtol=0, atol=1e-12)
     for vec in (idx.shape, idx.magnitude, idx.amplitude):
         assert np.all(vec >= 0.0) and np.all(np.isfinite(vec))
-
-
-def test_cli_report_is_the_same_at_every_blas_thread_count(tmp_path):
-    # the inputs are written once: simulating them again per thread count
-    # would test the simulator, not muod
-    paths = []
-    for n, p in [(500, 100), (2000, 200)]:
-        path = str(tmp_path / f"model8_{n}x{p}.csv")
-        write_curves(path, simulation_model(8, n=n, p=p, seed=3).data)
-        paths.append(path)
-    reports = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        for path in paths:
-            report = f"{path}.{threads}.json"
-            proc = subprocess.run([sys.executable, "-m", "fdout.cli", "detect", "--method", "muod",
-                                   "--in", path, "--report", report],
-                                  env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            with open(report, "rb") as handle:
-                reports[threads, path] = handle.read()
-    for path in paths:
-        assert reports["1", path] == reports["2", path], path
