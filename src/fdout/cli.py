@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
     det.add_argument("--level", type=float, default=_default(_detect.msplot, "level"),
                      help="msplot: flagging tail probability")
-    det.add_argument("--coverage", type=float, default=_default(_detect.msplot, "coverage"),
-                     help="msplot: MCD coverage fraction (default max breakdown)")
     det.add_argument("--factor-mss", type=float,
                      default=_default(_detect.tvdmss, "emp_factor_mss"),
                      help="tvdmss: boxplot factor on shape similarity")
@@ -161,9 +159,7 @@ def run_simulate(args) -> int:
 
 
 def _detect_msplot(args, sample):
-    res = _detect.msplot(
-        sample, level=args.level, coverage=args.coverage, rng=RandomSource(args.seed)
-    )
+    res = _detect.msplot(sample, level=args.level, rng=RandomSource(args.seed))
     diagnostics = {
         "mo": res.mo,
         "vo": res.vo,
@@ -171,7 +167,7 @@ def _detect_msplot(args, sample):
         "cutoff_threshold": res.cutoff.threshold,
         "cutoff_dof": [res.cutoff.dof1, res.cutoff.dof2],
     }
-    parameters = {"level": args.level, "coverage": args.coverage, "seed": args.seed}
+    parameters = {"level": args.level, "seed": args.seed}
     return parameters, {"all": res.outliers}, diagnostics, ()
 
 
@@ -179,6 +175,7 @@ def _detect_tvdmss(args, sample):
     parameters = {"emp_factor_mss": args.factor_mss,
                   "emp_factor_tvd": args.factor,
                   "central_region_tvd": args.central_region}
+    _detect.check_fences(args.factor, args.central_region)
     res = _detect.tvdmss(sample, **parameters)
     outliers = {"all": res.outliers, "shape": res.shape_outliers,
                 "magnitude": res.magnitude_outliers}

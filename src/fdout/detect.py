@@ -44,8 +44,7 @@ from .fdcore import (
     least_curves,
     power_of_two_scaled,
 )
-from .robust import (FCutoff, check_coverage, check_level, fast_mcd, hardin_rocke_cutoff,
-                     robust_distances)
+from .robust import FCutoff, check_level, fast_mcd, hardin_rocke_cutoff, robust_distances
 from .tvd import modified_shape_similarity, total_variation_depth
 
 __all__ = [
@@ -231,20 +230,20 @@ def _check_finite_outlyingness(sdo: np.ndarray) -> None:
 def msplot(
     sample: AnySample,
     level: float = 0.05,
-    coverage: Optional[float] = None,
+    *,
     rng: Optional[RandomSource] = None,
 ) -> MsplotResult:
     """Magnitude-shape plot detection.
 
     Stacks the mean directional outlyingness MO (d columns) and its
     variation VO into an n x (d+1) cloud, fits a minimum covariance
-    determinant estimate, and flags curves whose squared robust distance
-    exceeds the F-approximation threshold at ``level``. A summary that
-    overflows raises NonFiniteResult naming its curves.
+    determinant estimate at maximum breakdown, and flags curves whose
+    squared robust distance exceeds the F-approximation threshold at
+    ``level``. A summary that overflows raises NonFiniteResult naming its
+    curves.
     """
     n, d = curve_values(sample, "msplot", univariate=False).shape[0], sample.d
     check_level(level)
-    check_coverage(coverage)
     if rng is None:
         rng = RandomSource(0)
     field = directional_outlyingness(sample, rng=rng.child(0))
@@ -255,9 +254,9 @@ def msplot(
     if overflowed.size:
         raise NonFiniteResult(
             f"the MO/VO summary overflows for curves {overflowed.tolist()} (0-based)")
-    fit = fast_mcd(points, coverage=coverage, rng=rng.child(1))
+    fit = fast_mcd(points, rng=rng.child(1))
     distances = robust_distances(points, fit)
-    cutoff = hardin_rocke_cutoff(n, d + 1, coverage=fit.coverage_fraction, level=level)
+    cutoff = hardin_rocke_cutoff(n, d + 1, level=level)
     return MsplotResult(
         outliers=np.flatnonzero(distances > cutoff.threshold),
         mo=summary.mo,

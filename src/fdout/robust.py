@@ -468,36 +468,22 @@ def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:
     return 2.0 / (c_alpha ** 2 * (v1 / v2))
 
 
-def hardin_rocke_cutoff(m: int, d: int, coverage: float | None = None,
-                        level: float = 0.05) -> FCutoff:
-    """F-approximation threshold for raw-MCD squared robust distances.
+def hardin_rocke_cutoff(m: int, d: int, *, level: float = 0.05) -> FCutoff:
+    """F-approximation threshold for squared robust distances under the
+    maximum-breakdown raw MCD, the default fit of ``fast_mcd``.
 
     Degrees of freedom follow the Croux-Haesbroeck asymptotics with the
-    Hardin-Rocke finite-sample adjustment, fitted at the maximum-breakdown
-    coverage and faded linearly to no adjustment as coverage approaches 1.
-    ``coverage`` follows the rule of ``check_coverage``, as in ``fast_mcd``.
+    Hardin-Rocke finite-sample adjustment, which was fitted at this coverage
+    only, h = floor((m + d + 1) / 2).
     """
     check_level(level)
-    check_coverage(coverage)
     if d < 1:
         raise EmptyInput(f"hardin_rocke_cutoff needs at least one coordinate, got d={d}")
     if m <= d + 1:
         raise TooFewPoints(f"need m > d + 1, got m={m}, d={d}")
-    h_min = (m + d + 1) // 2
-    alpha_mbp = h_min / m
-    alpha = alpha_mbp if coverage is None else min(max(coverage, alpha_mbp), 1.0)
-
-    if alpha >= 1.0 - 1e-12:
-        m_hr = float(m - 1)
-    else:
-        m_asy = _asymptotic_wishart_df(m, d, alpha)
-        corr_mbp = 0.725 - 0.00663 * d - 0.0780 * np.log(m)
-        if alpha <= alpha_mbp:
-            corr = corr_mbp
-        else:
-            corr = corr_mbp * (1.0 - alpha) / (1.0 - alpha_mbp)
-        m_hr = m_asy * np.exp(corr)
-    m_hr = max(m_hr, d + 2.0)
+    alpha = ((m + d + 1) // 2) / m
+    corr = 0.725 - 0.00663 * d - 0.0780 * np.log(m)
+    m_hr = max(_asymptotic_wishart_df(m, d, alpha) * np.exp(corr), d + 2.0)
 
     dof2 = m_hr - d + 1.0
     scale = d * m_hr / dof2

@@ -270,9 +270,7 @@ def test_criterion_7_mcd_separates_planted_cluster(verdict):
         fit = fast_mcd(points, rng=RandomSource(seed))
         if np.any(fit.subset_indices >= 180):
             all_excluded = False
-        cutoff = hardin_rocke_cutoff(
-            200, 2, coverage=fit.coverage_fraction, level=0.05
-        )
+        cutoff = hardin_rocke_cutoff(200, 2, level=0.05)
         if not np.all(robust_distances(points, fit)[180:] > cutoff.threshold):
             all_beyond = False
     verdict(7, "MCD subset excludes a shifted cluster whose distances exceed the cutoff",

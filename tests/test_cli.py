@@ -776,7 +776,7 @@ def sim_csv(tmp_path_factory):
 # method -> (resolved parameters at the flag defaults, outlier classes, diagnostics)
 DETECT_REPORTS = {
     "msplot": (
-        {"level": 0.05, "coverage": None, "seed": 0},
+        {"level": 0.05, "seed": 0},
         {"all"},
         {"mo", "vo", "distances", "cutoff_threshold", "cutoff_dof"},
     ),
@@ -1021,12 +1021,21 @@ class TestCliErrors:
         report_path = tmp_path / "r.json"
         rc = main([
             "detect", "--method", "msplot", "--in", str(path),
-            "--report", str(report_path), "--coverage", "1.5",
+            "--report", str(report_path), "--level", "1.5",
         ])
         assert rc == 2
         payload = json.loads(report_path.read_text())
-        assert payload["error"]["type"] == "BadCoverage"
+        assert payload["error"]["type"] == "InvalidLevel"
         assert payload["outliers"] == {}
+
+    def test_coverage_is_not_a_flag(self, tmp_path, sim_csv, capsys):
+        # msplot's cutoff is calibrated at the maximum-breakdown coverage only
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--method", "msplot", "--coverage", "0.75",
+                  "--in", sim_csv, "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --coverage 0.75" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_numeric_failure_exits_3_with_error_report(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -1193,18 +1202,24 @@ class TestCliErrors:
         ("--factor=-1", "ValidationError"),
         ("--central-region=1.5", "BadCentralRegion"),
     ])
-    def test_fbplot_rejects_fence_parameters_before_ordering(
-        self, tmp_path, sim_csv, monkeypatch, flag, error_type
+    def test_fence_flags_rejected_before_ordering_with_one_message(
+        self, tmp_path, sim_csv, monkeypatch, capsys, flag, error_type
     ):
         def ordering(*args, **kwargs):
             raise AssertionError("a depth was computed")
 
-        monkeypatch.setattr(fdout.detect, "depth_by_name", ordering)
+        for name in ("depth_by_name", "total_variation_depth", "modified_shape_similarity"):
+            monkeypatch.setattr(fdout.detect, name, ordering)
         report_path = tmp_path / "r.json"
-        rc = main(["detect", "--method", "fbplot", flag,
-                   "--in", sim_csv, "--report", str(report_path)])
-        assert rc == 2
-        assert json.loads(report_path.read_text())["error"]["type"] == error_type
+        lines = set()
+        for method in ("fbplot", "seq", "tvdmss"):
+            rc = main(["detect", "--method", method, flag,
+                       "--in", sim_csv, "--report", str(report_path)])
+            assert rc == 2, method
+            assert json.loads(report_path.read_text())["error"]["type"] == error_type
+            lines.add(capsys.readouterr().err)
+        # each message names the flag's own parameter, not tvdmss's library names
+        assert len(lines) == 1, lines
 
     @pytest.mark.parametrize("method, kind, inputs", [
         ("msplot", "curves", 2),
@@ -1266,7 +1281,6 @@ class TestCliDefaultsMirrorLibrary:
         assert args.factor == sig(functional_boxplot, "factor")
         assert args.cut == sig(muod, "cut_method")
         assert args.depth == sig(seq_transform, "depth_method")
-        assert args.coverage == sig(msplot, "coverage")
         assert args.sequence.split(",") == list(sig(seq_transform, "sequence"))
         assert args.erld_type == sig(seq_transform, "erld_type")
         # --central-region and --factor feed fbplot, seq and tvdmss alike

@@ -20,7 +20,6 @@ from fdout.depths import DEEPER_IS_LARGER, OUTLYING_IS_LARGER, DepthVector
 from fdout.detect import DEPTH_METHODS, depth_by_name
 from fdout.errors import (
     BadCentralRegion,
-    BadCoverage,
     EmptySequence,
     InvalidLevel,
     NonFiniteOutlyingness,
@@ -206,10 +205,8 @@ class TestMsplot:
     @pytest.mark.parametrize("kwargs, error", [
         ({"level": 2.0}, InvalidLevel),
         ({"level": np.nan}, InvalidLevel),
-        ({"coverage": 0.2}, BadCoverage),
-        ({"coverage": np.nan}, BadCoverage),
     ])
-    def test_bad_level_or_coverage_rejected_before_any_outlyingness(
+    def test_bad_level_rejected_before_any_outlyingness(
         self, monkeypatch, kwargs, error
     ):
         def refuse(*args, **kwargs):
@@ -219,6 +216,13 @@ class TestMsplot:
         out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
         with pytest.raises(error):
             msplot(out.data, **kwargs)
+
+    def test_coverage_and_positional_rng_are_refused(self):
+        out = simulation_model(1, n=30, p=15, outlier_rate=0.1, seed=11)
+        with pytest.raises(TypeError):
+            msplot(out.data, coverage=0.75)
+        with pytest.raises(TypeError):
+            msplot(out.data, 0.05, RandomSource(0))
 
     def test_zero_mad_raises_numeric_error_naming_grid_points(self):
         # 25 of 40 curves sit at 0 in column 0: the MAD there is 0 and the

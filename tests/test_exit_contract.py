@@ -153,7 +153,6 @@ def test_dependent_dimensions_keep_the_exit_contract(case, data):
 # float flag of detect -> the methods that read it
 FLOAT_FLAGS = {
     "--level": ["msplot"],
-    "--coverage": ["msplot"],
     "--factor": ["fbplot", "seq", "tvdmss"],
     "--factor-mss": ["tvdmss"],
     "--central-region": ["fbplot", "seq", "tvdmss"],

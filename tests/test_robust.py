@@ -739,7 +739,7 @@ class TestHardinRockeCutoff:
         for seed in range(20):
             points = RandomSource(seed).standard_normal((500, 2))
             fit = fast_mcd(points, rng=RandomSource(1000 + seed))
-            cut = hardin_rocke_cutoff(500, 2, coverage=fit.coverage_fraction, level=0.05)
+            cut = hardin_rocke_cutoff(500, 2, level=0.05)
             rates.append(np.mean(robust_distances(points, fit) > cut.threshold))
         assert np.mean(rates) <= 0.12
 
@@ -747,11 +747,6 @@ class TestHardinRockeCutoff:
     def test_invalid_level(self, level):
         with pytest.raises(InvalidLevel):
             hardin_rocke_cutoff(100, 2, level=level)
-
-    @pytest.mark.parametrize("coverage", [np.nan, 0.2, -1.0, 1.5])
-    def test_bad_coverage(self, coverage):
-        with pytest.raises(BadCoverage):
-            hardin_rocke_cutoff(100, 3, coverage=coverage)
 
     def test_no_coordinates(self):
         with pytest.raises(EmptyInput):
@@ -765,15 +760,28 @@ class TestHardinRockeCutoff:
     def test_fields_valid_across_settings(self):
         for m in (30, 100, 1000):
             for d in (1, 2, 4):
-                for coverage in (None, 0.75, 1.0):
-                    cut = hardin_rocke_cutoff(m, d, coverage=coverage, level=0.05)
-                    assert cut.threshold > 0.0
-                    assert cut.dof2 > 0.0
-                    assert cut.dof1 == d
+                cut = hardin_rocke_cutoff(m, d, level=0.05)
+                assert cut.threshold > 0.0
+                assert cut.dof2 > 0.0
+                assert cut.dof1 == d
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_small_sample_floor_does_not_bind_from_m_40(self, d):
+        # for d = 1..6 the floor m_hr >= d + 2 (dof2 = 3) binds only below m = 40
+        cuts = [hardin_rocke_cutoff(m, d) for m in (40, 100, 200, 500, 2000)]
+        assert all(cut.dof2 > 3.0 for cut in cuts)
+        thresholds = [cut.threshold for cut in cuts]
+        assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+
+    def test_coverage_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            hardin_rocke_cutoff(200, 2, coverage=0.75)
+        with pytest.raises(TypeError):
+            hardin_rocke_cutoff(200, 2, 0.75)
 
 
-# m, d in 1..6, coverage and level grids on which the scipy.special cutoffs
-# must equal the scipy.stats formulas bit for bit
+# m, d in 1..6, coverage and level grids on which the scipy.special cutoff
+# and consistency factor must equal the scipy.stats formulas bit for bit
 CUTOFF_GRID = [
     (m, d, coverage, level)
     for m in (12, 40, 150, 2000)
@@ -793,9 +801,11 @@ STATS_SPECIAL = SimpleNamespace(
 
 class TestCutoffsEqualScipyStats:
     def test_hardin_rocke_cutoff(self, monkeypatch):
-        special = [hardin_rocke_cutoff(*case) for case in CUTOFF_GRID]
+        cases = sorted({(m, d, level) for m, d, _coverage, level in CUTOFF_GRID})
+        assert len(cases) == 92
+        special = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in cases]
         monkeypatch.setattr(fdout.robust, "scipy", SimpleNamespace(special=STATS_SPECIAL))
-        reference = [hardin_rocke_cutoff(*case) for case in CUTOFF_GRID]
+        reference = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in cases]
         assert special == reference
 
     def test_mcd_consistency_factor(self):
