@@ -348,7 +348,7 @@ class TestFastMcd:
         with pytest.raises(EmptyInput):
             fast_mcd(np.ones((5, 0)))
 
-    @pytest.mark.parametrize("coverage", [0.3, 1.2, 0.0])
+    @pytest.mark.parametrize("coverage", [0.3, 1.2, 0.0, -1.0, 1.5, np.nan, np.inf])
     def test_bad_coverage(self, coverage):
         points = np.random.default_rng(7).standard_normal((40, 2))
         with pytest.raises(BadCoverage):
