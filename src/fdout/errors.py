@@ -77,10 +77,6 @@ class BadModel(ValidationError):
     """Simulation model id outside 1..9."""
 
 
-class BadCoverage(ValidationError):
-    """MCD coverage fraction outside [0.5, 1]."""
-
-
 class EmptySequence(ValidationError):
     """seq_transform received an empty transformation sequence."""
 

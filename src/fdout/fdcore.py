@@ -321,8 +321,8 @@ class RandomSource:
 
     def __init__(self, seed: int):
         seed = int(seed)
-        if seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        if not 0 <= seed < 2**64:
+            raise ValidationError(f"seed must be an integer in 0..2**64 - 1, got {seed}")
         self.seed = seed
         self._path = ()
         self._generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -15,7 +15,6 @@ import numpy as np
 import scipy
 
 from .errors import (
-    BadCoverage,
     EmptyInput,
     InvalidLevel,
     NonConvergence,
@@ -60,7 +59,6 @@ class McdFit:
     center: np.ndarray
     covariance: np.ndarray
     subset_indices: np.ndarray
-    coverage_fraction: float
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,13 @@ def check_level(level: float) -> None:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")
 
 
-def check_coverage(coverage: float | None) -> None:
-    """The rule for an MCD coverage fraction: None, or in [0.5, 1]."""
-    if coverage is not None and not 0.5 <= coverage <= 1.0:
-        raise BadCoverage(f"coverage must lie in [0.5, 1], got {coverage}")
+def _max_breakdown_h(m: int, d: int) -> int:
+    """The size h = floor((m + d + 1) / 2) of the maximum-breakdown MCD
+    subset of m points in d coordinates, the only one fitted and calibrated
+    here. Such an MCD needs m > 2d, so that h < m."""
+    if m <= 2 * d:
+        raise TooFewPoints(f"need more than 2d = {2 * d} points, got m={m}, d={d}")
+    return (m + d + 1) // 2
 
 
 def _sum_kept(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -199,8 +200,6 @@ def _chi2_ppf(alpha: float, d: int) -> float:
 
 def _chi2_consistency(alpha: float, d: int) -> float:
     """Factor making the h-subset covariance consistent under normality."""
-    if alpha >= 1.0 - 1e-12:
-        return 1.0
     return alpha / scipy.special.chdtr(d + 2, _chi2_ppf(alpha, d))
 
 
@@ -344,17 +343,14 @@ def _mcd_exact_1d(x: np.ndarray, h: int) -> tuple[float, float, np.ndarray]:
     return float(xs[c] + sums[best] / h), float(variances[best]), subset
 
 
-def fast_mcd(
-    points,
-    coverage: float | None = None,
-    rng: RandomSource | None = None,
-) -> McdFit:
+def fast_mcd(points, *, rng: RandomSource | None = None) -> McdFit:
     """Raw minimum covariance determinant fit of an ``m x d`` point cloud.
 
-    ``coverage`` is the fraction h/m of points defining the fit; default is
-    the maximum-breakdown choice floor((m + d + 1)/2) / m. Deterministic
-    for a given ``rng`` seed; no ``rng`` means ``RandomSource(0)``. A cloud
-    whose mean or covariance can overflow raises ``NonFiniteResult``.
+    The fit is defined by the maximum-breakdown h = floor((m + d + 1)/2)
+    of the m points, the coverage ``hardin_rocke_cutoff`` is calibrated at.
+    Deterministic for a given ``rng`` seed; no ``rng`` means
+    ``RandomSource(0)``. A cloud whose mean or covariance can overflow
+    raises ``NonFiniteResult``.
     """
     x = float_array(points)
     if x.ndim == 1:
@@ -364,29 +360,17 @@ def fast_mcd(
     m, d = x.shape
     if d == 0:
         raise EmptyInput("fast_mcd needs at least one coordinate")
-    if m <= 2 * d:
-        raise TooFewPoints(f"need more than 2d = {2 * d} points, got {m}")
-    check_coverage(coverage)
+    h = _max_breakdown_h(m, d)
     big, half_range = np.finfo(float).max, (x.max(axis=0) / 2 - x.min(axis=0) / 2).max()
     if np.abs(x).max() > big / m or half_range > np.sqrt(big / (16 * m)):  # m squares of a range
         raise NonFiniteResult("fast_mcd: a mean or a covariance of this cloud can overflow")
-    h_min = (m + d + 1) // 2
-    h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
-    alpha = h / m
-    factor = _chi2_consistency(alpha, d)
-
-    if h == m:
-        center, cov = _subset_cov(x, np.arange(m))
-        sign, _ = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise SingularSubsets("full-sample covariance is singular")
-        return McdFit(center, cov * factor, np.arange(m), 1.0)
+    factor = _chi2_consistency(h / m, d)
 
     if d == 1:
         center, var, subset = _mcd_exact_1d(x, h)
         if var <= 0.0:
             raise SingularSubsets("more than h identical values in 1-d data")
-        return McdFit(np.array([center]), np.array([[var * factor]]), subset, alpha)
+        return McdFit(np.array([center]), np.array([[var * factor]]), subset)
 
     if rng is None:
         rng = RandomSource(0)
@@ -419,7 +403,7 @@ def fast_mcd(
         active = active[improved]
 
     best = np.argmin(logdets)
-    return McdFit(centers[best], covs[best] * factor, supports[best], alpha)
+    return McdFit(centers[best], covs[best] * factor, supports[best])
 
 
 def robust_distances(points, fit: McdFit) -> np.ndarray:
@@ -470,7 +454,7 @@ def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:
 
 def hardin_rocke_cutoff(m: int, d: int, *, level: float = 0.05) -> FCutoff:
     """F-approximation threshold for squared robust distances under the
-    maximum-breakdown raw MCD, the default fit of ``fast_mcd``.
+    maximum-breakdown raw MCD, the fit of ``fast_mcd``.
 
     Degrees of freedom follow the Croux-Haesbroeck asymptotics with the
     Hardin-Rocke finite-sample adjustment, which was fitted at this coverage
@@ -479,9 +463,7 @@ def hardin_rocke_cutoff(m: int, d: int, *, level: float = 0.05) -> FCutoff:
     check_level(level)
     if d < 1:
         raise EmptyInput(f"hardin_rocke_cutoff needs at least one coordinate, got d={d}")
-    if m <= d + 1:
-        raise TooFewPoints(f"need m > d + 1, got m={m}, d={d}")
-    alpha = ((m + d + 1) // 2) / m
+    alpha = _max_breakdown_h(m, d) / m
     corr = 0.725 - 0.00663 * d - 0.0780 * np.log(m)
     m_hr = max(_asymptotic_wishart_df(m, d, alpha) * np.exp(corr), d + 2.0)
 

@@ -333,8 +333,8 @@ def subset_covariance_determinant(points, subset):
     return np.linalg.det(np.atleast_2d(cov))
 
 
-def fast_mcd_raw(points, coverage, rng, n_trials=500, n_initial=2, n_best=10, max_refine=30):
-    """FastMCD for d >= 2 with h < m, one trial at a time.
+def fast_mcd_raw(points, rng, n_trials=500, n_initial=2, n_best=10, max_refine=30):
+    """Maximum-breakdown FastMCD for d >= 2, one trial at a time.
 
     The scalar form of the package's search: every trial draws a full
     permutation from ``rng``, grows its elemental start until nonsingular,
@@ -346,8 +346,7 @@ def fast_mcd_raw(points, coverage, rng, n_trials=500, n_initial=2, n_best=10, ma
     """
     x = np.asarray(points, dtype=float)
     m, d = x.shape
-    h_min = (m + d + 1) // 2
-    h = h_min if coverage is None else min(max(int(np.floor(coverage * m)), h_min), m)
+    h = (m + d + 1) // 2
 
     def subset_cov(rows):
         center = rows.mean(axis=0)

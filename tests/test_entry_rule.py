@@ -226,7 +226,7 @@ def _cloud_fit():
 
 
 def _mcd(points):
-    return _fields(fast_mcd(points), "center", "covariance", "subset_indices", "coverage_fraction")
+    return _fields(fast_mcd(points), "center", "covariance", "subset_indices")
 
 
 # (name, call(array) -> tuple of results, a finite array it takes)

@@ -3,7 +3,8 @@
 Every ``fdout detect`` run ends with exit code 0, 2 or 3 and a report that is
 strict JSON (no NaN or Infinity); a failed run names a typed ``FdoutError``.
 A sweep of every float flag over non-finite and out-of-range values checks
-the same, and that a non-finite value exits 2.
+the same, and that a non-finite value exits 2; a sweep of ``--seed`` checks
+that a seed outside 0..2**64 - 1 exits 2 on every command that takes one.
 """
 
 import contextlib
@@ -170,6 +171,37 @@ def test_float_flags_keep_the_exit_contract(flag, method, value):
     _assert_typed_report(code, text)
     if not np.isfinite(float(value)):
         assert code == 2, text
+
+
+# a seed is Philox's 64-bit key: 0..2**64 - 1 runs, anything else exits 2
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+@pytest.mark.parametrize("command", ["msplot", "seq", "depth", "simulate"])
+def test_seed_flags_keep_the_exit_contract(command, seed):
+    if command in ("msplot", "seq"):
+        values = np.random.default_rng(14).standard_normal((40, 20, 1))
+        code, text = _run(command, values, [f"--seed={seed}"])
+        _assert_typed_report(code, text)
+        error = json.loads(text)["error"]
+        failure = error and f"{error['type']}: {error['message']}"
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            if command == "depth":
+                data = str(Path(tmp) / "data.csv")
+                values = np.random.default_rng(14).standard_normal((40, 20))
+                write_curves(data, CurveSample(values, uniform_grid(20, 0, 1)))
+                argv = ["depth", "--method", "mbd", "--in", data,
+                        "--out", str(Path(tmp) / "depth.csv")]
+            else:
+                argv = ["simulate", "--model", "1", "--n", "20", "--p", "10", "--out", tmp]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, f"--seed={seed}"])
+        failure = stderr.getvalue().strip()
+    if 0 <= seed < 2**64:
+        assert code == 0, failure
+    else:
+        assert code == 2
+        assert failure == f"ValidationError: seed must be an integer in 0..2**64 - 1, got {seed}"
 
 
 def _overflowing_summary():

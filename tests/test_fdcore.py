@@ -250,9 +250,12 @@ class TestRandomSource:
     def test_algorithm_documented(self):
         assert RandomSource(0).algorithm == "philox4x64"
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError):
-            RandomSource(-1)
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_negative_seed_rejected(self, seed):
+        # Philox takes a 64-bit key: seeds run 0..2**64 - 1
+        message = f"seed must be an integer in 0..2**64 - 1, got {seed}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RandomSource(seed)
 
     def test_normal_moments(self):
         draws = RandomSource(11).standard_normal(10**6)

@@ -18,7 +18,6 @@ from fdout import (
     simulation_model,
 )
 from fdout.errors import (
-    BadCoverage,
     EmptyInput,
     InvalidLevel,
     NonConvergence,
@@ -209,20 +208,20 @@ class TestFastMcd:
         np.testing.assert_array_equal(a.covariance, b.covariance)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("d, coverage", [(3, None), (3, 1.0), (1, None)])
-    def test_cloud_whose_covariances_can_overflow_raises_before_the_search(self, d, coverage):
+    @pytest.mark.parametrize("d", [3, 1])
+    def test_cloud_whose_covariances_can_overflow_raises_before_the_search(self, d):
         # it used to end in SingularSubsets after hundreds of warnings
         points = np.random.default_rng(11).standard_normal((40, d))
         message = r"^fast_mcd: a mean or a covariance of this cloud can overflow"
         with pytest.raises(NonFiniteResult, match=message):
-            fast_mcd(points * 1e160, coverage=coverage)
+            fast_mcd(points * 1e160)
         # a |value| above max double / m can overflow a mean
         with pytest.raises(NonFiniteResult, match=message):
-            fast_mcd(1e307 + points * 1e300, coverage=coverage)
+            fast_mcd(1e307 + points * 1e300)
         # with ranges below sqrt(max double / 4m), about 1e153 at m = 40,
         # the fit runs, also far from the origin
-        fast_mcd(points * 1e150, coverage=coverage)
-        fast_mcd(1e155 + points * 1e152, coverage=coverage)
+        fast_mcd(points * 1e150)
+        fast_mcd(1e155 + points * 1e152)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_same_sign_values_just_below_the_bound(self):
@@ -248,18 +247,15 @@ class TestFastMcd:
         with pytest.raises(SingularSubsets):
             fast_mcd(points, rng=RandomSource(0))
 
-    @pytest.mark.parametrize("points, coverage, message", [
-        (np.outer(np.linspace(0.0, 1.0, 50), [1.0, 2.0]), 1.0,
-         "full-sample covariance is singular"),
+    @pytest.mark.parametrize("points", [
         # h = 21 of 40 values, 30 of them equal
-        (np.r_[np.zeros(30), np.arange(1.0, 11.0)], None, "more than h identical values"),
+        np.r_[np.zeros(30), np.arange(1.0, 11.0)],
         # equal values not exact in binary: a window of them still has variance 0
-        *((np.r_[np.full(30, v), np.arange(1.0, 11.0)], None, "more than h identical values")
-          for v in (1 / 3, 1e-7)),
-    ], ids=["full_coverage_line", "d1_equal_values", "d1_thirds", "d1_tiny"])
-    def test_singular_exact_paths(self, points, coverage, message):
-        with pytest.raises(SingularSubsets, match=message):
-            fast_mcd(points, coverage=coverage)
+        *(np.r_[np.full(30, v), np.arange(1.0, 11.0)] for v in (1 / 3, 1e-7)),
+    ], ids=["d1_equal_values", "d1_thirds", "d1_tiny"])
+    def test_singular_exact_paths(self, points):
+        with pytest.raises(SingularSubsets, match="more than h identical values"):
+            fast_mcd(points)
 
     def test_vector_is_its_column(self):
         x = np.random.default_rng(8).standard_normal(40)
@@ -302,13 +298,6 @@ class TestFastMcd:
         points = np.random.default_rng(2).standard_normal((101, 2))
         fit = fast_mcd(points, rng=RandomSource(1))
         assert fit.subset_indices.size == (101 + 2 + 1) // 2
-        assert fit.coverage_fraction == pytest.approx(fit.subset_indices.size / 101)
-
-    def test_full_coverage_equals_classical(self):
-        points = np.random.default_rng(3).standard_normal((60, 2))
-        fit = fast_mcd(points, coverage=1.0, rng=RandomSource(1))
-        np.testing.assert_allclose(fit.center, points.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(fit.covariance, np.cov(points, rowvar=False), atol=1e-10)
 
     def test_seed_determinism(self):
         points = np.random.default_rng(4).standard_normal((80, 3))
@@ -348,11 +337,13 @@ class TestFastMcd:
         with pytest.raises(EmptyInput):
             fast_mcd(np.ones((5, 0)))
 
-    @pytest.mark.parametrize("coverage", [0.3, 1.2, 0.0, -1.0, 1.5, np.nan, np.inf])
-    def test_bad_coverage(self, coverage):
+    def test_coverage_is_not_an_argument(self):
+        # the fit is at maximum breakdown only; a positional value is no rng
         points = np.random.default_rng(7).standard_normal((40, 2))
-        with pytest.raises(BadCoverage):
-            fast_mcd(points, coverage=coverage, rng=RandomSource(0))
+        with pytest.raises(TypeError):
+            fast_mcd(points, coverage=0.75)
+        with pytest.raises(TypeError):
+            fast_mcd(points, 0.75)
 
 
 @pytest.mark.parametrize("offset, spread", [(1.0, 1e-7), (1e8, 1e-3), (-3e5, 1e-9)])
@@ -366,7 +357,7 @@ def test_d1_spread_small_next_to_offset(offset, spread):
     variances = [statistics.variance(window) for window in windows]
     best = int(np.argmin(variances))
     np.testing.assert_array_equal(np.sort(x[fit.subset_indices]), windows[best])
-    factor = _chi2_consistency(fit.coverage_fraction, 1)
+    factor = _chi2_consistency(h / x.size, 1)
     np.testing.assert_allclose(fit.covariance[0, 0], variances[best] * factor, rtol=1e-12)
     np.testing.assert_allclose(fit.center[0], statistics.fmean(windows[best]), rtol=1e-15)
 
@@ -378,13 +369,13 @@ def test_d1_tight_cluster_far_from_the_rest():
     x = np.r_[-1e8 + rng.standard_normal(19), 5.0 + 1e-6 * rng.standard_normal(21)]
     fit = fast_mcd(x)
     np.testing.assert_array_equal(fit.subset_indices, np.arange(19, 40))
-    factor = _chi2_consistency(fit.coverage_fraction, 1)
+    factor = _chi2_consistency(21 / 40, 1)
     np.testing.assert_allclose(fit.covariance[0, 0], statistics.variance(x[19:]) * factor,
                                rtol=1e-12)
 
 
 def _fields(fit):
-    return fit.center, fit.covariance, fit.subset_indices, fit.coverage_fraction
+    return fit.center, fit.covariance, fit.subset_indices
 
 
 def _overflow_cloud():
@@ -426,15 +417,16 @@ def _exact_line(m, d, seed):
     return np.outer(np.linspace(0.0, 1.0, m), np.arange(1.0, d + 1.0))
 
 
-def _assert_matches_oracle(points, coverage, seed):
-    expected = oracles.fast_mcd_raw(points, coverage, RandomSource(seed))
+def _assert_matches_oracle(points, seed):
+    expected = oracles.fast_mcd_raw(points, RandomSource(seed))
     if expected is None:
         with pytest.raises(SingularSubsets):
-            fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
+            fast_mcd(points, rng=RandomSource(seed))
         return
     center, cov, subset = expected
-    fit = fast_mcd(points, coverage=coverage, rng=RandomSource(seed))
-    factor = _chi2_consistency(fit.coverage_fraction, points.shape[1])
+    fit = fast_mcd(points, rng=RandomSource(seed))
+    m, d = points.shape
+    factor = _chi2_consistency((m + d + 1) // 2 / m, d)
     assert np.array_equal(fit.center, center)
     assert np.array_equal(fit.covariance, cov * factor)
     assert np.array_equal(fit.subset_indices, subset)
@@ -443,38 +435,38 @@ def _assert_matches_oracle(points, coverage, seed):
 class TestFastMcdMatchesScalarOracle:
     """The blocked trials reproduce the one-trial-at-a-time search bit for bit."""
 
-    @pytest.mark.parametrize("make, m, d, coverage, seed", [
-        (_gaussian, 9, 4, None, 0),
-        (_gaussian, 10, 2, 0.9, 1),
-        (_gaussian, 40, 3, 0.6, 2),
-        (_gaussian, 57, 2, None, 3),
-        (_gaussian, 120, 4, 0.9, 4),
-        (_gaussian, 200, 2, 0.6, 5),
-        (_gaussian, 300, 3, None, 6),
-        (_gaussian, 300, 4, 0.6, 7),
-        (_gaussian, 1000, 2, None, 16),
-        (_repeated_rows, 30, 2, None, 8),
-        (_repeated_rows, 80, 3, 0.6, 9),
-        (_repeated_rows, 150, 4, 0.9, 10),
-        (_line_plus_scatter, 60, 2, None, 11),
-        (_line_plus_scatter, 90, 3, 0.9, 12),
-        (_plane_plus_cluster, 50, 4, None, 15),
-        (_exact_line, 50, 2, None, 13),
-        (_exact_line, 40, 3, 0.6, 14),
+    @pytest.mark.parametrize("make, m, d, seed", [
+        (_gaussian, 9, 4, 0),
+        (_gaussian, 10, 2, 1),
+        (_gaussian, 40, 3, 2),
+        (_gaussian, 57, 2, 3),
+        (_gaussian, 120, 4, 4),
+        (_gaussian, 200, 2, 5),
+        (_gaussian, 300, 3, 6),
+        (_gaussian, 300, 4, 7),
+        (_gaussian, 1000, 2, 16),
+        (_repeated_rows, 30, 2, 8),
+        (_repeated_rows, 80, 3, 9),
+        (_repeated_rows, 150, 4, 10),
+        (_line_plus_scatter, 60, 2, 11),
+        (_line_plus_scatter, 90, 3, 12),
+        (_plane_plus_cluster, 50, 4, 15),
+        (_exact_line, 50, 2, 13),
+        (_exact_line, 40, 3, 14),
     ])
-    def test_bit_identical(self, make, m, d, coverage, seed):
-        _assert_matches_oracle(make(m, d, seed), coverage, seed)
+    def test_bit_identical(self, make, m, d, seed):
+        _assert_matches_oracle(make(m, d, seed), seed)
 
     @settings(max_examples=12, deadline=None)
-    @given(st.integers(9, 80), st.integers(2, 4), st.sampled_from([None, 0.75]),
-           st.sampled_from([None, 0, 1]), st.integers(0, 10**6))
-    def test_random_clouds(self, m, d, coverage, decimals, seed):
+    @given(st.integers(9, 80), st.integers(2, 4), st.sampled_from([None, 0, 1]),
+           st.integers(0, 10**6))
+    def test_random_clouds(self, m, d, decimals, seed):
         # clouds rounded to 0 or 1 decimals tie at the h-th distance and
         # have singular elemental starts
         points = np.random.default_rng(seed).standard_normal((m, d))
         if decimals is not None:
             points = np.round(points, decimals)
-        _assert_matches_oracle(points, coverage, seed)
+        _assert_matches_oracle(points, seed)
 
     def test_cases_cover_growth_and_failure(self):
         # the repeated-row clouds do have singular elemental starts
@@ -483,7 +475,7 @@ class TestFastMcdMatchesScalarOracle:
             rng = RandomSource(seed)
             starts = [points[rng.choice_without_replacement(m, m)[: d + 1]] for _ in range(20)]
             assert any(np.linalg.matrix_rank(s - s.mean(axis=0)) < d for s in starts)
-        assert oracles.fast_mcd_raw(_exact_line(50, 2, 13), None, RandomSource(13)) is None
+        assert oracles.fast_mcd_raw(_exact_line(50, 2, 13), RandomSource(13)) is None
 
     def test_case_covers_mixed_stops_in_one_refinement_stack(self, monkeypatch):
         # in one refinement call some candidate meets a non-PD step while
@@ -585,7 +577,6 @@ class TestRobustDistances:
             center=np.zeros(d),
             covariance=np.eye(d),
             subset_indices=np.arange(d + 1),
-            coverage_fraction=1.0,
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -628,7 +619,7 @@ class TestRobustDistances:
         cov = (cov + cov.T) / 2.0
         center = rng.standard_normal(d)
         points = center + rng.standard_normal((40, d)) @ np.linalg.cholesky(cov).T
-        fit = McdFit(center, cov, np.arange(d + 1), 1.0)
+        fit = McdFit(center, cov, np.arange(d + 1))
         np.testing.assert_allclose(
             robust_distances(points, fit),
             oracles.mahalanobis_sq(points, center, cov),
@@ -665,7 +656,7 @@ class TestRobustDistances:
         for points in (_gaussian(60, 3, 17), _repeated_rows(80, 3, 9)):
             fit = fast_mcd(points, rng=RandomSource(4))
             assert np.isfinite(robust_distances(points, fit)).all()
-        singular = McdFit(np.zeros(2), np.ones((2, 2)), np.arange(3), 1.0)
+        singular = McdFit(np.zeros(2), np.ones((2, 2)), np.arange(3))
         assert np.isfinite(robust_distances(np.eye(2), singular)).all()
 
     def test_classical_fit_equals_classical_mahalanobis(self):
@@ -675,7 +666,6 @@ class TestRobustDistances:
             center=points.mean(axis=0),
             covariance=np.cov(points, rowvar=False),
             subset_indices=np.arange(40),
-            coverage_fraction=1.0,
         )
         np.testing.assert_allclose(
             robust_distances(points, fit),
@@ -689,7 +679,6 @@ class TestRobustDistances:
             center=np.zeros(2),
             covariance=np.zeros((2, 2)),
             subset_indices=np.arange(3),
-            coverage_fraction=1.0,
         )
         with pytest.raises(SingularCovariance):
             robust_distances(np.ones((2, 2)), fit)
@@ -702,7 +691,7 @@ class TestRobustDistances:
     ])
     def test_nan_covariance_rejected(self, covariance):
         # LAPACK factors these without raising; the NaN factor is not PD
-        fit = McdFit(np.zeros(2), covariance, np.arange(3), 1.0)
+        fit = McdFit(np.zeros(2), covariance, np.arange(3))
         with pytest.raises(SingularCovariance):
             robust_distances(np.ones((3, 2)), fit)
 
@@ -716,7 +705,7 @@ class TestRobustDistances:
 
     @pytest.mark.parametrize("center", [[0.0, np.nan], [np.inf, 0.0]])
     def test_non_finite_center_rejected(self, center):
-        fit = McdFit(np.array(center), np.eye(2), np.arange(3), 1.0)
+        fit = McdFit(np.array(center), np.eye(2), np.arange(3))
         with pytest.raises(NonFiniteResult, match="center"):
             robust_distances(np.ones((3, 2)), fit)
 
@@ -752,9 +741,11 @@ class TestHardinRockeCutoff:
         with pytest.raises(EmptyInput):
             hardin_rocke_cutoff(100, 0)
 
-    @pytest.mark.parametrize("m, d", [(2, 1), (3, 2), (1, 3)])
+    @pytest.mark.parametrize("m, d", [(2, 1), (3, 2), (1, 3), (4, 2), (5, 3), (6, 3)])
     def test_too_few_points(self, m, d):
-        with pytest.raises(TooFewPoints, match=f"need m > d \\+ 1, got m={m}, d={d}"):
+        # the cutoff refuses what fast_mcd refuses: m <= 2d
+        with pytest.raises(TooFewPoints, match=f"^need more than 2d = {2 * d} points, "
+                                               f"got m={m}, d={d}$"):
             hardin_rocke_cutoff(m, d)
 
     def test_fields_valid_across_settings(self):
@@ -780,14 +771,13 @@ class TestHardinRockeCutoff:
             hardin_rocke_cutoff(200, 2, 0.75)
 
 
-# m, d in 1..6, coverage and level grids on which the scipy.special cutoff
-# and consistency factor must equal the scipy.stats formulas bit for bit
+# m, d in 1..6 and level grid on which the scipy.special cutoff must equal
+# the scipy.stats formulas bit for bit
 CUTOFF_GRID = [
-    (m, d, coverage, level)
+    (m, d, level)
     for m in (12, 40, 150, 2000)
     for d in range(1, 7)
     if m > 2 * d
-    for coverage in (None, 0.6, 0.75, 0.9, 0.995, 1.0)
     for level in (0.001, 0.025, 0.05, 0.25)
 ]
 
@@ -801,19 +791,17 @@ STATS_SPECIAL = SimpleNamespace(
 
 class TestCutoffsEqualScipyStats:
     def test_hardin_rocke_cutoff(self, monkeypatch):
-        cases = sorted({(m, d, level) for m, d, _coverage, level in CUTOFF_GRID})
-        assert len(cases) == 92
-        special = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in cases]
+        assert len(CUTOFF_GRID) == 92
+        special = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in CUTOFF_GRID]
         monkeypatch.setattr(fdout.robust, "scipy", SimpleNamespace(special=STATS_SPECIAL))
-        reference = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in cases]
+        reference = [hardin_rocke_cutoff(m, d, level=level) for m, d, level in CUTOFF_GRID]
         assert special == reference
 
     def test_mcd_consistency_factor(self):
-        for m, d, coverage, _level in CUTOFF_GRID:
-            h_min = (m + d + 1) // 2
-            h = h_min if coverage is None else min(max(int(coverage * m), h_min), m)
-            alpha = h / m
-            expected = 1.0 if h == m else (
-                alpha / stats.chi2.cdf(stats.chi2.ppf(alpha, d), d + 2)
-            )
-            assert _chi2_consistency(alpha, d) == expected, (m, d, coverage)
+        # at the maximum-breakdown alpha of every m from 2d + 1 to 200, and m = 2000
+        cases = [(m, d) for d in range(1, 7) for m in (*range(2 * d + 1, 201), 2000)]
+        assert len(cases) == 1164
+        for m, d in cases:
+            alpha = ((m + d + 1) // 2) / m
+            expected = alpha / stats.chi2.cdf(stats.chi2.ppf(alpha, d), d + 2)
+            assert _chi2_consistency(alpha, d) == expected, (m, d)

@@ -5,11 +5,11 @@ attribute name; a name it lists that its owner no longer holds makes the
 traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
 which scipy subpackages each step loads is checked too, and so is every op
-name the source gives the least-curves table, and that one helper owns
-numpy's ufunc buffer size. A failing property test must
-not end the suite's run, so that is checked in a fresh pytest process. The
-CI job at the declared floors must install what pyproject.toml declares, and
-the console script it declares must resolve.
+name the source gives the least-curves table, that one helper owns
+numpy's ufunc buffer size, and that some module builds each error type. A
+failing property test must not end the suite's run, so that is checked in a
+fresh pytest process. The CI job at the declared floors must install what
+pyproject.toml declares, and the console script it declares must resolve.
 """
 
 import ast
@@ -28,6 +28,7 @@ import pytest
 
 import fdout
 import fdout.cli  # noqa: F401 -- the tracer finds its owners in sys.modules
+import fdout.errors
 import fdout.report  # noqa: F401
 from fdout.csvio import write_curves
 from fdout.fdcore import LEAST_CURVES
@@ -158,6 +159,20 @@ def test_only_the_buffer_helper_sets_the_ufunc_buffer_size():
                   if isinstance(node, ast.FunctionDef) and node.name == "small_ufunc_buffer")
     assert uses(helper) == 2
     assert {name: uses(tree) for name, tree in trees.items() if uses(tree)} == {"fdcore.py": 2}
+
+
+def test_every_error_type_is_built_by_some_module():
+    """An error class no module builds is dead: a leftover of a removed
+    check. The bases are caught, not built."""
+    called = {
+        getattr(call.func, "id", getattr(call.func, "attr", None))
+        for path in (ROOT / "src" / "fdout").glob("*.py") if path.name != "errors.py"
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call, ast.Call)
+    }
+    kinds = {name for name, kind in vars(fdout.errors).items()
+             if isinstance(kind, type) and issubclass(kind, fdout.errors.FdoutError)}
+    assert sorted(kinds - called) == ["FdoutError", "NumericError"]
 
 
 FAILING_PROPERTY = """
