@@ -263,16 +263,13 @@ DETECTORS = {
 }
 
 
-def run_detect(args) -> int:
-    sample = _load_sample(args)
-    if args.plot:
-        check_plot, _render = PLOT_KINDS[args.plot_kind]
-        check_plot(args.method, sample)
+def _detection_report(args, sample) -> DetectionReport:
+    """The report of ``fdout detect`` on ``sample`` under the parsed ``args``."""
     parameters, outliers, diagnostics, warnings = DETECTORS[args.method](args, sample)
     if not sample.grid.is_uniform:
         warnings = (*warnings, "grid spacing is non-uniform; summaries that average "
                     "over the grid treat all points equally")
-    report = DetectionReport(
+    return DetectionReport(
         method=args.method,
         parameters=parameters,
         n=sample.n, p=sample.p, d=sample.d,
@@ -280,6 +277,14 @@ def run_detect(args) -> int:
         diagnostics=diagnostics,
         warnings=tuple(warnings),
     )
+
+
+def run_detect(args) -> int:
+    sample = _load_sample(args)
+    if args.plot:
+        check_plot, _render = PLOT_KINDS[args.plot_kind]
+        check_plot(args.method, sample)
+    report = _detection_report(args, sample)
     atomic_write_text(args.report, report.to_json())
     if args.plot:
         emit_plot(report, sample, args.plot_kind, args.plot)

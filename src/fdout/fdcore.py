@@ -337,10 +337,6 @@ class RandomSource:
     def integers(self, low, high=None, size=None):
         return self._generator.integers(low, high, size)
 
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), order given by the stream."""
-        return self._generator.choice(n, size=k, replace=False)
-
     def child(self, index: int) -> "RandomSource":
         """Deterministic child stream for parallel or staged work.
 

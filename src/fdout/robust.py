@@ -212,7 +212,10 @@ def _subset_cov(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     contiguous last axis would be pairwise and give other floats."""
     center = np.take(x, rows.T, axis=0).mean(axis=0)
     diff = np.take(x, rows, axis=0)
-    diff -= center[..., None, :]
+    # one coordinate at a time: broadcasting the centre along the rows would
+    # run an inner loop of length d per row
+    for j in range(x.shape[1]):
+        diff[..., j] -= center[..., j, None]
     cov = np.swapaxes(diff, -1, -2) @ diff / (rows.shape[-1] - 1)
     return center, cov
 
@@ -273,13 +276,17 @@ def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
     from one partition. Every entry below the row's h-th smallest value is
     taken, and of the entries equal to it the first ones in index order;
     the flat indices of the kept entries, less each row's offset, are the
-    indices sorted. ``dist`` holds no NaN, because ``_mahalanobis_sq``
-    reads NaN as +inf."""
+    indices sorted. When no row has more than h entries up to its h-th
+    value, those entries are the subset and no tie is counted. ``dist``
+    holds no NaN, because ``_mahalanobis_sq`` reads NaN as +inf."""
     k, m = dist.shape
     kth = np.partition(dist, h - 1, axis=1)[:, h - 1:h]
-    keep = dist < kth
-    tie = dist == kth
-    keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
+    keep = dist <= kth
+    # each row keeps at least h entries, so a total of k * h means h in each
+    if np.count_nonzero(keep) > k * h:
+        keep = dist < kth
+        tie = dist == kth
+        keep |= tie & (np.cumsum(tie, axis=1) <= h - keep.sum(axis=1, keepdims=True))
     return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * m, m)[:, None]
 
 
@@ -295,25 +302,54 @@ def _c_steps(x: np.ndarray, center: np.ndarray, cov: np.ndarray, h: int):
     return center, cov, logdet, support, ok
 
 
-def _initial_candidates(x: np.ndarray, h: int, perms: np.ndarray):
-    """Stacked center, cov, logdet and support of a block of trials, one per
-    row of ``perms``, in order: the first d+1 permuted points, grown until
-    nonsingular, then N_INITIAL_CSTEPS C-steps. Trials that stay singular or
-    meet a non-PD covariance are dropped."""
-    k, m = perms.shape
-    d = x.shape[1]
-    center, cov = np.empty((k, d)), np.empty((k, d, d))
-    started = np.zeros(k, dtype=bool)
-    for size in range(d + 1, m + 1):
-        pending = np.flatnonzero(~started)
-        c, s = _subset_cov(x, perms[pending, :size])
-        sign, logdet = np.linalg.slogdet(s)
-        good = (sign > 0) & np.isfinite(logdet)
+def _next_rows(rng: RandomSource, m: int, taken: np.ndarray) -> np.ndarray:
+    """One more row of range(m) for each trial, a row of the k x j
+    ``taken``, from one call ``rng.integers(0, m - j, size=k)``: the value
+    r names the r-th row, in ascending order, that the trial has not taken.
+    That row is r plus the number of taken rows t_i, the i-th smallest,
+    with at most r untaken rows (t_i - i of them) below them."""
+    k, j = taken.shape
+    r = rng.integers(0, m - j, size=k)
+    return r + (np.sort(taken, axis=1) - np.arange(j) <= r[:, None]).sum(axis=1)
+
+
+def _nonsingular(cov: np.ndarray) -> np.ndarray:
+    sign, logdet = np.linalg.slogdet(cov)
+    return (sign > 0) & np.isfinite(logdet)
+
+
+def _elemental_starts(x: np.ndarray, rng: RandomSource):
+    """Mean and covariance of the elemental start of each of the N_TRIALS
+    trials, in trial order, with the mask of the trials that have one.
+
+    A start is d+1 distinct random rows, drawn a column at a time for all
+    trials at once. A singular start grows by one row at a time, the
+    trials still singular drawing together in trial order, until it is
+    nonsingular or holds all m rows. The rows of each start are those of a
+    uniform ordered sample without replacement, and the stream's order does
+    not depend on how the trials are later blocked."""
+    m, d = x.shape
+    rows = np.empty((N_TRIALS, 0), dtype=np.intp)
+    for _ in range(d + 1):
+        rows = np.column_stack((rows, _next_rows(rng, m, rows)))
+    center, cov = _subset_cov(x, rows)
+    started = _nonsingular(cov)
+    pending = np.flatnonzero(~started)
+    rows = rows[pending]
+    while pending.size and rows.shape[1] < m:
+        rows = np.column_stack((rows, _next_rows(rng, m, rows)))
+        c, s = _subset_cov(x, rows)
+        good = _nonsingular(s)
         center[pending[good]], cov[pending[good]] = c[good], s[good]
         started[pending[good]] = True
-        if started.all():
-            break
-    center, cov = center[started], cov[started]
+        pending, rows = pending[~good], rows[~good]
+    return center, cov, started
+
+
+def _initial_candidates(x: np.ndarray, h: int, center: np.ndarray, cov: np.ndarray):
+    """Stacked center, cov, logdet and support of a block of starts, in
+    order, after N_INITIAL_CSTEPS C-steps. Starts that meet a non-PD
+    covariance are dropped."""
     for _ in range(N_INITIAL_CSTEPS):
         center, cov, logdet, support, ok = _c_steps(x, center, cov, h)
         center, cov, logdet, support = center[ok], cov[ok], logdet[ok], support[ok]
@@ -375,13 +411,13 @@ def fast_mcd(points, *, rng: RandomSource | None = None) -> McdFit:
     if rng is None:
         rng = RandomSource(0)
 
-    # the trials draw their permutations in order, as one loop would, and
-    # run side by side a block at a time
+    # every start is drawn first; the trials then run side by side a block
+    # at a time
+    center, cov, started = _elemental_starts(x, rng)
     blocks = []
-    for start in range(0, N_TRIALS, TRIAL_BLOCK):
-        perms = [rng.choice_without_replacement(m, m)
-                 for _ in range(min(TRIAL_BLOCK, N_TRIALS - start))]
-        blocks.append(_initial_candidates(x, h, np.array(perms)))
+    for lo in range(0, N_TRIALS, TRIAL_BLOCK):
+        block = lo + np.flatnonzero(started[lo:lo + TRIAL_BLOCK])
+        blocks.append(_initial_candidates(x, h, center[block], cov[block]))
     centers, covs, logdets, supports = (np.concatenate(part) for part in zip(*blocks))
     if not logdets.size:
         raise SingularSubsets("all candidate subsets produced singular covariances")

@@ -336,13 +336,17 @@ def subset_covariance_determinant(points, subset):
 def fast_mcd_raw(points, rng, n_trials=500, n_initial=2, n_best=10, max_refine=30):
     """Maximum-breakdown FastMCD for d >= 2, one trial at a time.
 
-    The scalar form of the package's search: every trial draws a full
-    permutation from ``rng``, grows its elemental start until nonsingular,
-    takes ``n_initial`` C-steps, and the ``n_best`` lowest log-determinants
-    are refined. A C-step's distances come from forward substitution on the
-    Cholesky factor, the package's float operations for one matrix. Returns
-    the center, the covariance before the consistency factor, and the
-    sorted subset indices.
+    The scalar form of the package's search. The elemental starts are
+    drawn first, a column at a time: one ``rng.integers(0, m - j, size=k)``
+    call gives each of the k trials that draw the index of its next row
+    among the rows it has not taken, in ascending order. All trials draw
+    d + 1 rows; those whose start is singular draw one more row at a time,
+    in trial order, until it is nonsingular or holds all m rows. Then each
+    trial takes ``n_initial`` C-steps, and the ``n_best`` lowest
+    log-determinants are refined. A C-step's distances come from forward
+    substitution on the Cholesky factor, the package's float operations for
+    one matrix. Returns the center, the covariance before the consistency
+    factor, and the sorted subset indices.
     """
     x = np.asarray(points, dtype=float)
     m, d = x.shape
@@ -374,16 +378,30 @@ def fast_mcd_raw(points, rng, n_trials=500, n_initial=2, n_best=10, max_refine=3
             return None
         return center, cov, logdet, support
 
+    def draw(trials):
+        for t, r in zip(trials, rng.integers(0, m - len(rows[trials[0]]), size=len(trials))):
+            rows[t].append(int(np.setdiff1d(np.arange(m), rows[t])[r]))
+
+    def start(t):
+        center, cov = subset_cov(x[rows[t]])
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign > 0 and np.isfinite(logdet):
+            return center, cov, logdet, np.sort(rows[t])
+        return None
+
+    rows = [[] for _ in range(n_trials)]
+    for _ in range(d + 1):
+        draw(range(n_trials))
+    starts = [start(t) for t in range(n_trials)]
+    pending = [t for t in range(n_trials) if starts[t] is None]
+    while pending and len(rows[pending[0]]) < m:
+        draw(pending)
+        for t in pending:
+            starts[t] = start(t)
+        pending = [t for t in pending if starts[t] is None]
+
     candidates = []
-    for _ in range(n_trials):
-        perm = rng.choice_without_replacement(m, m)
-        state = None
-        for size in range(d + 1, m + 1):
-            center, cov = subset_cov(x[perm[:size]])
-            sign, logdet = np.linalg.slogdet(cov)
-            if sign > 0 and np.isfinite(logdet):
-                state = (center, cov, logdet, np.sort(perm[:size]))
-                break
+    for state in starts:
         for _ in range(n_initial):
             if state is not None:
                 state = c_step(state[0], state[1])

@@ -265,12 +265,6 @@ class TestRandomSource:
     def test_zero_draws(self):
         assert RandomSource(0).standard_normal(0).size == 0
 
-    def test_choice_without_replacement_is_a_subset(self):
-        picked = RandomSource(9).choice_without_replacement(10, 4)
-        assert picked.size == 4
-        assert np.unique(picked).size == 4
-        assert picked.min() >= 0 and picked.max() < 10
-
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_identical_seed_identical_stream(seed):

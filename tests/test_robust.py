@@ -432,6 +432,64 @@ def _assert_matches_oracle(points, seed):
     assert np.array_equal(fit.subset_indices, subset)
 
 
+def _recorded_draws(points, seed):
+    """(taken, drawn) of each ``_next_rows`` call of a fit, in order."""
+    calls = []
+    next_rows = fdout.robust._next_rows
+
+    def recording(rng, m, taken):
+        drawn = next_rows(rng, m, taken)
+        calls.append((taken.copy(), drawn))
+        return drawn
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fdout.robust, "_next_rows", recording)
+        try:
+            fast_mcd(points, rng=RandomSource(seed))
+        except SingularSubsets:
+            pass
+    return calls
+
+
+def _is_row_subsequence(rows, of):
+    """Whether ``rows`` are rows of ``of`` in the same order."""
+    source = iter(of)
+    return all(any(np.array_equal(row, candidate) for candidate in source) for row in rows)
+
+
+class TestElementalStarts:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(9, 60), st.integers(2, 4), st.sampled_from([None, 0]),
+           st.integers(0, 10**6))
+    def test_starts_hold_distinct_rows_and_grow_by_extension(self, m, d, decimals, seed):
+        # rounded clouds repeat rows, so some starts are singular and grow
+        points = np.random.default_rng(seed).standard_normal((m, d))
+        if decimals is not None:
+            points = np.round(points, decimals)
+        calls = _recorded_draws(points, seed)
+        for taken, drawn in calls:
+            rows = np.column_stack((taken, drawn))
+            assert ((0 <= rows) & (rows < m)).all()
+            assert all(np.unique(row).size == row.size for row in rows)
+        # every trial draws d + 1 rows; the singular ones then draw one more
+        # row at a time, each keeping the rows it had, in trial order
+        assert [len(drawn) for _, drawn in calls[:d + 1]] == [fdout.robust.N_TRIALS] * (d + 1)
+        for (taken, drawn), (grown, _) in zip(calls[d:], calls[d + 1:]):
+            assert grown.shape[1] == taken.shape[1] + 1
+            assert _is_row_subsequence(grown, np.column_stack((taken, drawn)))
+
+    def test_ordered_triples_are_uniform(self):
+        # 210 ordered triples of distinct values in range(7), 100 draws each
+        rng, n = RandomSource(36), 21000
+        rows = np.empty((n, 0), dtype=np.intp)
+        for _ in range(3):
+            rows = np.column_stack((rows, fdout.robust._next_rows(rng, 7, rows)))
+        triples, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(triples) == 210
+        assert all(np.unique(triple).size == 3 for triple in triples)
+        assert stats.chisquare(counts).pvalue > 0.01
+
+
 class TestFastMcdMatchesScalarOracle:
     """The blocked trials reproduce the one-trial-at-a-time search bit for bit."""
 
@@ -469,12 +527,10 @@ class TestFastMcdMatchesScalarOracle:
         _assert_matches_oracle(points, seed)
 
     def test_cases_cover_growth_and_failure(self):
-        # the repeated-row clouds do have singular elemental starts
+        # the repeated-row clouds do have singular elemental starts, which
+        # draw more rows than the d + 1 columns that every trial draws
         for m, d, seed in ((30, 2, 8), (80, 3, 9), (150, 4, 10)):
-            points = _repeated_rows(m, d, seed)
-            rng = RandomSource(seed)
-            starts = [points[rng.choice_without_replacement(m, m)[: d + 1]] for _ in range(20)]
-            assert any(np.linalg.matrix_rank(s - s.mean(axis=0)) < d for s in starts)
+            assert len(_recorded_draws(_repeated_rows(m, d, seed), seed)) > d + 1
         assert oracles.fast_mcd_raw(_exact_line(50, 2, 13), RandomSource(13)) is None
 
     def test_case_covers_mixed_stops_in_one_refinement_stack(self, monkeypatch):
