@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import (AnySample, Grid, RandomSource, as_multivariate, curve_values,
-                     power_of_two_scaled, small_ufunc_buffer)
+from .fdcore import (AnySample, Grid, RandomSource, curve_values, power_of_two_scaled,
+                     small_ufunc_buffer)
 from .robust import geometric_median
 
 __all__ = [
@@ -86,30 +86,40 @@ def _project(block: np.ndarray, u: np.ndarray, proj: np.ndarray, term: np.ndarra
         np.add(proj, np.multiply(x[:, j], u[j], out=term), out=proj)
 
 
+def _median_mad(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Median (last axis kept) and 1.4826 * MAD of each row (last axis) of
+    ``rows``, which are sorted in place and then overwritten with the
+    absolute deviations from the median.
+
+    The median is read off the sorted row as ``np.median`` forms it, and
+    along the sorted row |x - median| falls and then rises, so the MAD comes
+    from ``_kth_smallest`` instead of a second selection: the same floats as
+    two ``np.median`` calls.
+    """
+    n = rows.shape[-1]
+    lo, hi = (n - 1) // 2, n // 2
+    rows.sort(axis=-1)
+    # a copy for odd n: rows are overwritten with the deviations next
+    med = (rows[..., lo:lo + 1].copy() if lo == hi
+           else (rows[..., lo:lo + 1] + rows[..., hi:hi + 1]) / 2)
+    np.abs(np.subtract(rows, med, out=rows), out=rows)
+    mad = _kth_smallest(rows, lo)
+    if hi != lo:
+        mad = (mad + _kth_smallest(rows, hi)) / 2
+    return med, MAD_CONSISTENCY * mad
+
+
 def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     """Per-row SDO of a block of projections, step x k x n, as step x n;
     overwrites both buffers.
 
-    Each row of ``proj`` is copied to ``dev`` and sorted there in place.
-    The median is read off it as ``np.median`` forms it, and along the
-    sorted row |x - median| falls and then rises, so the MAD comes from
-    ``_kth_smallest`` instead of a second selection: the same floats as two
-    ``np.median`` calls. No projection is NaN (see ``_project``), so a NaN
-    deviation comes only from a median that is NaN or +-inf, and the window
-    MAD is NaN exactly where ``np.median``'s is.
+    Each row of ``proj`` is copied to ``dev``, which ``_median_mad`` sorts.
+    No projection is NaN (see ``_project``), so a NaN deviation comes only
+    from a median that is NaN or +-inf, and the window MAD is NaN exactly
+    where ``np.median``'s is.
     """
-    n = proj.shape[-1]
-    lo, hi = (n - 1) // 2, n // 2
     np.copyto(dev, proj)
-    dev.sort(axis=-1)
-    # a copy for odd n: dev is overwritten with the deviations next
-    med = (dev[..., lo:lo + 1].copy() if lo == hi
-           else (dev[..., lo:lo + 1] + dev[..., hi:hi + 1]) / 2)
-    np.abs(np.subtract(dev, med, out=dev), out=dev)
-    mad = _kth_smallest(dev, lo)
-    if hi != lo:
-        mad = (mad + _kth_smallest(dev, hi)) / 2
-    mad = MAD_CONSISTENCY * mad
+    med, mad = _median_mad(dev)
     np.abs(np.subtract(proj, med, out=proj), out=proj)
     # zero (or NaN) MAD: points at the median score 0, all others are
     # infinitely out
@@ -119,14 +129,45 @@ def _block_sdo(proj: np.ndarray, dev: np.ndarray) -> np.ndarray:
     return proj.max(axis=1)
 
 
+def _robust_z(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The univariate outlyingness field and SDO of n x p values: the robust
+    z-score (y - med) / (1.4826 * MAD) of each grid point and its absolute
+    value, from one sort per grid point (see ``_median_mad``).
+
+    The floats are those of the general field, SDO times the unit vector
+    from the median, NaN signs included: 0 at the median, and where the
+    MAD is zero +-inf elsewhere. A deviation that overflows to +-inf has no
+    unit vector, so its field entry is NaN.
+    """
+    cols = np.ascontiguousarray(values.T)
+    with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
+        med, mad = _median_mad(cols)
+        # the largest deviation of a column sits at an end of its sorted row
+        wide = np.isinf(np.maximum(cols[:, 0], cols[:, -1]))
+        del cols
+        dev = values - med.T
+        dev += 0.0  # y = -0 at a median of +0 sits at the median: its field is +0
+        bad = ~(mad > 0.0)
+        sdo = np.abs(dev)
+        sdo /= np.where(bad, 1.0, mad)
+        if bad.any():
+            sdo[:, bad] = np.where(sdo[:, bad] == 0.0, 0.0, np.inf)
+        field = np.copysign(sdo, dev)
+        if wide.any():
+            # SDO times the unit vector inf / inf, with that NaN's sign bit
+            w = dev[:, wide]
+            field[:, wide] = np.where(np.isinf(w), sdo[:, wide] * (w / w), field[:, wide])
+    return field, sdo
+
+
 def pointwise_sdo(
     sample: AnySample,
     rng: RandomSource | None = None,
 ) -> np.ndarray:
     """Stahel-Donoho outlyingness at every grid point, as an n x p array.
 
-    Univariate data uses the exact form |y - median| / (1.4826 * MAD): the
-    single direction +1 projects each value onto itself. Higher dimensions
+    Univariate data uses the exact form |y - median| / (1.4826 * MAD), the
+    absolute robust z-score of ``_robust_z``. Higher dimensions
     maximise that ratio over ``DEFAULT_DIRECTIONS`` random unit projections
     shared across all grid points, so results are deterministic given
     ``rng`` (no ``rng`` means ``RandomSource(0)``).
@@ -143,7 +184,9 @@ def pointwise_sdo(
     """
     values = curve_values(sample, "pointwise_sdo", univariate=False)
     n, p, d = values.shape
-    u = np.ones((1, 1)) if d == 1 else _unit_directions(rng or RandomSource(0), d)
+    if d == 1:
+        return _robust_z(values[:, :, 0])[1]
+    u = _unit_directions(rng or RandomSource(0), d)
     step = max(1, p // len(u))
     # proj[s, k, i] = <Y_i(t + s), u_k>; medians and MADs are per (s, k)
     proj = np.empty((step, len(u), n))
@@ -166,21 +209,21 @@ def directional_outlyingness(
 ) -> DirectionalOutlyingnessField:
     """Outlyingness vectors O_i(t) = SDO_i(t) * unit(Y_i(t) - Z(t)).
 
-    Z(t) is the pointwise median (univariate) or geometric median. Curves
+    Z(t) is the pointwise median (univariate) or geometric median. At d = 1
+    the field is the robust z-score (y - med) / (1.4826 * MAD), the same
+    floats from one sort per grid point (see ``_robust_z``). Curves
     sitting exactly on the center get a zero vector there. Each difference
     vector is scaled by the power of two of its largest |component| before
     its norm is taken, so the squares neither overflow nor underflow; the
     scaling is exact, so elsewhere the unit vector is the unscaled one bit
     for bit. Where the center or the differences overflow, the field is inf or NaN.
     """
-    sample = as_multivariate(sample)
-    values = sample.values
-    sdo = pointwise_sdo(sample, rng=rng)
+    values = curve_values(sample, "pointwise_sdo", univariate=False)
     if values.shape[2] == 1:
-        with np.errstate(over="ignore"):  # the mean of the middle two values can be inf
-            center = np.median(values, axis=0)
-    else:
-        center = geometric_median(values.swapaxes(0, 1))
+        field, sdo = _robust_z(values[:, :, 0])
+        return DirectionalOutlyingnessField(values=field[:, :, None], sdo=sdo, grid=sample.grid)
+    sdo = pointwise_sdo(sample, rng=rng)
+    center = geometric_median(values.swapaxes(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # documented above; msplot refuses it
         diff, _exponents = power_of_two_scaled(values - center[None, :, :], axis=2)
         norms = np.sqrt((diff * diff).sum(axis=2))

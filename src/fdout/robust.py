@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     EmptyInput,
@@ -41,15 +40,22 @@ N_TRIALS = 500
 N_INITIAL_CSTEPS = 2
 N_BEST = 10
 MAX_REFINE_CSTEPS = 30
-# trials whose initial phase runs as one stack: a block holds a few
-# TRIAL_BLOCK x m x d arrays, about 1 MB of temporaries at m = 300, d = 4
-TRIAL_BLOCK = 50
+# trials whose initial phase runs as one stack: a block of k trials holds a
+# few k x m x d arrays, and k is the most trials, at least one, whose k x m x d
+# elements fit this budget: 150 trials at m = 200, d = 2, 50 at 300 x 4 and
+# 15 at 2000 x 2. Larger blocks are slower at small m: a budget of 100 000
+# took about 20 % longer than 60 000 at 200 x 2, and 30 % at 100 x 2.
+TRIAL_BLOCK_ELEMENTS = 60_000
 
 # Weiszfeld stop test: a step no longer than GM_TOL times max(min(1, S), |y|),
 # S the cloud's largest |value|, at most GM_MAX_ITER steps before
 # NonConvergence
 GM_TOL = 1e-10
 GM_MAX_ITER = 1000
+
+# scipy, imported by _special on first use: only the MCD's consistency factor
+# and cutoff need it, so importing fdout and the rank-based methods load none
+scipy = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +105,19 @@ def _sum_kept(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_coords(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit. Below 8 entries numpy adds the last
+    axis left to right from 0, which runs faster as one whole-array addition
+    per coordinate than as a reduction over each short row."""
+    d = a.shape[-1]
+    if d >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, d):
+        out += a[..., j]
+    return out
+
+
 def geometric_median(points) -> np.ndarray:
     """Point minimising the sum of Euclidean distances to the rows of an
     ``m x d`` cloud, or one such point per cloud of a ``k x m x d`` stack.
@@ -137,7 +156,7 @@ def geometric_median(points) -> np.ndarray:
             return y if pts.ndim == 3 else y[0]
         x = stack if left.size == k else stack[left]
         diff = x - y[left, None]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = np.sqrt(_sum_coords(diff * diff))
         nearest = dist.argmin(axis=1)
         # Fixed-point steps crawl when the optimum sits on a data point, so
         # test the nearest vertex exactly: it is optimal iff the unit vectors
@@ -147,7 +166,7 @@ def geometric_median(points) -> np.ndarray:
         rejected[left[test], nearest[test]] = True
         vertex = x[test, nearest[test]]
         units = x[test] - vertex[:, None]
-        dist_k = np.sqrt((units * units).sum(axis=2))
+        dist_k = np.sqrt(_sum_coords(units * units))
         off = dist_k > eps[left[test], None]
         np.divide(units, dist_k[..., None], out=units, where=off[..., None])
         r_k = _sum_kept(units, off)
@@ -173,8 +192,8 @@ def geometric_median(points) -> np.ndarray:
         y_newton = y_old[newton] + delta[:, :, 0]
         tried = solved & np.isfinite(y_newton).all(axis=1)
         newton, y_newton = newton[tried], y_newton[tried]
-        obj_w = np.sqrt(((x[newton] - t[newton, None]) ** 2).sum(axis=2)).sum(axis=1)
-        obj_n = np.sqrt(((x[newton] - y_newton[:, None]) ** 2).sum(axis=2)).sum(axis=1)
+        obj_w = np.sqrt(_sum_coords((x[newton] - t[newton, None]) ** 2)).sum(axis=1)
+        obj_n = np.sqrt(_sum_coords((x[newton] - y_newton[:, None]) ** 2)).sum(axis=1)
         better = obj_n < obj_w
         y_new[newton[better]] = y_newton[better]
         # Vardi-Zhang: pull the Weiszfeld step back towards a coincident point
@@ -192,15 +211,23 @@ def geometric_median(points) -> np.ndarray:
                          f"stack entries {left.tolist()} (0-based)")
 
 
+def _special():
+    """``scipy.special``, imported into the module's ``scipy`` on first use."""
+    global scipy
+    if scipy is None:
+        import scipy.special
+    return scipy.special
+
+
 def _chi2_ppf(alpha: float, d: int) -> float:
     """Chi-square quantile by the formula of SciPy's ``chi2.ppf``, whose
     results it matches bit for bit (``scipy.special.chdtri`` does not)."""
-    return 2.0 * scipy.special.gammaincinv(d / 2.0, alpha)
+    return 2.0 * _special().gammaincinv(d / 2.0, alpha)
 
 
 def _chi2_consistency(alpha: float, d: int) -> float:
     """Factor making the h-subset covariance consistent under normality."""
-    return alpha / scipy.special.chdtr(d + 2, _chi2_ppf(alpha, d))
+    return alpha / _special().chdtr(d + 2, _chi2_ppf(alpha, d))
 
 
 def _subset_cov(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,18 +253,18 @@ def _per_matrix(solver, *stacks):
     It runs ``np.linalg.cholesky`` on the covariances of ``_mahalanobis_sq``
     and ``np.linalg.solve`` on the Newton step of ``geometric_median``, the
     only general solve left. LAPACK runs matrix by matrix, so each result is
-    what that matrix alone gives, and a stack that raises is redone one
-    matrix at a time."""
+    what that matrix alone gives, and a stack that raises is split in
+    halves, each redone the same way: f failures among k matrices cost at
+    most 2 f ceil(log2 k) + 1 calls."""
+    k = len(stacks[0])
     try:
-        return solver(*stacks), np.ones(len(stacks[0]), dtype=bool)
+        return solver(*stacks), np.ones(k, dtype=bool)
     except np.linalg.LinAlgError:
-        out, ok = np.zeros_like(stacks[-1]), np.zeros(len(stacks[0]), dtype=bool)
-        for i, single in enumerate(zip(*stacks)):
-            try:
-                out[i], ok[i] = solver(*single), True
-            except np.linalg.LinAlgError:
-                pass
-        return out, ok
+        if k <= 1:
+            return np.zeros_like(stacks[-1]), np.zeros(k, dtype=bool)
+        halves = [_per_matrix(solver, *(s[part] for s in stacks))
+                  for part in (slice(None, k // 2), slice(k // 2, None))]
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
@@ -259,15 +286,18 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, cov: np.ndarray):
     # coordinate's differences form a contiguous row, and the factor's
     # entries are broadcast along them
     z = np.ascontiguousarray(x.T) - center[:, :, None]
-    dist = np.zeros(z[:, 0].shape)
     # inf - inf is NaN, read as +inf
     with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
         for j in range(z.shape[1]):
             for i in range(j):
                 z[:, j] -= lower[:, j, i, None] * z[:, i]
             z[:, j] /= lower[:, j, j, None]
-            dist += z[:, j] * z[:, j]
-    return np.where(np.isnan(dist), np.inf, dist), ok
+            if j:
+                dist += z[:, j] * z[:, j]
+            else:
+                dist = z[:, 0] * z[:, 0]
+    dist[np.isnan(dist)] = np.inf
+    return dist, ok
 
 
 def _nearest(dist: np.ndarray, h: int) -> np.ndarray:
@@ -346,6 +376,14 @@ def _elemental_starts(x: np.ndarray, rng: RandomSource):
     return center, cov, started
 
 
+def _trial_blocks(m: int, d: int):
+    """(lo, hi) bounds of the blocks of trials whose initial C-steps run as
+    one stack: as many trials as fit TRIAL_BLOCK_ELEMENTS at m x d each."""
+    size = max(1, TRIAL_BLOCK_ELEMENTS // (m * d))
+    for lo in range(0, N_TRIALS, size):
+        yield lo, min(lo + size, N_TRIALS)
+
+
 def _initial_candidates(x: np.ndarray, h: int, center: np.ndarray, cov: np.ndarray):
     """Stacked center, cov, logdet and support of a block of starts, in
     order, after N_INITIAL_CSTEPS C-steps. Starts that meet a non-PD
@@ -412,22 +450,25 @@ def fast_mcd(points, *, rng: RandomSource | None = None) -> McdFit:
         rng = RandomSource(0)
 
     # every start is drawn first; the trials then run side by side a block
-    # at a time
+    # at a time. The N_BEST lowest log-determinants so far are kept in trial
+    # order of a stable sort, the same candidates as one sort of all trials.
     center, cov, started = _elemental_starts(x, rng)
-    blocks = []
-    for lo in range(0, N_TRIALS, TRIAL_BLOCK):
-        block = lo + np.flatnonzero(started[lo:lo + TRIAL_BLOCK])
-        blocks.append(_initial_candidates(x, h, center[block], cov[block]))
-    centers, covs, logdets, supports = (np.concatenate(part) for part in zip(*blocks))
+    kept = None
+    for lo, hi in _trial_blocks(m, d):
+        block = lo + np.flatnonzero(started[lo:hi])
+        candidates = _initial_candidates(x, h, center[block], cov[block])
+        if kept is not None:
+            candidates = [np.concatenate(pair) for pair in zip(kept, candidates)]
+        order = np.argsort(candidates[2], kind="stable")[:N_BEST]
+        kept = [part[order] for part in candidates]
+    centers, covs, logdets, supports = kept
     if not logdets.size:
         raise SingularSubsets("all candidate subsets produced singular covariances")
 
     # refine the best candidates side by side; a candidate stops when its
     # step is not PD (keeping its state) or its log-determinant no longer
     # falls, as it does not when its support is unchanged
-    keep = np.argsort(logdets, kind="stable")[:N_BEST]
-    centers, covs, logdets, supports = centers[keep], covs[keep], logdets[keep], supports[keep]
-    active = np.arange(keep.size)
+    active = np.arange(logdets.size)
     for _ in range(MAX_REFINE_CSTEPS):
         if not active.size:
             break
@@ -473,10 +514,11 @@ def robust_distances(points, fit: McdFit) -> np.ndarray:
 def _asymptotic_wishart_df(m: int, d: int, alpha: float) -> float:
     """Croux-Haesbroeck asymptotic Wishart degrees of freedom of the MCD scatter."""
     q = _chi2_ppf(alpha, d)
-    cdf_d2 = scipy.special.chdtr(d + 2, q)
+    special = _special()
+    cdf_d2 = special.chdtr(d + 2, q)
     c_alpha = alpha / cdf_d2
     c2 = -cdf_d2 / 2.0
-    c3 = -scipy.special.chdtr(d + 4, q) / 2.0
+    c3 = -special.chdtr(d + 4, q) / 2.0
     c4 = 3.0 * c3
     b1 = c_alpha * (c3 - c4) / (1.0 - alpha)
     b2 = 0.5 + c_alpha / (1.0 - alpha) * (c3 - (q / d) * (c2 + (1.0 - alpha) / 2.0))
@@ -505,6 +547,6 @@ def hardin_rocke_cutoff(m: int, d: int, *, level: float = 0.05) -> FCutoff:
 
     dof2 = m_hr - d + 1.0
     scale = d * m_hr / dof2
-    threshold = scale * scipy.special.fdtri(d, dof2, 1.0 - level)
+    threshold = scale * _special().fdtri(d, dof2, 1.0 - level)
     return FCutoff(level=level, dof1=float(d), dof2=float(dof2),
                    scale=float(scale), threshold=float(threshold))

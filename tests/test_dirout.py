@@ -14,10 +14,11 @@ from fdout import (
 )
 from fdout.dirout import (MAD_CONSISTENCY, DirectionalOutlyingnessField, _project,
                           _unit_directions)
-from fdout.fdcore import small_ufunc_buffer
+from fdout.fdcore import power_of_two_scaled, small_ufunc_buffer
+from fdout.simmodels import simulation_model
 
 from . import oracles
-from .conftest import constant_curves, make_multi
+from .conftest import constant_curves, make_multi, make_sample
 
 
 def random_field(seed, n=8, p=6, d=1):
@@ -288,6 +289,72 @@ class TestDirectionalOutlyingness:
         )
         field = directional_outlyingness(make_multi(values), rng=RandomSource(4))
         np.testing.assert_allclose(field.values[4], 0.0, atol=1e-6)
+
+
+def general_univariate_field(values):
+    """The d = 1 field and SDO of n x p values by the general formula: SDO
+    from two np.median calls times the unit vector from the pointwise
+    median, which is NaN along a deviation that overflows to +-inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sdo = oracles.pointwise_sdo_two_medians(values[:, :, None], np.ones((1, 1)))
+        center = np.median(values, axis=0)
+        diff, _ = power_of_two_scaled((values - center)[:, :, None], axis=2)
+        norms = np.sqrt((diff * diff).sum(axis=2))
+        unit = diff[:, :, 0] / np.where(norms > 0.0, norms, 1.0)
+        field = np.where(norms > 0.0, sdo * unit, 0.0)
+    return field, sdo
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _univariate_cases():
+    base = np.random.default_rng(36).standard_normal((41, 12))
+    cases = {f"model {model}, n = {n}": simulation_model(model, n=n, p=30, seed=model).data.values
+             for model in range(1, 10) for n in (100, 101)}
+    cases["ties"] = np.round(base * 2.0, 0)
+    constant = base.copy()
+    constant[:, 2] = 1.5  # every curve ties: zero MAD and a zero field
+    constant[:21, 5] = -0.25  # a majority ties: zero MAD, +-inf off the median
+    constant[:20, 8], constant[20:, 8] = -0.0, 0.0  # a median of +0 with curves at -0
+    cases["constant columns"] = constant
+    for exponent in (1000, -1000, -1070):
+        cases[f"2**{exponent}"] = np.ldexp(base, exponent)
+    overflow = base.copy()
+    overflow[:21, 3], overflow[21:, 3] = -1.7e308, 1.7e308  # y - med overflows
+    cases["overflowing deviations"] = overflow
+    even = base[:40].copy()
+    # the middle values' mean overflows, and so does every deviation from it
+    even[:, 7] = 1.7e308 * np.linspace(0.9, 1.0, 40)
+    cases["overflowing median"] = even
+    return cases
+
+
+UNIVARIATE_CASES = _univariate_cases()
+
+
+@pytest.mark.parametrize("name", list(UNIVARIATE_CASES))
+def test_univariate_robust_z_is_the_general_field_bit_for_bit(name):
+    values = UNIVARIATE_CASES[name]
+    field, sdo = general_univariate_field(values)
+    got = directional_outlyingness(make_sample(values))
+    assert got.values.shape == values.shape + (1,)
+    assert np.array_equal(_bits(got.values[:, :, 0]), _bits(field))
+    assert np.array_equal(_bits(got.sdo), _bits(sdo))
+    assert np.array_equal(_bits(pointwise_sdo(make_sample(values))), _bits(sdo))
+
+
+def test_univariate_cases_reach_every_branch():
+    values = UNIVARIATE_CASES["constant columns"]
+    field, sdo = general_univariate_field(values)
+    assert (field[:, 2] == 0.0).all() and np.isinf(field[:, 5]).any()
+    assert not np.signbit(field[:, 8]).any()
+    field, sdo = general_univariate_field(UNIVARIATE_CASES["overflowing deviations"])
+    assert np.isnan(field[:, 3]).any() and np.isfinite(field[:, 3]).any()
+    field, sdo = general_univariate_field(UNIVARIATE_CASES["overflowing median"])
+    assert np.isnan(field[:, 7]).all() and np.isnan(sdo[:, 7]).all()
+    assert np.isfinite(field[:, 6]).all()
 
 
 class TestDecompose:

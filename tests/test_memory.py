@@ -3,9 +3,11 @@
 Peaks are measured with ``tracemalloc``, which sees numpy's buffers, and
 bounded well below the array the direct formulation would hold: the
 n x p x 500 projection cube for pointwise SDO (whose reused buffers stay
-under three blocks of one grid point's projections), an n x L CDF matrix
-for extremal depth, n x n pair arrays (or for MUOD, any n x n matrix),
-FastMCD's 500 trials stacked at once or an m-row permutation per trial,
+under three blocks of one grid point's projections), more than three
+copies of the values for univariate directional outlyingness, an n x L
+CDF matrix for extremal depth, n x n pair arrays (or for MUOD, any n x n
+matrix), FastMCD's 500 trials stacked at once, the h-subsets of all of
+them or a block beyond its element budget,
 more than a few copies of the stack of clouds whose geometric medians are
 solved side by side, for the curve SVG, the whole matrix's pixels or
 Python floats next to the text (and for the SVG file, the text itself),
@@ -24,6 +26,7 @@ import pytest
 
 from fdout import (
     RandomSource,
+    directional_outlyingness,
     extremal_depth,
     fast_mcd,
     geometric_median,
@@ -35,6 +38,7 @@ from fdout.csvio import read_curves, write_curves
 from fdout.detect import DEPTH_METHODS, depth_by_name, msplot, seq_transform, tvdmss
 from fdout.muod import muod
 from fdout.report import DetectionReport
+from fdout.robust import TRIAL_BLOCK_ELEMENTS
 from fdout.svgplot import emit_plot
 
 from . import oracles
@@ -64,6 +68,13 @@ def test_pointwise_sdo_holds_under_three_blocks_of_projections():
     assert peak_bytes(pointwise_sdo, sample, rng=RandomSource(1)) < 3 * n * 500 * 8
 
 
+def test_univariate_outlyingness_holds_three_copies_of_the_values():
+    # the deviations, the SDO and the field; the sorted copy is freed before
+    # the field is formed (the one-direction projection path held 7.6 copies)
+    sample = make_sample(np.random.default_rng(410).standard_normal((2000, 200)))
+    assert peak_bytes(directional_outlyingness, sample) < 3.5 * sample.values.nbytes
+
+
 def test_extremal_depth_holds_no_quadratic_array():
     n, p = 1000, 10
     sample = make_sample(np.random.default_rng(401).standard_normal((n, p)))
@@ -79,14 +90,23 @@ def test_muod_holds_a_few_copies_of_the_values():
 
 
 def test_fast_mcd_stacks_its_trials_a_block_at_a_time():
-    # the 500 candidates' h-subsets (0.6 MB) and one block's C-step
-    # temporaries: 1.53 MB with numpy 2.4. All 500 trials stacked at once
-    # would hold 500 * d * m * 8 = 4.8 MB in each of a few arrays, and an
-    # m-row permutation per trial, drawn a block at a time, 1.70 MB in all.
+    # one block's C-step temporaries and the ten best candidates so far:
+    # 0.99 MB with numpy 2.4. All 500 trials stacked at once would hold
+    # 500 * d * m * 8 = 4.8 MB in each of a few arrays, and the h-subsets of
+    # all 500 candidates, kept until the best ten were chosen, 1.53 MB in all.
     m, d = 300, 4
     points = np.random.default_rng(403).standard_normal((m, d))
     fast_mcd(points[:50], rng=RandomSource(0))  # the first fit loads scipy.special
-    assert peak_bytes(fast_mcd, points, rng=RandomSource(1)) < 1.65e6
+    assert peak_bytes(fast_mcd, points, rng=RandomSource(1)) < 1.1e6
+
+
+def test_fast_mcd_block_is_bounded_by_its_element_budget():
+    # a block of k trials holds a few k x m x d float arrays, k x m x d at
+    # most TRIAL_BLOCK_ELEMENTS: 1.28 MB with numpy 2.4 at 150 trials a block
+    m, d = 200, 2
+    points = np.random.default_rng(403).standard_normal((m, d))
+    fast_mcd(points[:50], rng=RandomSource(0))
+    assert peak_bytes(fast_mcd, points, rng=RandomSource(1)) < 3 * 8 * TRIAL_BLOCK_ELEMENTS
 
 
 def test_geometric_median_holds_a_few_copies_of_its_stack():

@@ -1,3 +1,4 @@
+import math
 import statistics
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from fdout.errors import (
     SingularSubsets,
     TooFewPoints,
 )
-from fdout.robust import McdFit, _chi2_consistency
+from fdout.robust import McdFit, _chi2_consistency, _per_matrix, _sum_coords, _trial_blocks
 
 from . import oracles
 
@@ -546,7 +547,7 @@ class TestFastMcdMatchesScalarOracle:
 
         monkeypatch.setattr(fdout.robust, "_c_steps", recording)
         fast_mcd(_plane_plus_cluster(50, 4, 15), rng=RandomSource(15))
-        n_blocks = len(range(0, fdout.robust.N_TRIALS, fdout.robust.TRIAL_BLOCK))
+        n_blocks = len(list(fdout.robust._trial_blocks(50, 4)))
         refine = masks[fdout.robust.N_INITIAL_CSTEPS * n_blocks:]
         assert any(ok.any() and not ok.all() and later.any()
                    for ok, later in zip(refine, refine[1:]))
@@ -569,6 +570,116 @@ class TestFastMcdMatchesScalarOracle:
         fast_mcd(_repeated_rows(m, d, seed), rng=RandomSource(seed))
         ordered = np.sort(np.concatenate(seen), axis=1)
         assert (ordered[:, h - 1] == ordered[:, h]).any()
+
+
+class TestTrialBlocks:
+    """How the trials are blocked changes no fit: the blocks take the
+    starts in trial order, and the N_BEST lowest log-determinants kept
+    across them are those of one stable sort of all trials."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 1000, 10**9])
+    @pytest.mark.parametrize("m, d", [(100, 2), (200, 2), (200, 3), (300, 4), (2000, 2), (9, 4)])
+    def test_bounds_cover_the_trials_in_blocks_that_fit_the_budget(self, monkeypatch,
+                                                                    budget, m, d):
+        if budget is not None:
+            monkeypatch.setattr(fdout.robust, "TRIAL_BLOCK_ELEMENTS", budget)
+        size = max(1, fdout.robust.TRIAL_BLOCK_ELEMENTS // (m * d))
+        blocks = list(_trial_blocks(m, d))
+        starts = [lo for lo, _ in blocks]
+        assert starts == list(range(0, fdout.robust.N_TRIALS, size))
+        assert [hi for _, hi in blocks] == starts[1:] + [fdout.robust.N_TRIALS]
+
+    def test_documented_block_sizes(self):
+        sizes = {(m, d): next(_trial_blocks(m, d))[1] for m, d in ((200, 2), (300, 4), (2000, 2))}
+        assert sizes == {(200, 2): 150, (300, 4): 50, (2000, 2): 15}
+
+    @pytest.mark.parametrize("trials", [1, 500])
+    @pytest.mark.parametrize("make, m, d, seed", [
+        (_gaussian, 200, 2, 5),
+        (_gaussian, 300, 4, 7),
+        (_repeated_rows, 80, 3, 9),
+        (_line_plus_scatter, 90, 3, 12),
+        (_plane_plus_cluster, 50, 4, 15),
+    ])
+    def test_fit_does_not_depend_on_the_block_size(self, monkeypatch, trials, make, m, d, seed):
+        points = make(m, d, seed)
+        expected = fast_mcd(points, rng=RandomSource(seed))
+        monkeypatch.setattr(fdout.robust, "TRIAL_BLOCK_ELEMENTS", trials * m * d)
+        assert len(list(_trial_blocks(m, d))) == 500 // trials
+        fit = fast_mcd(points, rng=RandomSource(seed))
+        for got, want in zip(_fields(fit), _fields(expected), strict=True):
+            assert np.array_equal(got, want)
+
+
+def _counted(solver, calls):
+    def counting(*stacks):
+        calls.append(len(stacks[0]))
+        return solver(*stacks)
+    return counting
+
+
+# (stack size k, indices of the matrices that fail)
+PER_MATRIX_CASES = [
+    (1, []), (1, [0]), (2, [1]), (16, [0]), (16, [15]), (17, [0, 16]),
+    (50, [3, 17, 18, 41]), (64, list(range(0, 64, 7))), (9, list(range(9))), (100, []),
+]
+
+
+class TestPerMatrix:
+    """A stack that raises is redone in halves: the same (out, ok) as a loop
+    over its matrices, in at most 2 f ceil(log2 k) + 1 solver calls."""
+
+    @staticmethod
+    def _pd_stack(k, failing, seed):
+        a = np.random.default_rng(seed).standard_normal((k, 3, 3))
+        stack = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(3)
+        stack[failing] = np.diag([1.0, 0.0, 1.0])  # singular, so not PD
+        return stack
+
+    @staticmethod
+    def _assert_matches_loop(solver, stacks, failing):
+        calls = []
+        out, ok = _per_matrix(_counted(solver, calls), *stacks)
+        k = len(stacks[0])
+        assert np.array_equal(ok, ~np.isin(np.arange(k), failing))
+        for i, single in enumerate(zip(*stacks)):
+            want = solver(*single) if ok[i] else np.zeros_like(stacks[-1][i])
+            assert np.array_equal(out[i], want)
+        assert len(calls) <= 2 * len(failing) * math.ceil(math.log2(k)) + 1
+
+    @pytest.mark.parametrize("k, failing", PER_MATRIX_CASES)
+    def test_cholesky(self, k, failing):
+        cov = self._pd_stack(k, failing, k)
+        self._assert_matches_loop(np.linalg.cholesky, (cov,), failing)
+
+    @pytest.mark.parametrize("k, failing", PER_MATRIX_CASES)
+    def test_solve(self, k, failing):
+        hess = self._pd_stack(k, failing, k + 1)
+        rhs = np.random.default_rng(k).standard_normal((k, 3, 1))
+        self._assert_matches_loop(np.linalg.solve, (hess, rhs), failing)
+
+    def test_one_failure_costs_two_calls_per_level(self):
+        calls = []
+        _per_matrix(_counted(np.linalg.cholesky, calls), self._pd_stack(64, [37], 2))
+        # the bound, 2 * 1 * 6 + 1 calls, is met exactly
+        assert sorted(calls, reverse=True) == [64, 32, 32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_sum_coords_adds_the_coordinates_left_to_right(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((4, 6, d)) * 10.0 ** rng.integers(-8, 9, (4, 6, d))
+    a[0, 0] = -0.0
+    got = _sum_coords(a)
+    assert np.array_equal(got.view(np.uint64), a.sum(axis=-1).view(np.uint64))
+    if d < 8:
+        expected = np.empty(a.shape[:2])
+        for index in np.ndindex(*a.shape[:2]):
+            total = 0.0
+            for value in a[index]:
+                total += value
+            expected[index] = total
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestNearestMatchesStableArgsort:

@@ -4,11 +4,11 @@ The traced benchmark run (perfbench/tracer.py) wraps fdout functions by
 attribute name; a name it lists that its owner no longer holds makes the
 traced run fail, so the names are checked here, and so are the names the
 package and its modules export. A cold CLI run is mostly import time, so
-which scipy subpackages each step loads is checked too, and so is every op
-name the source gives the least-curves table, that one helper owns
-numpy's ufunc buffer size, and that some module builds each error type. A
-failing property test must not end the suite's run, so that is checked in a
-fresh pytest process. The CI job at the declared floors must install what
+whether each step loads scipy, and which of its subpackages, is checked
+too, and so is every op name the source gives the least-curves table, that
+one helper owns numpy's ufunc buffer size, and that some module builds
+each error type. A failing property test must not end the suite's run, so
+that is checked in a fresh pytest process. The CI job at the declared floors must install what
 pyproject.toml declares, and the console script it declares must resolve.
 """
 
@@ -96,14 +96,16 @@ def test_every_exported_name_resolves_once(name):
     assert len(set(exported)) == len(exported)
 
 
-# runs in a fresh interpreter: which of the heavy scipy subpackages are
-# loaded after import, after rank-based CLI runs and after an msplot run
+# runs in a fresh interpreter: whether scipy and which of its heavy
+# subpackages are loaded after import, after rank-based CLI runs and after
+# an msplot run
 LOADED_SCIPY = """
 import json, os, sys
 work = sys.argv[1]
 data, report = os.path.join(work, "data.csv"), os.path.join(work, "r.json")
 def heavy():
-    return [m for m in ("scipy.stats", "scipy.linalg", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy", "scipy.stats", "scipy.linalg", "scipy.special")
+            if m in sys.modules]
 loaded = {}
 import fdout
 from fdout.cli import main
@@ -125,7 +127,7 @@ def test_only_msplot_loads_scipy_special(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "fbplot_tvdmss": [], "msplot": ["scipy.special"]}
+    assert loaded == {"import": [], "fbplot_tvdmss": [], "msplot": ["scipy", "scipy.special"]}
 
 
 def test_every_op_given_the_least_curves_table_is_a_key_and_every_key_is_given():
