@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Outlier detection for grid-sampled functional data.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    seed_help = "seed of the MCD subset search of msplot and of the rmd ordering"
 
     sim = sub.add_parser("simulate", help="generate a synthetic sample with planted outliers")
     sim.set_defaults(run=run_simulate)
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--report", required=True, help="output JSON report path")
     det.add_argument("--plot", default=None, help="optional SVG output path")
     det.add_argument("--plot-kind", choices=list(PLOT_KINDS), default="curves")
-    det.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
+    det.add_argument("--seed", type=int, default=0, help=seed_help)
     det.add_argument("--level", type=float, default=_default(_detect.msplot, "level"),
                      help="msplot: flagging tail probability")
     det.add_argument("--factor-mss", type=float,
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     dep.add_argument("--out", required=True)
     dep.add_argument("--erld-type", default=_default(_detect.seq_transform, "erld_type"),
                      choices=ERLD_TYPES)
-    dep.add_argument("--seed", type=int, default=0)
+    dep.add_argument("--seed", type=int, default=0, help=seed_help)
     _add_csv_flags(dep)
 
     plo = sub.add_parser("plot", help="render an SVG from data and a stored report")
@@ -238,7 +239,7 @@ def _detect_fbplot(args, sample):
     res = _detect.functional_boxplot(
         sample, depth, central_region=args.central_region, factor=args.factor
     )
-    parameters = {"depth": args.depth, "erld_type": args.erld_type,
+    parameters = {"depth": args.depth, "erld_type": args.erld_type, "seed": args.seed,
                   "central_region": args.central_region, "factor": args.factor}
     diagnostics = {
         "depth": res.depth.scores,

@@ -240,13 +240,13 @@ def msplot(
     determinant estimate at maximum breakdown, and flags curves whose
     squared robust distance exceeds the F-approximation threshold at
     ``level``. A summary that overflows raises NonFiniteResult naming its
-    curves.
+    curves. ``rng`` seeds only the MCD subset search.
     """
     n, d = curve_values(sample, "msplot", univariate=False).shape[0], sample.d
     check_level(level)
     if rng is None:
         rng = RandomSource(0)
-    field = directional_outlyingness(sample, rng=rng.child(0))
+    field = directional_outlyingness(sample)
     _check_finite_outlyingness(field.sdo)
     summary = decompose(field)
     points = np.hstack([summary.mo, summary.vo[:, None]])
@@ -308,13 +308,13 @@ def tvdmss(
     )
 
 
-def o_transform(sample: AnySample, rng: Optional[RandomSource] = None) -> CurveSample:
+def o_transform(sample: AnySample) -> CurveSample:
     """Univariate sample of pointwise outlyingness magnitudes (all >= 0).
 
     Raises NonFiniteOutlyingness where the pointwise MAD is zero and some
     curve is off the median, or where deviations overflow to NaN.
     """
-    magnitudes = pointwise_sdo(sample, rng=rng)
+    magnitudes = pointwise_sdo(sample)
     _check_finite_outlyingness(magnitudes)
     return CurveSample(magnitudes, sample.grid, ids=sample.ids)
 
@@ -349,16 +349,16 @@ def _difference_rows(sample: CurveSample) -> tuple[CurveSample, list]:
 
 
 # stage -> (needs d > 1 curves, grid points it drops,
-#           transform(sample, rng) -> (sample, warnings));
+#           transform(sample) -> (sample, warnings));
 # every stage but O needs univariate curves
 _SEQ_TRANSFORMS = {
-    "T0": (False, 0, lambda sample, rng: (sample, [])),
-    "D0": (False, 0, lambda sample, rng: (sample, [])),
-    "T1": (False, 0, lambda sample, rng: _center_rows(sample)),
-    "T2": (False, 0, lambda sample, rng: _normalise_rows(sample)),
-    "D1": (False, 1, lambda sample, rng: _difference_rows(sample)),
-    "D2": (False, 1, lambda sample, rng: _difference_rows(sample)),
-    "O": (True, 0, lambda sample, rng: (o_transform(sample, rng=rng), [])),
+    "T0": (False, 0, lambda sample: (sample, [])),
+    "D0": (False, 0, lambda sample: (sample, [])),
+    "T1": (False, 0, _center_rows),
+    "T2": (False, 0, _normalise_rows),
+    "D1": (False, 1, _difference_rows),
+    "D2": (False, 1, _difference_rows),
+    "O": (True, 0, lambda sample: (o_transform(sample), [])),
 }
 SEQ_STAGES = tuple(_SEQ_TRANSFORMS)
 
@@ -432,9 +432,8 @@ def seq_transform(
     for position, name in enumerate(sequence):
         seen[name] += 1
         label = f"{name}_{seen[name]}" if counts[name] > 1 else name
-        stage_rng = rng.child(position)
         try:
-            current, extra = _SEQ_TRANSFORMS[name][2](current, stage_rng.child(0))
+            current, extra = _SEQ_TRANSFORMS[name][2](current)
         except NonFiniteValue as exc:
             # the stage's input is a checked sample, so its output overflowed
             raise NonFiniteResult(
@@ -443,7 +442,7 @@ def seq_transform(
         warnings.extend(extra)
 
         depth = depth_by_name(
-            current, depth_method, erld_type=erld_type, rng=stage_rng.child(1)
+            current, depth_method, erld_type=erld_type, rng=rng.child(position).child(1)
         )
         box = functional_boxplot(
             current, depth, central_region=central_region, factor=factor

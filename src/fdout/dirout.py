@@ -50,8 +50,9 @@ class OutlyingnessDecomposition:
     weights: np.ndarray
 
 
-def _unit_directions(rng: RandomSource, d: int) -> np.ndarray:
-    u = rng.standard_normal((DEFAULT_DIRECTIONS, d))
+def _unit_directions(d: int) -> np.ndarray:
+    # one fixed set: msplot's former stream at seed 0, so --seed 0 reports match earlier releases
+    u = RandomSource(0).child(0).standard_normal((DEFAULT_DIRECTIONS, d))
     return u / np.sqrt((u * u).sum(axis=1))[:, None]
 
 
@@ -160,17 +161,13 @@ def _robust_z(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return field, sdo
 
 
-def pointwise_sdo(
-    sample: AnySample,
-    rng: RandomSource | None = None,
-) -> np.ndarray:
+def pointwise_sdo(sample: AnySample) -> np.ndarray:
     """Stahel-Donoho outlyingness at every grid point, as an n x p array.
 
     Univariate data uses the exact form |y - median| / (1.4826 * MAD), the
     absolute robust z-score of ``_robust_z``. Higher dimensions
-    maximise that ratio over ``DEFAULT_DIRECTIONS`` random unit projections
-    shared across all grid points, so results are deterministic given
-    ``rng`` (no ``rng`` means ``RandomSource(0)``).
+    maximise that ratio over one fixed set of ``DEFAULT_DIRECTIONS`` unit
+    projections (``_unit_directions``), shared across all grid points.
 
     Grid points are taken in blocks of step = max(1, p // k), k the number
     of directions. A block's projections are held as step x k x n, the
@@ -186,7 +183,7 @@ def pointwise_sdo(
     n, p, d = values.shape
     if d == 1:
         return _robust_z(values[:, :, 0])[1]
-    u = _unit_directions(rng or RandomSource(0), d)
+    u = _unit_directions(d)
     step = max(1, p // len(u))
     # proj[s, k, i] = <Y_i(t + s), u_k>; medians and MADs are per (s, k)
     proj = np.empty((step, len(u), n))
@@ -203,10 +200,7 @@ def pointwise_sdo(
     return sdo
 
 
-def directional_outlyingness(
-    sample: AnySample,
-    rng: RandomSource | None = None,
-) -> DirectionalOutlyingnessField:
+def directional_outlyingness(sample: AnySample) -> DirectionalOutlyingnessField:
     """Outlyingness vectors O_i(t) = SDO_i(t) * unit(Y_i(t) - Z(t)).
 
     Z(t) is the pointwise median (univariate) or geometric median. At d = 1
@@ -222,7 +216,7 @@ def directional_outlyingness(
     if values.shape[2] == 1:
         field, sdo = _robust_z(values[:, :, 0])
         return DirectionalOutlyingnessField(values=field[:, :, None], sdo=sdo, grid=sample.grid)
-    sdo = pointwise_sdo(sample, rng=rng)
+    sdo = pointwise_sdo(sample)
     center = geometric_median(values.swapaxes(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # documented above; msplot refuses it
         diff, _exponents = power_of_two_scaled(values - center[None, :, :], axis=2)

@@ -11,8 +11,8 @@ counts of flagged planted outliers (tp), flagged inliers of the planted
 samples (fp) and flagged curves of the clean samples (clean_fp), and their
 rates with 95 % Wilson intervals.
 
-    python tests/accuracy.py --out ACCURACY_36.json   # write the table
-    python tests/accuracy.py --seeds 20 --check ACCURACY_36.json
+    python tests/accuracy.py --out ACCURACY_38.json   # write the table
+    python tests/accuracy.py --seeds 20 --check ACCURACY_38.json
     python tests/accuracy.py --digest                 # one sha256 per cell
 
 ``--check`` exits 1 unless the counts over the first ``--seeds`` seeds

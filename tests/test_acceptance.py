@@ -110,7 +110,7 @@ def test_criterion_2_fo_identity(verdict):
         p = int(rng.integers(2, 21))
         d = 1 if trial < 50 else 2
         sample = make_multi(rng.standard_normal((n, p, d)))
-        field = directional_outlyingness(sample, rng=RandomSource(trial))
+        field = directional_outlyingness(sample)
         fit = decompose(field)
         # FO computed directly from the field, not from the MO/VO identity.
         # Deviation is measured relative to FO: small samples with a

@@ -1,6 +1,6 @@
 """The first 20 seeds of the committed detection-accuracy table.
 
-``tests/accuracy.py`` writes ``ACCURACY_36.json`` over 200 seeds and also
+``tests/accuracy.py`` writes ``ACCURACY_38.json`` over 200 seeds and also
 stores the counts of its first 20; this reruns those 20 seeds, with one
 BLAS thread as the table was made, and requires the same counts.
 """
@@ -19,6 +19,6 @@ def test_first_20_seeds_match_the_committed_table():
         env[var] = "1"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "accuracy.py"), "--seeds", "20",
-         "--check", str(ROOT / "ACCURACY_36.json")],
+         "--check", str(ROOT / "ACCURACY_38.json")],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

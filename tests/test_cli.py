@@ -797,7 +797,8 @@ DETECT_REPORTS = {
         {"index_shape", "index_magnitude", "index_amplitude"},
     ),
     "fbplot": (
-        {"depth": "mbd", "erld_type": None, "central_region": 0.5, "factor": 1.5},
+        {"depth": "mbd", "erld_type": None, "seed": 0, "central_region": 0.5,
+         "factor": 1.5},
         {"all"},
         {"depth", "depth_direction", "central", "envelope_lower", "envelope_upper",
          "fence_lower", "fence_upper"},

@@ -18,6 +18,7 @@ from fdout import (
 )
 from fdout.depths import DEEPER_IS_LARGER, OUTLYING_IS_LARGER, DepthVector
 from fdout.detect import DEPTH_METHODS, depth_by_name
+from fdout.dirout import directional_outlyingness
 from fdout.errors import (
     BadCentralRegion,
     EmptySequence,
@@ -202,6 +203,26 @@ class TestMsplot:
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.outliers, b.outliers)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_seed_reaches_only_the_mcd_fit(self, monkeypatch, d):
+        # the projection directions are fixed: the outlyingness field and its
+        # MO/VO summary are the same bits under every seed
+        fields = []
+
+        def record(sample, **kwargs):
+            fields.append(directional_outlyingness(sample, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(fdout.detect, "directional_outlyingness", record)
+        values = np.random.default_rng(300 + d).standard_normal((40, 12, d))
+        values[3] += 4.0
+        runs = [msplot(make_multi(values), rng=RandomSource(k)) for k in range(4)]
+        for run, field in zip(runs[1:], fields[1:]):
+            assert np.array_equal(field.sdo, fields[0].sdo)
+            assert np.array_equal(field.values, fields[0].values)
+            assert np.array_equal(run.mo, runs[0].mo)
+            assert np.array_equal(run.vo, runs[0].vo)
+
     @pytest.mark.parametrize("kwargs, error", [
         ({"level": 2.0}, InvalidLevel),
         ({"level": np.nan}, InvalidLevel),
@@ -361,21 +382,15 @@ class TestOTransform:
 
     def test_values_nonnegative(self):
         values = np.random.default_rng(204).standard_normal((15, 8, 2))
-        curves = o_transform(make_multi(values), rng=RandomSource(4))
+        curves = o_transform(make_multi(values))
         assert np.all(curves.values >= 0.0)
 
     def test_joint_outlier_has_maximal_mean(self):
         rng = np.random.default_rng(205)
         values = rng.standard_normal((20, 10, 2))
         values[7] += 8.0  # large bivariate shift
-        curves = o_transform(make_multi(values), rng=RandomSource(5))
+        curves = o_transform(make_multi(values))
         assert np.argmax(curves.values.mean(axis=1)) == 7
-
-    def test_no_rng_means_seed_zero(self):
-        sample = make_multi(np.random.default_rng(206).standard_normal((12, 6, 2)))
-        np.testing.assert_array_equal(
-            o_transform(sample).values, o_transform(sample, rng=RandomSource(0)).values
-        )
 
     def test_zero_mad_raises_numeric_error(self):
         values = np.random.default_rng(207).standard_normal((20, 6, 2))
@@ -542,9 +557,9 @@ class TestSeqTransform:
         def refuse(*args, **kwargs):
             raise AssertionError("a stage was computed")
 
-        for name in ("_center_rows", "_normalise_rows", "_difference_rows", "o_transform",
-                     "depth_by_name"):
-            monkeypatch.setattr(fdout.detect, name, refuse)
+        for name, (multi, dropped, _) in list(fdout.detect._SEQ_TRANSFORMS.items()):
+            monkeypatch.setitem(fdout.detect._SEQ_TRANSFORMS, name, (multi, dropped, refuse))
+        monkeypatch.setattr(fdout.detect, "depth_by_name", refuse)
         values = np.random.default_rng(209).standard_normal((n, p, d))
         sample = make_sample(values[:, :, 0]) if d == 1 else make_multi(values)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -12,8 +12,8 @@ from fdout import (
     pointwise_sdo,
     robust_distances,
 )
-from fdout.dirout import (MAD_CONSISTENCY, DirectionalOutlyingnessField, _project,
-                          _unit_directions)
+from fdout.dirout import (DEFAULT_DIRECTIONS, MAD_CONSISTENCY, DirectionalOutlyingnessField,
+                          _block_sdo, _project, _unit_directions)
 from fdout.fdcore import power_of_two_scaled, small_ufunc_buffer
 from fdout.simmodels import simulation_model
 
@@ -56,26 +56,25 @@ class TestPointwiseSdo:
         rng = np.random.default_rng(30)
         values = rng.standard_normal((50, 2, 2))
         sample = make_multi(values)
-        approx = pointwise_sdo(sample, rng=RandomSource(17))
+        approx = pointwise_sdo(sample)
         dense = oracles.sdo_dense(values, oracles.half_circle_directions(100000))
         assert np.all(approx <= dense * (1.0 + 1e-3) + 1e-12)
         assert np.all(approx >= 0.9 * dense)
 
-    def test_deterministic_given_seed(self):
-        values = np.random.default_rng(31).standard_normal((12, 5, 2))
-        sample = make_multi(values)
-        a = pointwise_sdo(sample, rng=RandomSource(5))
-        b = pointwise_sdo(sample, rng=RandomSource(5))
-        np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_directions_are_the_seed_zero_draws_of_msplot(self, d):
+        u = RandomSource(0).child(0).standard_normal((DEFAULT_DIRECTIONS, d))
+        expected = u / np.sqrt((u * u).sum(axis=1))[:, None]
+        np.testing.assert_array_equal(_unit_directions(d), expected)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("p", [3, 17, 999, 1201])
     def test_columns_depend_only_on_their_grid_point(self, p, d):
         # grid points are processed in blocks; a column must not see its block
         values = np.round(np.random.default_rng(p * 10 + d).standard_normal((6, p, d)), 1)
-        full = pointwise_sdo(make_multi(values), rng=RandomSource(d))
+        full = pointwise_sdo(make_multi(values))
         for t in sorted({0, 1, p // 2, p - 2}):
-            pair = pointwise_sdo(make_multi(values[:, t:t + 2]), rng=RandomSource(d))
+            pair = pointwise_sdo(make_multi(values[:, t:t + 2]))
             np.testing.assert_array_equal(full[:, t:t + 2], pair)
 
     @pytest.mark.parametrize("call", [
@@ -124,8 +123,8 @@ class TestSdoMedianAndMad:
     def test_permutation_equivariant(self, d):
         values = np.random.default_rng(40 + d).standard_normal((9, 5, d))
         order = np.random.default_rng(50 + d).permutation(9)
-        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
-        moved = pointwise_sdo(make_multi(values[order]), rng=RandomSource(d))
+        base = pointwise_sdo(make_multi(values))
+        moved = pointwise_sdo(make_multi(values[order]))
         np.testing.assert_array_equal(moved, base[order])
 
     def test_translation_invariant(self):
@@ -138,29 +137,47 @@ class TestSdoMedianAndMad:
     def test_sign_invariant(self, d):
         # a projection of -x is minus that of x, and sorting mirrors
         values = np.random.default_rng(60 + d).standard_normal((8, 5, d))
-        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
-        np.testing.assert_array_equal(pointwise_sdo(make_multi(-values), rng=RandomSource(d)),
-                                      base)
+        base = pointwise_sdo(make_multi(values))
+        np.testing.assert_array_equal(pointwise_sdo(make_multi(-values)), base)
 
     @pytest.mark.parametrize("exponent", [900, -900])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_exact_under_power_of_two_scaling(self, d, exponent):
         values = np.random.default_rng(9 + d).standard_normal((40, 4, d))
-        base = pointwise_sdo(make_multi(values), rng=RandomSource(d))
-        scaled = pointwise_sdo(make_multi(np.ldexp(values, exponent)), rng=RandomSource(d))
+        base = pointwise_sdo(make_multi(values))
+        scaled = pointwise_sdo(make_multi(np.ldexp(values, exponent)))
         np.testing.assert_array_equal(scaled, base)
 
 
-def two_median_sdo(values, seed):
-    d = values.shape[2]
-    directions = np.ones((1, 1)) if d == 1 else _unit_directions(RandomSource(seed), d)
-    return oracles.pointwise_sdo_two_medians(values, directions)
+def random_directions(seed, d):
+    """``DEFAULT_DIRECTIONS`` seeded random unit vectors in d dimensions."""
+    u = RandomSource(seed).standard_normal((DEFAULT_DIRECTIONS, d))
+    return u / np.sqrt((u * u).sum(axis=1))[:, None]
+
+
+def kernel_sdo(values, directions):
+    """Pointwise SDO of n x p x d values over any directions, from the
+    package's projection and median/MAD kernels, all grid points in one block
+    (each (grid point, direction) row is scored on its own)."""
+    n, p, _ = values.shape
+    proj = np.empty((p, len(directions), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _project(values, directions, proj, np.empty_like(proj))
+        return _block_sdo(proj, np.empty_like(proj)).T
 
 
 def assert_matches_two_medians(values, seed=1):
-    expected = two_median_sdo(values, seed)
-    got = pointwise_sdo(make_multi(values), rng=RandomSource(seed))
-    assert np.array_equal(got, expected, equal_nan=True)
+    """pointwise_sdo equals the oracle over the fixed directions, and at
+    d > 1 its kernels equal it over the random directions of ``seed`` too."""
+    d = values.shape[2]
+    fixed = np.ones((1, 1)) if d == 1 else _unit_directions(d)
+    expected = oracles.pointwise_sdo_two_medians(values, fixed)
+    assert np.array_equal(pointwise_sdo(make_multi(values)), expected, equal_nan=True)
+    if d > 1:
+        directions = random_directions(seed, d)
+        assert np.array_equal(kernel_sdo(values, directions),
+                              oracles.pointwise_sdo_two_medians(values, directions),
+                              equal_nan=True)
     return expected
 
 
@@ -229,7 +246,7 @@ class TestSdoMatchesTwoMedianOracle:
                 values[row] = rng.choice([-1.0, 1.0], (3, d)) * 1.79e308
             with np.errstate(over="ignore", invalid="ignore"):
                 assert_matches_two_medians(values, seed=seed)
-                directions = _unit_directions(RandomSource(seed), d)
+                directions = random_directions(seed, d)
                 proj = np.empty((3, len(directions), n))
                 _project(values, directions, proj, np.empty_like(proj))
                 nan_rows += np.isnan(proj).any()
@@ -276,7 +293,7 @@ class TestDirectionalOutlyingness:
     def test_d2_magnitude_equals_sdo(self):
         values = np.random.default_rng(34).standard_normal((15, 4, 2))
         sample = make_multi(values)
-        field = directional_outlyingness(sample, rng=RandomSource(3))
+        field = directional_outlyingness(sample)
         norms = np.linalg.norm(field.values, axis=2)
         centered = np.allclose(norms, field.sdo, atol=1e-10)
         assert centered
@@ -287,7 +304,7 @@ class TestDirectionalOutlyingness:
         values = np.concatenate(
             [np.tile(base[:, None, :], (1, 3, 1)), np.zeros((1, 3, 2))], axis=0
         )
-        field = directional_outlyingness(make_multi(values), rng=RandomSource(4))
+        field = directional_outlyingness(make_multi(values))
         np.testing.assert_allclose(field.values[4], 0.0, atol=1e-6)
 
 
